@@ -26,7 +26,6 @@ from .errors import (
     InputError,
     InsufficientDataError,
     NoDensityError,
-    QuadratureError,
     StabilityError,
 )
 from .optimize import (

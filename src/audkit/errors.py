@@ -21,17 +21,6 @@ class NoDensityError(InputError):
     """The model is a point mass and has no probability density function."""
 
 
-class QuadratureError(AudKitError):
-    """Adaptive quadrature did not reach the requested tolerance.
-
-    The tolerance actually achieved is attached as ``achieved``.
-    """
-
-    def __init__(self, message: str, achieved: float):
-        self.achieved = achieved
-        super().__init__(f"{message} (achieved abs. error {achieved:.3g})")
-
-
 class ConvergenceError(AudKitError):
     """An iterative solver ran out of iterations or evaluations.
 

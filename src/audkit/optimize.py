@@ -29,7 +29,7 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 from .dist import ArrivalModel, Exponential, FoldedNormal, Lomax, Uniform
-from .errors import ConvergenceError, InputError, QuadratureError
+from .errors import ConvergenceError, InputError
 from .queue_core import (
     average_aud_from_moments,
     departure_moments,
@@ -181,9 +181,9 @@ def penalized_objective(spec: ObjectiveSpec, kappa: Sequence[float]) -> float:
         return spec.penalty
     try:
         mean_y, second_y, cross = departure_moments(model, spec.mu)
-    except (ConvergenceError, QuadratureError):
-        # Numerically intractable corner (rho -> 1 stalls the fixed point,
-        # or the transform quadrature degrades): treat as infeasible.
+    except ConvergenceError:
+        # Numerically intractable corner (the rho1 solve or a Lomax continued
+        # fraction does not converge): treat as infeasible.
         return spec.penalty
     return second_y + 2.0 * cross - 2.0 * spec.c0 * mean_y
 

@@ -7,11 +7,11 @@ length embedded at arrival instants, the unique fixed point in (0, 1) of
 
     rho1 = int_0^inf f_X(x) exp(-mu (1 - rho1) x) dx.
 
-This module solves that fixed point (iteratively for any arrival family,
-via Lambert W for periodic arrivals), derives the system-time law and the
-inter-departure moments, and evaluates the mean age upon decisions and
-the update missing probability for Poisson, synchronous-periodic, and
-offset-periodic decision processes.
+This module solves that fixed point (by Newton's method for any arrival
+family, via Lambert W for periodic arrivals), derives the system-time law
+and the inter-departure moments, and evaluates the mean age upon
+decisions and the update missing probability for Poisson,
+synchronous-periodic, and offset-periodic decision processes.
 """
 
 from __future__ import annotations
@@ -212,14 +212,18 @@ def solve_rho1(
     arrival: ArrivalModel,
     mu: float,
     eps: float = 1e-12,
-    max_iter: int = 100_000,
+    max_iter: int = 100,
 ) -> Rho1Solution:
-    """Solve rho1 = laplace(arrival, mu (1 - rho1)) by fixed-point iteration.
+    """Solve rho1 = laplace(arrival, mu (1 - rho1)) by Newton's method.
 
-    Starts at 0.999 and applies the map until successive iterates differ by
-    at most ``eps``.  For a stable system (rho < 1) the map is a contraction
-    on (0, 1); instability is rejected up front and a stalled iteration is
-    reported, never silently truncated.
+    Newton runs on g(r) = laplace(mu (1-r)) - r from r = 0, with
+    g'(r) = mu weighted_first_moment(mu (1-r)) - 1.  g is convex, g(0) > 0
+    and g'(0) <= 1/e - 1 < 0, so the iterates climb monotonically to rho1
+    and never reach the second root r = 1.  The climb runs until rounding
+    stops it (g <= 0, or r no longer moves), which near rho = 1 lies far
+    below eps / |g'(rho1)|, and is accepted if then |g| <= ``eps``.
+    Otherwise, and after ``max_iter`` steps, ConvergenceError carries the
+    best iterate.  Instability is rejected up front.
     """
     if not eps > 0:
         raise InputError(f"tolerance must be > 0, got {eps}")
@@ -227,24 +231,23 @@ def solve_rho1(
     if not rho < 1.0:
         raise StabilityError(rho)
 
-    r = 0.999
+    r = 0.0
     trace = [r]
-    for i in range(1, max_iter + 1):
-        r_next = arrival.laplace(mu * (1.0 - r))
-        trace.append(r_next)
-        if abs(r_next - r) <= eps:
-            # A small step is not a small residual when the contraction
-            # factor is near 1 (rho -> 1), so verify before accepting.
-            residual = abs(arrival.laplace(mu * (1.0 - r_next)) - r_next)
-            if residual <= eps:
-                return Rho1Solution(r_next, i, residual, tuple(trace))
+    while True:
+        s = mu * (1.0 - r)
+        g = arrival.laplace(s) - r
+        r_next = r + g / (1.0 - mu * arrival.weighted_first_moment(s)) if g > 0.0 else r
+        if not r < r_next < 1.0 or len(trace) > max_iter:
+            if abs(g) <= eps:
+                return Rho1Solution(r, len(trace) - 1, abs(g), tuple(trace))
+            raise ConvergenceError(
+                f"rho1 Newton iteration stalled at r={r!r} after {len(trace) - 1} "
+                f"steps (max_iter={max_iter})",
+                best=r,
+                residual=abs(g),
+            )
         r = r_next
-    residual = abs(arrival.laplace(mu * (1.0 - r)) - r)
-    raise ConvergenceError(
-        f"rho1 fixed point did not converge within {max_iter} iterations",
-        best=r,
-        residual=residual,
-    )
+        trace.append(r)
 
 
 @lru_cache(maxsize=16384)
@@ -255,7 +258,7 @@ def _rho1_cached(arrival: ArrivalModel, mu: float) -> float:
 def rho1_value(arrival: ArrivalModel, mu: float) -> float:
     """Cached rho1 at default tolerance; sweeps hit the same (arrival, mu) a lot."""
     if isinstance(arrival, Deterministic):
-        # Closed form via Lambert W; agrees with the iteration to ~1e-12.
+        # Closed form via Lambert W; agrees with the Newton solve to ~1e-12.
         return rho1_deterministic(1.0 / (mu * arrival.period))
     return _rho1_cached(arrival, mu)
 
@@ -318,10 +321,13 @@ def departure_moments(
     """
     if rho1 is None:
         rho1 = rho1_value(arrival, mu)
+    return _moments_at(arrival, mu, rho1, arrival.weighted_first_moment(mu * (1.0 - rho1)))
+
+
+def _moments_at(arrival: ArrivalModel, mu: float, rho1: float, q1: float) -> DepartureMoments:
     ex = arrival.mean()
     ex2 = arrival.second_moment()
     a = mu * (1.0 - rho1)
-    q1 = arrival.weighted_first_moment(a)
     second = ex2 - 2.0 * rho1 * ex / a + 2.0 / (mu * mu * (1.0 - rho1))
     cross = ex / a - 1.0 / (mu * mu * (1.0 - rho1)) + q1 / a
     return DepartureMoments(ex, second, cross)
@@ -432,11 +438,12 @@ def missing_prob_gm1m(arrival: ArrivalModel, mu: float, nu: float) -> float:
 
     if abs(a - nu) < 1e-9 * mu:
         # Sit exactly on the singular point and extrapolate h -> 0 from
-        # symmetric averages, which cancel the odd error terms.
+        # symmetric averages, which cancel the odd error terms.  h scales
+        # with a, so that a - h stays a valid (positive) rate as rho1 -> 1.
         def sym(h: float) -> float:
             return 0.5 * (direct(a + h) + direct(a - h))
 
-        h = 1e-3 * mu
+        h = 1e-3 * a
         g1, g2, g3 = sym(h), sym(h / 2.0), sym(h / 4.0)
         r1 = (4.0 * g2 - g1) / 3.0
         r2 = (4.0 * g3 - g2) / 3.0
@@ -498,8 +505,8 @@ def derive(config: SystemConfig) -> DerivedQuantities:
     rho = config.rho
     rho1 = rho1_value(arrival, mu)
     a = mu * (1.0 - rho1)
-    moments = departure_moments(arrival, mu, rho1)
     q1 = arrival.weighted_first_moment(a)
+    moments = _moments_at(arrival, mu, rho1, q1)
     extra: dict = {}
     if isinstance(arrival, Deterministic):
         extra["rho0"] = math.exp(-mu * arrival.period)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import audkit as ak
-from audkit.errors import InputError, NoDensityError
+from audkit.errors import ConvergenceError, InputError, NoDensityError
 
 from conftest import quad_transform
 
@@ -25,6 +25,13 @@ ALL_MODELS = [
     ak.FoldedNormal(2.0, 0.05),
     ak.Deterministic(1.0),
     ak.Deterministic(0.25),
+    # Lomax shapes from near 2 up to the optimizer's cap 2 + 1e6, with beta s
+    # spanning 1e-10 to 1e3 over S_GRID (8e6 at the cap)
+    ak.Lomax(2.05, 0.01),
+    ak.Lomax(3.0, 125.0),
+    ak.Lomax(10.0, 1.0),
+    ak.Lomax(50.0, 100.0),
+    ak.Lomax(2.0 + 1e6, 1e6),
 ]
 
 DENSITY_MODELS = [m for m in ALL_MODELS if not isinstance(m, ak.Deterministic)]
@@ -147,10 +154,19 @@ def test_weighted_first_moment_examples():
 @pytest.mark.parametrize("model", DENSITY_MODELS)
 @pytest.mark.parametrize("s", S_GRID)
 def test_transforms_match_quadrature(model, s):
-    assert model.laplace(s) == pytest.approx(quad_transform(model, s), abs=1e-8)
-    assert model.weighted_first_moment(s) == pytest.approx(
-        quad_transform(model, s, moment=1), abs=1e-8
-    )
+    lap, wfm = model.laplace(s), model.weighted_first_moment(s)
+    assert math.isfinite(lap) and math.isfinite(wfm)
+    assert lap == pytest.approx(quad_transform(model, s), abs=1e-8)
+    assert wfm == pytest.approx(quad_transform(model, s, moment=1), abs=1e-8)
+
+
+def test_lomax_continued_fraction_failure_raises(monkeypatch):
+    from audkit import dist
+
+    monkeypatch.setattr(dist, "_CF_MAX_TERMS", 3)
+    with pytest.raises(ConvergenceError) as err:
+        ak.Lomax(3.0, 2.0).laplace(5.0)
+    assert math.isfinite(err.value.best)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

@@ -85,7 +85,7 @@ def test_rho1_exponential_equals_load():
     sol = qc.solve_rho1(ak.Exponential(1.0), 2.0)
     assert sol.value == pytest.approx(0.5, abs=1e-11)
     assert sol.residual <= 1e-12
-    assert sol.trace[0] == 0.999
+    assert sol.trace[0] == 0.0
     assert len(sol.trace) == sol.iterations + 1
 
 
@@ -115,21 +115,26 @@ def test_rho1_nonconvergence_reports_last_iterate():
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES_AT_LOAD))
-@pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.9999, 0.99999])
 def test_fixed_point_residual_grid(family, rho):
     mu = 2.0
     model = FAMILIES_AT_LOAD[family](rho, mu)
     sol = qc.solve_rho1(model, mu)
     assert 0.0 < sol.value < 1.0
     assert sol.residual <= 1e-12
+    assert sol.iterations <= 50
+    if family == "exp":
+        # rho1 = rho exactly.  The residual is known to ~1e-16 and its slope
+        # at the root is rho - 1, which bounds the attainable error near rho = 1.
+        assert sol.value == pytest.approx(rho, abs=max(1e-12, 1e-16 / (1.0 - rho)))
 
 
-@pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.9999, 0.99999])
 def test_rho1_deterministic_agrees_with_iteration(rho):
     mu = 2.0
     closed = qc.rho1_deterministic(rho)
     iterated = qc.solve_rho1(ak.Deterministic(1.0 / (rho * mu)), mu).value
-    assert closed == pytest.approx(iterated, abs=1e-9)
+    assert closed == pytest.approx(iterated, abs=1e-10)
 
 
 def test_rho1_deterministic_examples():
@@ -288,6 +293,10 @@ def test_missing_prob_mm1m_exact():
         assert qc.missing_prob_gm1m(ak.Exponential(1.0), 2.0, nu) == pytest.approx(
             1.0 / (1.0 + nu), abs=1e-10
         )
+    # near-critical: nu = 1e-4 lies within 1e-9 mu of mu (1 - rho1) ~ 1e-4
+    assert qc.missing_prob_gm1m(ak.Exponential(0.9999), 1.0, 1e-4) == pytest.approx(
+        0.9999, abs=1e-9
+    )
 
 
 def test_missing_prob_near_singularity_continuous():
