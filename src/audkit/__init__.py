@@ -33,6 +33,7 @@ from .optimize import (
     OffsetResult,
     OptimizationResult,
     bisection_optimal_arrival,
+    optimal_arrival,
     optimize_offset,
     penalized_objective,
     simplex_minimize,

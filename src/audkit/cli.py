@@ -10,15 +10,18 @@ unstable system, 3 a runtime numerical or simulation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import __version__, queue_core, report, sim
 from .dist import ARRIVAL_GRAMMAR, ServiceModel, parse_arrival
 from .errors import AudKitError, InputError
-from .optimize import FAMILY_ARITY, bisection_optimal_arrival, optimize_offset
+from .optimize import optimal_arrival, optimize_offset
 from .queue_core import (
     PeriodicOffsetDecisions,
     PeriodicSyncDecisions,
@@ -123,7 +126,9 @@ def _cmd_simulate(args) -> int:
         threads=_threads(args),
     )
     if args.dump:
-        records, decisions = sim.run_trajectory(config, args.horizon, args.seed)
+        # Replication 0's stream, so the dump is a trajectory the report averaged.
+        seq = np.random.SeedSequence(args.seed).spawn(args.reps)[0]
+        records, decisions = sim.run_trajectory(config, args.horizon, seq)
         sim.dump_trajectory_csv(records, decisions, args.dump)
     payload = {"command": "simulate", "report": rep.to_dict()}
     lines = [
@@ -147,12 +152,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_optimize_arrival(args) -> int:
-    if args.family not in FAMILY_ARITY:
-        raise InputError(
-            f"unknown family {args.family!r}; expected one of {sorted(FAMILY_ARITY)}"
-        )
     eps = args.eps if args.eps is not None else 1e-6 / args.mu
-    res = bisection_optimal_arrival(args.family, args.mu, eps=eps)
+    res = optimal_arrival(args.family, args.mu, eps=eps)
     payload = {
         "command": "optimize-arrival",
         "family": res.family,
@@ -186,8 +187,7 @@ def _cmd_optimize_arrival(args) -> int:
 
 def _cmd_optimize_offset(args) -> int:
     lam, mu = args.lam, args.mu
-    eps = args.eps if args.eps is not None else 1e-9
-    res = optimize_offset(lam, mu, eps=eps)
+    res = optimize_offset(lam, mu)
     aud_star = average_aud_dm1d_offset(lam, mu, res.delta)
     payload = {
         "command": "optimize-offset",
@@ -200,7 +200,7 @@ def _cmd_optimize_offset(args) -> int:
         "aud_at_delta_opt": aud_star,
         "aud_poisson_decisions": average_aud_dm1m(lam, mu),
         "aud_sync_m0_1": average_aud_dm1d_sync(lam, mu, 1),
-        "defaults": {"eps": eps, "max_iter": 100000},
+        "defaults": {},
     }
     lines = [
         ("delta_opt", f"{res.delta:.12g}"),
@@ -210,11 +210,8 @@ def _cmd_optimize_offset(args) -> int:
         ("aud_at_delta_opt", f"{aud_star:.12g}"),
         ("aud_poisson_decisions", f"{average_aud_dm1m(lam, mu):.12g}"),
         ("aud_sync_m0_1", f"{average_aud_dm1d_sync(lam, mu, 1):.12g}"),
-        ("eps", f"{eps:.3g}"),
     ]
     if args.delta_grid:
-        import numpy as np
-
         grid = np.linspace(0.0, 1.0 / lam, args.delta_grid + 2)[1:-1]
         values = [average_aud_dm1d_offset(lam, mu, d) for d in grid]
         best = int(np.argmin(values))
@@ -291,14 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize-arrival", help="AuD-minimizing arrival parameters")
     sp.add_argument("--family", required=True, help="exp | uniform | lomax | fnorm")
     sp.add_argument("--mu", type=float, required=True, help="service rate")
-    sp.add_argument("--eps", type=float, default=None, help="bisection tolerance")
+    sp.add_argument(
+        "--eps", type=float, default=None,
+        help="stop when the minimum mean AuD drops by at most this (default 1e-6/mu)",
+    )
     add_common(sp)
     sp.set_defaults(func=_cmd_optimize_arrival)
 
     sp = sub.add_parser("optimize-offset", help="AuD-minimizing decision offset")
     sp.add_argument("--lambda", dest="lam", type=float, required=True, help="arrival rate")
     sp.add_argument("--mu", type=float, required=True, help="service rate")
-    sp.add_argument("--eps", type=float, default=None, help="derivative residual tolerance")
     sp.add_argument(
         "--delta-grid", type=int, default=0,
         help="also report the minimum over this many interior grid points",
@@ -309,16 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="grid evaluation from a JSON spec file")
     sp.add_argument("--spec", required=True, help="path to the sweep spec JSON")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.add_argument("--threads", type=int, default=None, help="worker threads")
     add_common(sp)
     sp.set_defaults(func=_cmd_sweep)
 
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use and shared by every later call; never mutated.
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as err:

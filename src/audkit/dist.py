@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.special import erfcx, zeta
@@ -490,6 +490,3 @@ def format_arrival(model: ArrivalModel) -> str:
         if type(model) is cls:
             return head + ":" + ",".join(f"{k}={getattr(model, k):.17g}" for k in keys)
     raise InputError(f"unknown arrival model {model!r}")
-
-
-ArrivalFamily = Union[Exponential, Uniform, Lomax, FoldedNormal, Deterministic]

@@ -12,6 +12,21 @@ family, via Lambert W for periodic arrivals), derives the system-time law
 and the inter-departure moments, and evaluates the mean age upon
 decisions and the update missing probability for Poisson,
 synchronous-periodic, and offset-periodic decision processes.
+
+Offset-periodic decisions.  With arrivals every P = 1/lambda and a decision
+a fixed delta after each arrival, FCFS service makes the decision miss
+update k - j (and every later one) exactly when T_{k-j} > delta + j P, so
+
+    P(age > delta + j P) = P(T > delta + j P) = u1 rho1^j,
+
+with T ~ Exp(mu (1 - rho1)) the system time, u1 = exp(-mu (1-rho1) delta),
+and exp(-mu (1-rho1) P) = rho1 the fixed point of periodic arrivals.
+Summing the tail gives E[AuD] = delta + u1 / (lambda (1 - rho1)).  The law
+is convex in delta with derivative 1 - u1/rho, so the optimal offset sits
+at u1 = rho, inside (rho1, 1) at every load.  There the mean AuD is
+(1 + ln(1/rho)) / (mu (1 - rho1)), below aligned decisions (the delta -> 0
+limit) by convexity, and below Poisson decisions because
+1 - rho1 > 2 rho ln(1/rho).
 """
 
 from __future__ import annotations
@@ -382,36 +397,29 @@ def average_aud_dm1d_sync(lam: float, mu: float, m0: int) -> float:
 def average_aud_dm1d_offset(lam: float, mu: float, delta: float) -> float:
     """Mean AuD with periodic arrivals and periodic decisions offset by delta.
 
-    Decision rate equals the arrival rate; delta must lie in (0, 1/lam).
+    delta + u1 / (lam (1 - rho1)), u1 = exp(-mu (1 - rho1) delta); the
+    decision rate equals the arrival rate and delta must lie in (0, 1/lam).
     """
     if not 0.0 < lam < mu:
         raise StabilityError(lam / mu if mu > 0 else math.inf)
     if not 0.0 < delta < 1.0 / lam:
         raise InputError(f"offset must lie in (0, {1.0 / lam:.6g}), got {delta}")
     rho1 = rho1_deterministic(lam / mu)
-    rho0 = math.exp(-mu / lam)
-    u0 = math.exp(-mu * delta)
     u1 = math.exp(-mu * (1.0 - rho1) * delta)
-    num = (1.0 - rho0) * u1 * u1 + (1.0 - rho1) * (1.0 - u0) * u1
-    return delta + num / (lam * (1.0 - rho1) * (1.0 - rho0))
+    return delta + u1 / (lam * (1.0 - rho1))
 
 
 def offset_derivative_phi(rho: float, rho0: float, rho1: float, u1: float) -> float:
-    """d(mean AuD)/d(delta) of the offset system, written in u1.
+    """d(mean AuD)/d(delta) of the offset system, written in u1: 1 - u1/rho.
 
     u1 = exp(-mu (1-rho1) delta) decreases from 1 (delta = 0) to rho1
-    (delta = 1/lam), so a root of phi on (rho1, 1) is an interior optimum
-    of the offset.
+    (delta = 1/lam); the root u1 = rho is the optimal offset.  ``rho0`` and
+    ``rho1`` do not enter the exact law; they stay in the signature so that
+    existing callers keep working.
     """
     if not 0.0 < rho < 1.0:
         raise InputError(f"rho must lie in (0, 1), got {rho}")
-    expo = (2.0 - rho1) / (1.0 - rho1)
-    return (
-        1.0
-        - 2.0 * u1 * u1 / rho
-        - (1.0 - rho1) * u1 / (rho * (1.0 - rho0))
-        + (2.0 - rho1) / (rho * (1.0 - rho0)) * u1**expo
-    )
+    return 1.0 - u1 / rho
 
 
 # --- missing probability ------------------------------------------------------

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import queue_core, sim
 from .dist import Deterministic
 from .errors import AudKitError, InputError, StabilityError
-from .optimize import FAMILY_ARITY, bisection_optimal_arrival, optimize_offset
+from .optimize import OptimizationResult, optimal_arrival, optimize_offset
 from .queue_core import (
     PeriodicOffsetDecisions,
     PeriodicSyncDecisions,
@@ -171,8 +170,12 @@ def _flag_all(evaluations: Sequence[str], status: str) -> Dict[str, Cell]:
 
 
 def _evaluate_point(
-    spec: SweepSpec, config: SystemConfig, seed: int
+    spec: SweepSpec,
+    config: SystemConfig,
+    seed: int,
+    optima: Dict[Tuple[str, float], OptimizationResult],
 ) -> Dict[str, Cell]:
+    """Cells of one grid point; ``optima`` caches arrival optima per (family, mu)."""
     cells: Dict[str, Cell] = {}
     report = None
     for ev in spec.evaluations:
@@ -211,7 +214,10 @@ def _evaluate_point(
                     cells["aud_opt"] = Cell(status="family-not-optimizable")
                     cells["lambda_opt"] = Cell(status="family-not-optimizable")
                 else:
-                    res = bisection_optimal_arrival(tag, config.service.rate)
+                    key = (tag, config.service.rate)
+                    res = optima.get(key)
+                    if res is None:
+                        res = optima[key] = optimal_arrival(*key)
                     cells["aud_opt"] = Cell(value=res.c0)
                     cells["lambda_opt"] = Cell(value=res.arrival_rate())
             elif ev == "optimal-offset":
@@ -242,6 +248,7 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         len(spec.grid), dtype=np.uint64
     )
     rows: List[SweepRow] = []
+    optima: Dict[Tuple[str, float], OptimizationResult] = {}
     for value, seed in zip(spec.grid, point_seeds):
         try:
             config = _apply_variable(spec, value)
@@ -251,7 +258,7 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         except InputError as err:
             rows.append(SweepRow(value, _flag_all(spec.evaluations, f"invalid: {err}")))
             continue
-        rows.append(SweepRow(value, _evaluate_point(spec, config, int(seed))))
+        rows.append(SweepRow(value, _evaluate_point(spec, config, int(seed), optima)))
     return rows
 
 

@@ -1,9 +1,12 @@
 """In-process CLI runs, with JSON output validated against the shipped schema."""
 
+import csv
 import json
+import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import audkit
@@ -31,3 +34,86 @@ def test_analyze_json_near_critical(tmp_path, arrival, rho):
     payload = json.loads(out.read_text())
     jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
     assert payload["derived"]["rho"] == pytest.approx(rho, rel=1e-12)
+
+
+SWEEP_SCHEMA = json.loads(
+    (Path(audkit.__file__).parent / "schemas" / "sweep.schema.json").read_text()
+)
+
+
+def run_json(tmp_path, argv):
+    out = tmp_path / "out.json"
+    code = cli.main(argv + ["--json", "--out", str(out)])
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+def test_optimize_arrival_json(tmp_path):
+    payload = run_json(tmp_path, ["optimize-arrival", "--family", "exp", "--mu", "1"])
+    jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
+    assert payload["converged"]
+    assert payload["c0"] == pytest.approx(audkit.average_aud_mm1m(payload["lambda_opt"], 1.0))
+    assert payload["bracket_width"] <= payload["defaults"]["eps"]
+
+
+def test_optimize_offset_json_at_high_load(tmp_path):
+    # lam/mu = 0.9: the offset derivative has a root at u1 = rho at every load
+    payload = run_json(tmp_path, ["optimize-offset", "--lambda", "0.9", "--mu", "1"])
+    jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
+    rho1 = audkit.rho1_deterministic(0.9)
+    assert payload["delta_opt"] == pytest.approx(math.log(1.0 / 0.9) / (1.0 - rho1), rel=1e-14)
+    assert payload["iterations"] == 0
+    assert payload["aud_at_delta_opt"] < payload["aud_sync_m0_1"]
+    assert payload["aud_at_delta_opt"] < payload["aud_poisson_decisions"]
+
+
+def test_optimize_arrival_unknown_family_exits_2():
+    assert cli.main(["optimize-arrival", "--family", "weibull", "--mu", "1"]) == 2
+
+
+def test_optimize_offset_rejects_eps():
+    with pytest.raises(SystemExit):
+        cli.main(["optimize-offset", "--lambda", "0.5", "--mu", "1", "--eps", "1e-9"])
+
+
+@pytest.mark.parametrize(
+    "arrival,ok,skipped",
+    [
+        ("exp:rate=0.5", ("aud_opt", "lambda_opt"), ("delta_opt", "aud_at_delta_opt")),
+        ("det:period=2", ("delta_opt", "aud_at_delta_opt"), ("aud_opt", "lambda_opt")),
+    ],
+)
+def test_lambda_sweep_of_optima_json(tmp_path, arrival, ok, skipped):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "variable": "lambda",
+        "grid": [0.2, 0.5, 0.9],
+        "template": {"arrival": arrival, "mu": 1.0, "decision": "poisson:rate=1"},
+        "evaluations": ["optimal-arrival", "optimal-offset"],
+    }))
+    doc = run_json(tmp_path, ["sweep", "--spec", str(spec), "--format", "json"])
+    jsonschema.Draft202012Validator(SWEEP_SCHEMA).validate(doc)
+    assert [row["grid"] for row in doc["rows"]] == [0.2, 0.5, 0.9]
+    for row in doc["rows"]:
+        assert all(row["cells"][name]["status"] == "ok" for name in ok)
+        assert all(row["cells"][name]["status"] != "ok" for name in skipped)
+    if "aud_opt" in ok:  # the optimum does not depend on the swept rate
+        assert len({row["cells"]["aud_opt"]["value"] for row in doc["rows"]}) == 1
+
+
+def test_simulate_dump_is_replication_zero(tmp_path):
+    dump = tmp_path / "trajectory.csv"
+    horizon = 2_000
+    payload = run_json(tmp_path, [
+        "simulate", "--arrival", "exp:rate=0.5", "--mu", "1", "--decision",
+        "poisson:rate=0.7", "--horizon", str(horizon), "--reps", "3", "--seed", "11",
+        "--dump", str(dump),
+    ])
+    jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
+    with open(dump, newline="") as fh:
+        rows = list(csv.reader(fh))
+    departures = np.array([float(r[6]) for r in rows[1 : 1 + horizon]])
+    decisions = np.array([[float(r[1]), float(r[3])] for r in rows[2 + horizon :]])
+    # the replications' warm-up rule: keep decisions from the first kept departure on
+    kept = decisions[decisions[:, 0] >= departures[horizon // 10], 1]
+    assert float(kept.mean()) == payload["report"]["replication_means"][0]

@@ -1,5 +1,5 @@
-"""Simplex wrapper, penalized feasibility objective, threshold bisection, and
-the adaptive offset search."""
+"""Simplex wrapper, penalized feasibility objective, threshold bisection,
+Dinkelbach's arrival search, and the closed-form offset optimum."""
 
 import math
 
@@ -217,10 +217,72 @@ def test_optimize_offset_local_minimum_certificate():
 def test_optimize_offset_rejects_bad_input():
     with pytest.raises(InputError):
         op.optimize_offset(2.0, 2.0)
-    with pytest.raises(InputError):
-        op.optimize_offset(1.0, 2.0, eps=-1.0)
 
 
-def test_optimize_offset_iteration_budget():
+def test_optimize_offset_closed_form():
+    for lam, mu in ((0.9, 1.0), (0.05, 2.0), (1.9, 2.0)):
+        rho = lam / mu
+        rho1 = qc.rho1_deterministic(rho)
+        res = op.optimize_offset(lam, mu)
+        assert res.iterations == 0
+        assert res.u1 == rho
+        assert res.delta == pytest.approx(math.log(1.0 / rho) / (mu * (1.0 - rho1)), rel=1e-14)
+        assert 0.0 < res.delta < 1.0 / lam
+        assert res.phi_residual == qc.offset_derivative_phi(
+            rho, math.exp(-mu / lam), rho1, res.u1
+        )
+
+
+def test_optimal_offset_beats_poisson_and_sync_decisions():
+    # the paper's third result: at every load the optimal offset lowers the
+    # mean AuD below Poisson decisions and below aligned decisions (m0 = 1)
+    mu = 1.5
+    for rho in np.concatenate([np.linspace(0.01, 0.99, 99), [0.995, 0.999, 0.9999]]):
+        lam = float(rho) * mu
+        aud = qc.average_aud_dm1d_offset(lam, mu, op.optimize_offset(lam, mu).delta)
+        assert aud < qc.average_aud_dm1m(lam, mu)
+        assert aud < qc.average_aud_dm1d_sync(lam, mu, 1)
+
+
+# --- Dinkelbach ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["exp", "uniform", "fnorm", "lomax"])
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+def test_optimal_arrival_matches_bisection(family, mu):
+    oracle = op.bisection_optimal_arrival(family, mu)
+    res = op.optimal_arrival(family, mu)
+    eps = 1e-6 / mu
+    assert res.converged
+    assert abs(res.c0 - oracle.c0) <= eps
+    assert 5 * res.inner_evaluations <= oracle.inner_evaluations
+    assert 0.0 <= res.bracket_width <= eps
+    # c0 is the mean AuD the reported parameters achieve
+    assert res.c0 == qc.average_aud_from_moments(
+        *qc.departure_moments(res.arrival_model(), mu)
+    )
+
+
+def test_optimal_arrival_lomax_approaches_exponential_limit():
+    # the Lomax infimum is the shape -> infinity (exponential) limit, which
+    # no finite shape attains
+    lam_star, exp_star = golden_section(
+        lambda lam: qc.average_aud_mm1m(lam, 1.0), 1e-6, 1.0 - 1e-9
+    )
+    res = op.optimal_arrival("lomax", 1.0)
+    assert res.c0 >= exp_star
+    assert res.c0 == pytest.approx(exp_star, rel=1e-5)
+    assert res.arrival_rate() == pytest.approx(lam_star, rel=1e-3)
+
+
+def test_optimal_arrival_unsettled_sign_raises():
+    # one simplex evaluation per start cannot converge or exhibit a better point
     with pytest.raises(ConvergenceError):
-        op.optimize_offset(1.0, 2.0, eps=1e-9, max_iter=3)
+        op.optimal_arrival("exp", 2.0, max_evals=1)
+
+
+def test_optimal_arrival_rejects_bad_input():
+    with pytest.raises(InputError):
+        op.optimal_arrival("weibull", 2.0)
+    with pytest.raises(InputError):
+        op.optimal_arrival("exp", 2.0, eps=0.0)

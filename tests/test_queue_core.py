@@ -20,9 +20,9 @@ RHO0_HALF = 0.13533528323661269       # exp(-2)
 W0_AT_NEG_2E2 = -0.40637573995995991  # W0(-2 exp(-2))
 DM1M_1_2 = 1.1275004874579876
 SYNC_1_2_1 = 1.2550009749159753
-OFFSET_1_2_HALF = 1.0845356096578179
-PHI_AT_ONE = -0.6869647145006681
-PHI_AT_RHO1 = 0.5746586119152216
+OFFSET_1_2_HALF = 1.0657088227384059
+PHI_AT_ONE = -1.0
+PHI_AT_RHO1 = 0.59362426004004009
 PMIS_SYNC_1_2_1 = 0.5412371698844107
 
 FAMILIES_AT_LOAD = {

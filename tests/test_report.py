@@ -165,6 +165,23 @@ def test_optimal_arrival_sweep():
         assert 0.4 <= v / mu <= 0.6
 
 
+def test_lambda_sweep_solves_each_optimum_once(monkeypatch):
+    solve = report.optimal_arrival
+    calls = []
+
+    def counting(family, mu):
+        calls.append((family, mu))
+        return solve(family, mu)
+
+    monkeypatch.setattr(report, "optimal_arrival", counting)
+    spec = report.SweepSpec("lambda", (0.5, 1.0, 1.5), POISSON_TEMPLATE, ("optimal-arrival",))
+    rows = report.run_sweep(spec)
+    assert calls == [("exp", 2.0)]
+    assert len({r.cells["aud_opt"].value for r in rows}) == 1
+    report.run_sweep(spec)  # the cache lives only as long as one sweep
+    assert len(calls) == 2
+
+
 def test_optimal_offset_sweep():
     spec = report.SweepSpec("mu", (2.0, 2.5), SYNC_TEMPLATE, ("optimal-offset",))
     rows = report.run_sweep(spec)
