@@ -387,13 +387,12 @@ def optimal_arrival(
     family: str,
     mu: float,
     eps: Optional[float] = None,
-    max_evals: int = _MAX_EVALS,
 ) -> OptimizationResult:
     """Minimize the mean AuD over one arrival family by Dinkelbach's method.
 
     c starts at the AuD of the load-1/2 start point.  Each outer step
     minimizes N - c D by simplex searches from the previous minimizer and
-    two jittered copies of it, each allowed ``max_evals`` evaluations.  A
+    two jittered copies of it, each allowed ``_MAX_EVALS`` evaluations.  A
     negative minimum exhibits a point of mean AuD N/D < c, which becomes
     the new c; the loop stops when c drops by at most ``eps`` (default
     1e-6/mu), or when the minimum is non-negative and every start converged
@@ -415,7 +414,7 @@ def optimal_arrival(
         outer += 1
         starts = _jittered_starts(kappa, _N_STARTS, 0)
         cand, val, evals, converged = _inner_minimize(
-            ObjectiveSpec(family, mu, c), starts, _SIMPLEX_TOL, _SIMPLEX_TOL, max_evals
+            ObjectiveSpec(family, mu, c), starts, _SIMPLEX_TOL, _SIMPLEX_TOL, _MAX_EVALS
         )
         total_evals += evals
         if val < 0.0:
@@ -427,7 +426,7 @@ def optimal_arrival(
             decrease = 0.0  # no parameter vector beats c: it is the optimum
         else:
             raise ConvergenceError(
-                f"inner minimization exhausted {max_evals} evaluations at "
+                f"inner minimization exhausted {_MAX_EVALS} evaluations at "
                 f"c0={c} without settling the feasibility sign",
                 best=cand,
                 residual=val,
@@ -456,5 +455,5 @@ def optimize_offset(lam: float, mu: float) -> OffsetResult:
     rho1 = rho1_deterministic(rho)
     u1 = rho
     delta = -math.log(u1) / (mu * (1.0 - rho1))
-    phi = offset_derivative_phi(rho, math.exp(-mu / lam), rho1, u1)
+    phi = offset_derivative_phi(rho, u1)
     return OffsetResult(delta=delta, u1=u1, phi_residual=phi, iterations=0)

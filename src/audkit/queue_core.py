@@ -409,13 +409,11 @@ def average_aud_dm1d_offset(lam: float, mu: float, delta: float) -> float:
     return delta + u1 / (lam * (1.0 - rho1))
 
 
-def offset_derivative_phi(rho: float, rho0: float, rho1: float, u1: float) -> float:
+def offset_derivative_phi(rho: float, u1: float) -> float:
     """d(mean AuD)/d(delta) of the offset system, written in u1: 1 - u1/rho.
 
     u1 = exp(-mu (1-rho1) delta) decreases from 1 (delta = 0) to rho1
-    (delta = 1/lam); the root u1 = rho is the optimal offset.  ``rho0`` and
-    ``rho1`` do not enter the exact law; they stay in the signature so that
-    existing callers keep working.
+    (delta = 1/lam); the root u1 = rho is the optimal offset.
     """
     if not 0.0 < rho < 1.0:
         raise InputError(f"rho must lie in (0, 1), got {rho}")

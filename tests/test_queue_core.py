@@ -255,9 +255,9 @@ def test_offset_curve_convex_on_grid():
 
 
 def test_offset_derivative_phi_signs():
-    rho, rho0, rho1 = 0.5, RHO0_HALF, RHO1_HALF
-    phi_delta0 = qc.offset_derivative_phi(rho, rho0, rho1, 1.0)
-    phi_delta_max = qc.offset_derivative_phi(rho, rho0, rho1, rho1)
+    rho, rho1 = 0.5, RHO1_HALF
+    phi_delta0 = qc.offset_derivative_phi(rho, 1.0)
+    phi_delta_max = qc.offset_derivative_phi(rho, rho1)
     assert phi_delta0 == pytest.approx(PHI_AT_ONE, rel=1e-12)
     assert phi_delta_max == pytest.approx(PHI_AT_RHO1, rel=1e-12)
     assert phi_delta0 < 0 < phi_delta_max  # a root exists on (rho1, 1)
@@ -268,7 +268,6 @@ def test_offset_derivative_phi_consistent_with_curve():
     lam, mu = 1.0, 2.0
     rho = lam / mu
     rho1 = qc.rho1_deterministic(rho)
-    rho0 = math.exp(-mu / lam)
     a = mu * (1.0 - rho1)
     h = 1e-7
     for delta in np.linspace(0.05, 0.95, 20):
@@ -276,7 +275,7 @@ def test_offset_derivative_phi_consistent_with_curve():
             qc.average_aud_dm1d_offset(lam, mu, delta + h)
             - qc.average_aud_dm1d_offset(lam, mu, delta - h)
         ) / (2.0 * h)
-        phi = qc.offset_derivative_phi(rho, rho0, rho1, math.exp(-a * delta))
+        phi = qc.offset_derivative_phi(rho, math.exp(-a * delta))
         assert du == pytest.approx(phi, rel=1e-5, abs=1e-6)
 
 
