@@ -57,12 +57,9 @@ from .queue_core import (
     missing_prob_dm1d_sync,
     missing_prob_gm1m,
     missing_probability,
-    offset_derivative_phi,
     rho1_deterministic,
     rho1_value,
     solve_rho1,
-    stationary_queue_pmf,
-    system_time_rate,
 )
 from .report import Cell, SweepRow, SweepSpec, run_sweep, serialize
 from .sim import (

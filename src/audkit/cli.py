@@ -4,7 +4,9 @@ Five subcommands: ``analyze`` (closed forms for one system), ``simulate``
 (Monte Carlo replications), ``optimize-arrival`` and ``optimize-offset``
 (the two optimization procedures), and ``sweep`` (grid evaluation driven
 by a JSON spec file).  Exit codes: 0 success, 2 invalid input or an
-unstable system, 3 a runtime numerical or simulation failure.
+unstable system, 3 a runtime numerical or simulation failure.  The spec
+grammars and ``--family`` choices in the help texts come from the family
+and discipline registries, ``dist.FAMILIES`` and ``queue_core.DISCIPLINES``.
 """
 
 from __future__ import annotations
@@ -21,56 +23,16 @@ import numpy as np
 from . import __version__, queue_core, report, sim
 from .dist import ARRIVAL_GRAMMAR, ServiceModel, parse_arrival
 from .errors import AudKitError, InputError
-from .optimize import optimal_arrival, optimize_offset
+from .optimize import (_MAX_EVALS, _N_STARTS, OPTIMIZABLE, ObjectiveSpec, optimal_arrival,
+                       optimize_offset)
 from .queue_core import (
-    PeriodicOffsetDecisions,
-    PeriodicSyncDecisions,
-    PoissonDecisions,
+    DECISION_GRAMMAR,
     SystemConfig,
     average_aud_dm1d_offset,
     average_aud_dm1d_sync,
     average_aud_dm1m,
+    parse_decision,
 )
-
-DECISION_GRAMMAR = "poisson:rate=<v> | sync:m0=<m> | offset:delta=<d>"
-
-
-def parse_decision(text: str):
-    head, sep, rest = text.partition(":")
-    try:
-        if head == "poisson" and sep:
-            key, _, val = rest.partition("=")
-            if key == "rate":
-                return PoissonDecisions(rate=float(val))
-        elif head == "sync" and sep:
-            key, _, val = rest.partition("=")
-            if key == "m0":
-                m0 = float(val)
-                if m0 != int(m0):
-                    raise InputError(f"m0 must be an integer, got {val}")
-                return PeriodicSyncDecisions(m0=int(m0))
-        elif head == "offset" and sep:
-            key, _, val = rest.partition("=")
-            if key == "delta":
-                return PeriodicOffsetDecisions(delta=float(val))
-    except ValueError:
-        raise InputError(f"non-numeric value in decision spec {text!r}") from None
-    raise InputError(
-        f"unknown decision spec {text!r}; expected one of: {DECISION_GRAMMAR}"
-    )
-
-
-def _threads(args) -> int:
-    env = os.environ.get("AUDKIT_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError(f"AUDKIT_THREADS must be an integer, got {env!r}") from None
-    if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
-
 
 def _emit(payload: dict, lines, args) -> None:
     if args.json:
@@ -123,7 +85,7 @@ def _cmd_simulate(args) -> int:
         horizon=args.horizon,
         n_reps=args.reps,
         base_seed=args.seed,
-        threads=_threads(args),
+        threads=max(1, args.threads),
     )
     if args.dump:
         # Replication 0's stream, so the dump is a trajectory the report averaged.
@@ -165,7 +127,8 @@ def _cmd_optimize_arrival(args) -> int:
         "inner_evaluations": res.inner_evaluations,
         "converged": res.converged,
         "bracket_width": res.bracket_width,
-        "defaults": {"eps": eps, "n_starts": 3, "max_evals": 10000, "penalty": 1e9},
+        "defaults": {"eps": eps, "n_starts": _N_STARTS, "max_evals": _MAX_EVALS,
+                     "penalty": ObjectiveSpec.penalty},
     }
     lines = [
         ("family", res.family),
@@ -187,6 +150,8 @@ def _cmd_optimize_arrival(args) -> int:
 
 def _cmd_optimize_offset(args) -> int:
     lam, mu = args.lam, args.mu
+    if args.delta_grid < 0:
+        raise InputError(f"--delta-grid must be >= 0, got {args.delta_grid}")
     res = optimize_offset(lam, mu)
     aud_star = average_aud_dm1d_offset(lam, mu, res.delta)
     payload = {
@@ -222,9 +187,9 @@ def _cmd_optimize_offset(args) -> int:
 
 
 def _load_sweep_spec(path: str) -> report.SweepSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
         template = SystemConfig(
             parse_arrival(raw["template"]["arrival"]),
             ServiceModel(rate=float(raw["template"]["mu"])),
@@ -239,7 +204,7 @@ def _load_sweep_spec(path: str) -> report.SweepSpec:
             replications=int(raw.get("replications", 5)),
             base_seed=int(raw.get("base_seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (OSError, KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad sweep spec {path}: {err}") from None
 
 
@@ -247,10 +212,8 @@ def _cmd_sweep(args) -> int:
     spec = _load_sweep_spec(args.spec)
     rows = report.run_sweep(spec)
     fmt = "json" if args.json and args.format == "csv" else args.format
-    if args.out:
-        report.serialize(rows, fmt, args.out, variable=spec.variable, columns=spec.columns())
-    else:
-        report.serialize(rows, fmt, sys.stdout, variable=spec.variable, columns=spec.columns())
+    report.serialize(rows, fmt, args.out or sys.stdout, variable=spec.variable,
+                     columns=spec.columns())
     return 0
 
 
@@ -281,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=5, help="number of replications")
     sp.add_argument("--seed", type=int, default=0, help="base seed")
     sp.add_argument("--dump", help="write the per-update/per-decision CSV here")
-    sp.add_argument("--threads", type=int, default=None, help="worker threads")
+    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads")
     add_common(sp)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("optimize-arrival", help="AuD-minimizing arrival parameters")
-    sp.add_argument("--family", required=True, help="exp | uniform | lomax | fnorm")
+    sp.add_argument("--family", required=True, help=" | ".join(OPTIMIZABLE))
     sp.add_argument("--mu", type=float, required=True, help="service rate")
     sp.add_argument(
         "--eps", type=float, default=None,

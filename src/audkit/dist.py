@@ -17,14 +17,20 @@ small z and moderate p, by a power series and upward recurrence.  The
 folded-normal transforms are evaluated through the scaled complementary
 error function so they stay finite all the way down to sigma -> 0, where
 the family degenerates to a point mass.
+
+Each family is one class, registered in ``FAMILIES``: its spec-string tag,
+``with_rate`` for lambda sweeps, and the optimizer's coordinates.
+``parse_spec``/``format_spec`` serve the families and the decision
+disciplines alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erfcx, zeta
@@ -39,7 +45,12 @@ __all__ = [
     "FoldedNormal",
     "Deterministic",
     "ServiceModel",
+    "FAMILIES",
     "arrival_rate",
+    "spec_registry",
+    "spec_grammar",
+    "parse_spec",
+    "format_spec",
     "parse_arrival",
     "format_arrival",
     "ARRIVAL_GRAMMAR",
@@ -58,6 +69,11 @@ _CF_MAX_TERMS = 1000
 # zeta(k)/k, k = 53..2: ln Gamma(1-e) = euler_gamma e + sum_k zeta(k) e^k / k
 # (A&S 6.1.33), to 1e-17 for |e| <= 1/2.
 _LNGAMMA_1M = tuple(float(zeta(k) / k) for k in range(53, 1, -1))
+
+# optimizer coordinates: the smallest folded-normal scale, and the smallest
+# Lomax z = 1/(shape - 2), which caps the searched shape at 2 + 1/z
+_SIGMA_FLOOR = 1e-12
+_LOMAX_Z_FLOOR = 1e-6
 
 
 def _norm_cdf(z: float) -> float:
@@ -138,8 +154,41 @@ def _check_x(x: float) -> float:
     return x
 
 
+def _positive(what: str, value: float) -> None:
+    """Rejects a parameter that is NaN, infinite or not above zero."""
+    if not value > 0:
+        raise InputError(f"{what} must be > 0, got {value}")
+    if value == math.inf:
+        raise InputError(f"{what} must be finite, got {value}")
+
+
 class ArrivalModel:
-    """Common interface of the inter-arrival distribution families."""
+    """Common interface of the inter-arrival distribution families.
+
+    Class attributes: ``tag`` names the family in spec strings, ``keys``
+    (set by ``spec_registry``) lists its parameters in constructor order,
+    and ``start(mu)`` gives parameters at offered load 1/2.  A family is
+    optimizable if it has a ``start``.  The optimizer searches the
+    coordinates ``to_search(kappa)``; families whose optimum sits on an open
+    boundary override the identity maps so that the boundary is reachable.
+    """
+
+    start: Optional[Callable[[float], Tuple[float, ...]]] = None
+
+    def with_rate(self, lam: float) -> "ArrivalModel":
+        """The model of the same family at arrival rate ``lam`` (lambda sweeps)."""
+        raise InputError(
+            f"cannot sweep lambda for a {type(self).__name__} arrival; "
+            "sweep arrival.<param> instead"
+        )
+
+    @staticmethod
+    def to_search(kappa: Sequence[float]) -> np.ndarray:
+        return np.asarray(kappa, dtype=np.float64)
+
+    @staticmethod
+    def from_search(y: np.ndarray) -> Tuple[float, ...]:
+        return tuple(float(v) for v in y)
 
     def pdf(self, x: float) -> float:
         """Density at x >= 0. Point-mass models raise NoDensityError."""
@@ -168,11 +217,15 @@ class ArrivalModel:
 class Exponential(ArrivalModel):
     """Exponential inter-arrival times with rate ``rate`` (mean 1/rate)."""
 
+    tag = "exp"
+    start = staticmethod(lambda mu: (mu / 2.0,))
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise InputError(f"exponential rate must be > 0, got {self.rate}")
+        _positive("exponential rate", self.rate)
+
+    def with_rate(self, lam):
+        return Exponential(lam)
 
     def pdf(self, x):
         x = _check_x(x)
@@ -201,11 +254,15 @@ class Exponential(ArrivalModel):
 class Uniform(ArrivalModel):
     """Uniform inter-arrival times on (0, beta)."""
 
+    tag = "uniform"
+    start = staticmethod(lambda mu: (4.0 / mu,))
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise InputError(f"uniform width must be > 0, got {self.beta}")
+        _positive("uniform width", self.beta)
+
+    def with_rate(self, lam):
+        return Uniform(2.0 / lam)
 
     def pdf(self, x):
         x = _check_x(x)
@@ -253,6 +310,8 @@ class Lomax(ArrivalModel):
     are rejected at construction instead of surfacing as NaNs later.
     """
 
+    tag = "lomax"
+    start = staticmethod(lambda mu: (3.0, 4.0 / mu))
     alpha: float
     beta: float
 
@@ -261,8 +320,23 @@ class Lomax(ArrivalModel):
             raise InputError(
                 f"lomax shape must be > 2 for a finite second moment, got {self.alpha}"
             )
-        if not self.beta > 0:
-            raise InputError(f"lomax scale must be > 0, got {self.beta}")
+        _positive("lomax shape", self.alpha)  # rejects inf
+        _positive("lomax scale", self.beta)
+
+    # Searched as (z, mean), z = 1/(shape - 2): the infimum is the shape ->
+    # infinity limit (z -> 0), where the family degenerates to exponential.
+    @staticmethod
+    def to_search(kappa):
+        alpha, beta = kappa
+        return np.array([1.0 / (alpha - 2.0), beta / (alpha - 1.0)])
+
+    @staticmethod
+    def from_search(y):
+        z, mean = float(y[0]), float(y[1])
+        if z <= 0.0:  # out of domain; yields shape <= 2 and gets penalized
+            return (1.0, max(mean, 1.0))
+        alpha = 2.0 + 1.0 / max(z, _LOMAX_Z_FLOOR)
+        return (alpha, mean * (alpha - 1.0))
 
     def pdf(self, x):
         x = _check_x(x)
@@ -313,6 +387,8 @@ class FoldedNormal(ArrivalModel):
     transform evaluations stay continuous through that limit.
     """
 
+    tag = "fnorm"
+    start = staticmethod(lambda mu: (2.0 / mu, 0.5 / mu))
     alpha: float
     sigma: float
 
@@ -323,6 +399,17 @@ class FoldedNormal(ArrivalModel):
             raise InputError(f"folded-normal scale must be >= 0, got {self.sigma}")
         if self.alpha == 0 and self.sigma == 0:
             raise InputError("folded-normal needs alpha > 0 or sigma > 0")
+        _positive("folded-normal parameters", max(self.alpha, self.sigma))  # rejects inf
+
+    # The scale is searched in log space: the infimum is sigma -> 0.
+    @staticmethod
+    def to_search(kappa):
+        return np.array([kappa[0], math.log(max(kappa[1], _SIGMA_FLOOR))])
+
+    @staticmethod
+    def from_search(y):
+        sigma = math.exp(min(float(y[1]), 700.0))
+        return (float(y[0]), max(sigma, _SIGMA_FLOOR))
 
     def pdf(self, x):
         x = _check_x(x)
@@ -391,11 +478,14 @@ class FoldedNormal(ArrivalModel):
 class Deterministic(ArrivalModel):
     """Periodic arrivals: every inter-arrival time equals ``period``."""
 
+    tag = "det"
     period: float
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise InputError(f"deterministic period must be > 0, got {self.period}")
+        _positive("deterministic period", self.period)
+
+    def with_rate(self, lam):
+        return Deterministic(1.0 / lam)
 
     def pdf(self, x):
         raise NoDensityError("deterministic arrivals are a point mass; no density")
@@ -427,8 +517,7 @@ class ServiceModel:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise InputError(f"service rate must be > 0, got {self.rate}")
+        _positive("service rate", self.rate)
 
 
 def arrival_rate(model: ArrivalModel) -> float:
@@ -436,57 +525,75 @@ def arrival_rate(model: ArrivalModel) -> float:
     return 1.0 / model.mean()
 
 
-# --- spec-string grammar -------------------------------------------------
+# --- spec strings -------------------------------------------------------
 #
-#   exp:rate=<r>  uniform:beta=<b>  lomax:alpha=<a>,beta=<b>
-#   fnorm:alpha=<a>,sigma=<s>  det:period=<p>
+# ``tag:key=value,...`` names a registered class by its tag and gives every
+# one of its parameters, in any order: ``lomax:alpha=3,beta=2``, ``sync:m0=2``.
 
-ARRIVAL_GRAMMAR = (
-    "exp:rate=<r> | uniform:beta=<b> | lomax:alpha=<a>,beta=<b> | "
-    "fnorm:alpha=<a>,sigma=<s> | det:period=<p>"
-)
-
-_FAMILIES = {
-    "exp": (Exponential, ("rate",)),
-    "uniform": (Uniform, ("beta",)),
-    "lomax": (Lomax, ("alpha", "beta")),
-    "fnorm": (FoldedNormal, ("alpha", "sigma")),
-    "det": (Deterministic, ("period",)),
-}
-
-_KV_RE = re.compile(r"^([a-z_]+)=([^=,]+)$")
+_KV_RE = re.compile(r"^([a-z_][a-z0-9_]*)=([^=,]+)$")
 
 
-def parse_arrival(text: str) -> ArrivalModel:
-    """Parse a distribution spec string such as ``lomax:alpha=3,beta=2``."""
+def spec_registry(*classes: type) -> dict:
+    """{tag: class} of dataclasses named in spec strings.
+
+    Records each class's field names, in constructor order, as ``keys``.
+    """
+    for cls in classes:
+        cls.keys = tuple(f.name for f in dataclasses.fields(cls))
+    return {cls.tag: cls for cls in classes}
+
+
+def _pattern(cls: type) -> str:
+    return cls.tag + ":" + ",".join(f"{k}=<{k[0]}>" for k in cls.keys)
+
+
+def spec_grammar(registry: dict) -> str:
+    """The accepted spec strings of ``registry``, e.g. ``exp:rate=<r> | ...``."""
+    return " | ".join(_pattern(cls) for cls in registry.values())
+
+
+def parse_spec(text: str, registry: dict, kind: str):
+    """Build the object a spec string names; ``kind`` labels error messages."""
     head, sep, rest = text.partition(":")
-    if not sep or head not in _FAMILIES:
+    cls = registry.get(head) if sep else None
+    if cls is None:
         raise InputError(
-            f"unknown arrival spec {text!r}; expected one of: {ARRIVAL_GRAMMAR}"
+            f"unknown {kind} spec {text!r}; expected one of: {spec_grammar(registry)}"
         )
-    cls, keys = _FAMILIES[head]
     kwargs = {}
     for part in rest.split(","):
         m = _KV_RE.match(part.strip())
-        if not m or m.group(1) not in keys:
-            raise InputError(
-                f"bad parameter {part!r} in {text!r}; expected {head}:"
-                + ",".join(f"{k}=<v>" for k in keys)
-            )
+        if not m or m.group(1) not in cls.keys:
+            raise InputError(f"bad parameter {part!r} in {text!r}; expected {_pattern(cls)}")
         try:
-            kwargs[m.group(1)] = float(m.group(2))
+            value = float(m.group(2))
         except ValueError:
             raise InputError(f"non-numeric value in {part!r}") from None
-    if set(kwargs) != set(keys):
+        if not math.isfinite(value):
+            raise InputError(f"non-finite value in {part!r}")
+        kwargs[m.group(1)] = value
+    if set(kwargs) != set(cls.keys):
         raise InputError(
-            f"{head} needs parameters {', '.join(keys)}; got {sorted(kwargs)}"
+            f"{head} needs parameters {', '.join(cls.keys)}; got {sorted(kwargs)}"
         )
     return cls(**kwargs)
 
 
+def format_spec(obj) -> str:
+    """Inverse of parse_spec; floats are written with 17 significant digits."""
+    return obj.tag + ":" + ",".join(f"{k}={getattr(obj, k):.17g}" for k in obj.keys)
+
+
+FAMILIES = spec_registry(Exponential, Uniform, Lomax, FoldedNormal, Deterministic)
+
+ARRIVAL_GRAMMAR = spec_grammar(FAMILIES)
+
+
+def parse_arrival(text: str) -> ArrivalModel:
+    """Parse a distribution spec string such as ``lomax:alpha=3,beta=2``."""
+    return parse_spec(text, FAMILIES, "arrival")
+
+
 def format_arrival(model: ArrivalModel) -> str:
     """Inverse of parse_arrival, used to echo configurations in reports."""
-    for head, (cls, keys) in _FAMILIES.items():
-        if type(model) is cls:
-            return head + ":" + ",".join(f"{k}={getattr(model, k):.17g}" for k in keys)
-    raise InputError(f"unknown arrival model {model!r}")
+    return format_spec(model)

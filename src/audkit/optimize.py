@@ -20,10 +20,11 @@ family's domain).  Two outer loops drive c to c*:
   sign of the inner minimum.  It needs about 25 outer steps where
   Dinkelbach needs 3-5, and is kept as a reference and test oracle.
 
-The Lomax family has no interior optimum: its infimum is the shape ->
-infinity limit, where it degenerates to the exponential law, so the
-reported shape sits at the search cap 2 + 1/_LOMAX_Z_FLOOR and the
-reported c0 lies just above the exponential optimum.
+Each family's class in ``dist`` supplies the load-1/2 start and the
+search coordinates.  The Lomax family has no interior optimum: its infimum
+is the shape -> infinity limit, where it degenerates to the exponential
+law, so the reported shape sits at the search cap 2 + 1/dist._LOMAX_Z_FLOOR
+and the reported c0 lies just above the exponential optimum.
 
 ``optimize_offset`` is closed form: the offset-periodic mean AuD is convex
 in the offset with derivative 1 - u1/rho (see ``queue_core``), so the
@@ -34,12 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize as sp_optimize
 
-from .dist import ArrivalModel, Exponential, FoldedNormal, Lomax, Uniform
+from .dist import FAMILIES, ArrivalModel, _positive
 from .errors import ConvergenceError, InputError
 from .queue_core import (
     average_aud_from_moments,
@@ -56,37 +57,35 @@ __all__ = [
     "simplex_minimize",
     "penalized_objective",
     "default_start",
+    "OPTIMIZABLE",
     "optimal_arrival",
     "bisection_optimal_arrival",
     "optimize_offset",
 ]
 
-_SIGMA_FLOOR = 1e-12
+# inner multi-start: starts, simplex tolerance (xatol and fatol), evaluations per start
+_N_STARTS = 3
+_SIMPLEX_TOL = 1e-9
+_MAX_EVALS = 10_000
 
-# family tag -> (arity, constructor from a natural parameter vector)
-_BUILDERS: Dict[str, Tuple[int, Callable[[Sequence[float]], ArrivalModel]]] = {
-    "exp": (1, lambda k: Exponential(rate=k[0])),
-    "uniform": (1, lambda k: Uniform(beta=k[0])),
-    "lomax": (2, lambda k: Lomax(alpha=k[0], beta=k[1])),
-    "fnorm": (2, lambda k: FoldedNormal(alpha=k[0], sigma=k[1])),
-}
+OPTIMIZABLE = tuple(tag for tag, cls in FAMILIES.items() if cls.start is not None)
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Inner-problem objective: family, service rate, threshold, penalty."""
+    """Inner-problem objective: family, service rate, threshold.
+
+    ``penalty`` is what the objective returns outside the feasible set.
+    """
 
     family: str
     mu: float
     c0: float
-    penalty: float = 1e9
+    penalty = 1e9
 
     def __post_init__(self):
-        _check_family(self.family)
-        if not self.mu > 0:
-            raise InputError(f"service rate must be > 0, got {self.mu}")
-        if not self.penalty > 0:
-            raise InputError(f"penalty must be > 0, got {self.penalty}")
+        _family(self.family)
+        _positive("service rate", self.mu)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ class OptimizationResult:
     bracket_width: float
 
     def arrival_model(self) -> ArrivalModel:
-        return _BUILDERS[self.family][1](self.kappa)
+        return FAMILIES[self.family](*self.kappa)
 
     def arrival_rate(self) -> float:
         return 1.0 / self.arrival_model().mean()
@@ -169,22 +168,15 @@ def simplex_minimize(
     return SimplexResult(tuple(float(v) for v in res.x), float(res.fun), int(res.nfev))
 
 
-def _check_family(family: str) -> None:
-    if family not in _BUILDERS:
-        raise InputError(
-            f"unknown family {family!r}; expected one of {sorted(_BUILDERS)}"
-        )
-
-
-def _build_model(family: str, kappa: Sequence[float]) -> ArrivalModel:
-    arity, build = _BUILDERS[family]
-    if len(kappa) != arity:
-        raise InputError(f"{family} expects {arity} parameter(s), got {len(kappa)}")
-    return build(kappa)
+def _family(family: str) -> type:
+    """The class of an optimizable family (one with a load-1/2 start)."""
+    if family not in OPTIMIZABLE:
+        raise InputError(f"unknown family {family!r}; expected one of {sorted(OPTIMIZABLE)}")
+    return FAMILIES[family]
 
 
 def _mean_aud(family: str, kappa: Sequence[float], mu: float) -> float:
-    return average_aud_from_moments(*departure_moments(_build_model(family, kappa), mu))
+    return average_aud_from_moments(*departure_moments(FAMILIES[family](*kappa), mu))
 
 
 def penalized_objective(spec: ObjectiveSpec, kappa: Sequence[float]) -> float:
@@ -193,11 +185,11 @@ def penalized_objective(spec: ObjectiveSpec, kappa: Sequence[float]) -> float:
     Violations (family domain or rho >= 1) add ``spec.penalty`` instead of
     raising, so a simplex search can wander freely.
     """
-    arity, _ = _BUILDERS[spec.family]
-    if len(kappa) != arity:
-        raise InputError(f"{spec.family} expects {arity} parameter(s), got {len(kappa)}")
+    cls = FAMILIES[spec.family]
+    if len(kappa) != len(cls.keys):
+        raise InputError(f"{spec.family} expects {len(cls.keys)} parameter(s), got {len(kappa)}")
     try:
-        model = _build_model(spec.family, kappa)
+        model = cls(*kappa)
     except InputError:
         return spec.penalty
     rho = 1.0 / (spec.mu * model.mean())
@@ -213,77 +205,31 @@ def penalized_objective(spec: ObjectiveSpec, kappa: Sequence[float]) -> float:
 
 
 def default_start(family: str, mu: float) -> Tuple[float, ...]:
-    """Start vectors placing each family at offered load 1/2."""
-    if family == "exp":
-        return (mu / 2.0,)
-    if family == "uniform":
-        return (4.0 / mu,)
-    if family == "lomax":
-        return (3.0, 4.0 / mu)
-    if family == "fnorm":
-        return (2.0 / mu, 0.5 / mu)
-    raise InputError(f"unknown family {family!r}")
-
-
-_LOMAX_Z_FLOOR = 1e-6  # caps the searched shape at 2 + 1/floor
-
-# inner multi-start: starts, simplex tolerance (xatol and fatol), evaluations per start
-_N_STARTS = 3
-_SIMPLEX_TOL = 1e-9
-_MAX_EVALS = 10_000
-
-
-def _to_search_space(family: str, kappa: Sequence[float]) -> np.ndarray:
-    # Families whose optimum sits on an open boundary get coordinates that
-    # make the boundary reachable: the folded-normal scale is searched in
-    # log space (sigma -> 0), and the Lomax pair as (1/(shape-2), mean)
-    # (shape -> infinity, where the family degenerates to exponential).
-    if family == "fnorm":
-        return np.array([kappa[0], math.log(max(kappa[1], _SIGMA_FLOOR))])
-    if family == "lomax":
-        alpha, beta = kappa
-        return np.array([1.0 / (alpha - 2.0), beta / (alpha - 1.0)])
-    return np.asarray(kappa, dtype=np.float64)
-
-
-def _from_search_space(family: str, y: np.ndarray) -> Tuple[float, ...]:
-    if family == "fnorm":
-        sigma = math.exp(min(float(y[1]), 700.0))
-        return (float(y[0]), max(sigma, _SIGMA_FLOOR))
-    if family == "lomax":
-        z, mean = float(y[0]), float(y[1])
-        if z <= 0.0:  # out of domain; yields shape <= 2 and gets penalized
-            return (1.0, max(mean, 1.0))
-        alpha = 2.0 + 1.0 / max(z, _LOMAX_Z_FLOOR)
-        return (alpha, mean * (alpha - 1.0))
-    return tuple(float(v) for v in y)
+    """Start vector placing the family at offered load 1/2."""
+    return _family(family).start(mu)
 
 
 def _inner_minimize(
-    spec: ObjectiveSpec,
-    starts: Sequence[Sequence[float]],
-    xatol: float,
-    fatol: float,
-    max_evals: int,
+    spec: ObjectiveSpec, starts: Sequence[Sequence[float]]
 ) -> Tuple[Tuple[float, ...], float, int, bool]:
     """Multi-start simplex minimization of the penalized objective.
 
     A start that exhausts its budget still contributes its incumbent;
     the returned flag says whether every start converged properly.
     """
+    cls = FAMILIES[spec.family]
     best_kappa: Optional[Tuple[float, ...]] = None
     best_val = math.inf
     evals = 0
     all_converged = True
     for start in starts:
-        y0 = _to_search_space(spec.family, start)
         try:
             res = simplex_minimize(
-                lambda y: penalized_objective(spec, _from_search_space(spec.family, y)),
-                y0,
-                xatol=xatol,
-                fatol=fatol,
-                max_evals=max_evals,
+                lambda y: penalized_objective(spec, cls.from_search(y)),
+                cls.to_search(start),
+                xatol=_SIMPLEX_TOL,
+                fatol=_SIMPLEX_TOL,
+                max_evals=_MAX_EVALS,
             )
         except ConvergenceError as err:
             res = err.best
@@ -291,19 +237,17 @@ def _inner_minimize(
         evals += res.n_evals
         if res.fun < best_val:
             best_val = res.fun
-            best_kappa = _from_search_space(spec.family, np.asarray(res.x))
+            best_kappa = cls.from_search(np.asarray(res.x))
     assert best_kappa is not None
     return best_kappa, best_val, evals, all_converged
 
 
-def _jittered_starts(
-    base: Sequence[float], n_starts: int, jitter_seed: int
-) -> Tuple[Tuple[float, ...], ...]:
-    """``base`` plus ``n_starts - 1`` copies scaled by factors in [0.875, 1.125)."""
+def _jittered_starts(base: Sequence[float]) -> Tuple[Tuple[float, ...], ...]:
+    """``base`` plus ``_N_STARTS - 1`` copies scaled by factors in [0.875, 1.125)."""
     base = tuple(base)
-    rng = np.random.default_rng(jitter_seed)
+    rng = np.random.default_rng(0)
     starts = [base]
-    for _ in range(n_starts - 1):
+    for _ in range(_N_STARTS - 1):
         factors = 1.0 + 0.25 * (rng.random(len(base)) - 0.5)
         starts.append(tuple(b * f for b, f in zip(base, factors)))
     return tuple(starts)
@@ -314,12 +258,6 @@ def bisection_optimal_arrival(
     mu: float,
     eps: Optional[float] = None,
     upper: Optional[float] = None,
-    n_starts: int = _N_STARTS,
-    jitter_seed: int = 0,
-    xatol: float = _SIMPLEX_TOL,
-    fatol: float = _SIMPLEX_TOL,
-    max_evals: int = _MAX_EVALS,
-    penalty: float = 1e9,
 ) -> OptimizationResult:
     """Minimize the mean AuD over one arrival family by threshold bisection.
 
@@ -329,18 +267,16 @@ def bisection_optimal_arrival(
     penalized objective is negative; feasibility shrinks the bracket from
     above, infeasibility from below.
     """
-    _check_family(family)
+    starts = _jittered_starts(default_start(family, mu))
     if eps is None:
         eps = 1e-6 / mu
-    if not eps > 0:
-        raise InputError(f"tolerance must be > 0, got {eps}")
+    _positive("tolerance", eps)
 
-    starts = _jittered_starts(default_start(family, mu), n_starts, jitter_seed)
     kappa0 = starts[0]
     aud0 = _mean_aud(family, kappa0, mu)
     if upper is None:
         upper = 10.0 * aud0
-    if penalized_objective(ObjectiveSpec(family, mu, upper, penalty), kappa0) >= 0.0:
+    if penalized_objective(ObjectiveSpec(family, mu, upper), kappa0) >= 0.0:
         raise InputError(
             f"initial upper bound {upper} is not feasible for family {family!r}"
         )
@@ -352,10 +288,7 @@ def bisection_optimal_arrival(
     while hi - lo > eps:
         outer += 1
         c0 = 0.5 * (lo + hi)
-        spec = ObjectiveSpec(family, mu, c0, penalty)
-        kappa, val, evals, converged = _inner_minimize(
-            spec, starts, xatol, fatol, max_evals
-        )
+        kappa, val, evals, converged = _inner_minimize(ObjectiveSpec(family, mu, c0), starts)
         total_evals += evals
         if val < 0.0:
             # Feasible by exhibition: the incumbent certifies the sign even
@@ -366,7 +299,7 @@ def bisection_optimal_arrival(
             lo = c0
         else:
             raise ConvergenceError(
-                f"inner minimization exhausted {max_evals} evaluations at "
+                f"inner minimization exhausted {_MAX_EVALS} evaluations at "
                 f"c0={c0} without settling the feasibility sign",
                 best=kappa,
                 residual=val,
@@ -399,22 +332,19 @@ def optimal_arrival(
     (c is then optimal).  A non-negative minimum from a start that ran out
     of budget settles nothing and raises ConvergenceError.
     """
-    _check_family(family)
+    kappa = default_start(family, mu)
     if eps is None:
         eps = 1e-6 / mu
-    if not eps > 0:
-        raise InputError(f"tolerance must be > 0, got {eps}")
+    _positive("tolerance", eps)
 
-    kappa = default_start(family, mu)
     c = _mean_aud(family, kappa, mu)
     outer = 0
     total_evals = 0
     decrease = math.inf
     while decrease > eps:
         outer += 1
-        starts = _jittered_starts(kappa, _N_STARTS, 0)
         cand, val, evals, converged = _inner_minimize(
-            ObjectiveSpec(family, mu, c), starts, _SIMPLEX_TOL, _SIMPLEX_TOL, _MAX_EVALS
+            ObjectiveSpec(family, mu, c), _jittered_starts(kappa)
         )
         total_evals += evals
         if val < 0.0:

@@ -11,7 +11,9 @@ This module solves that fixed point (by Newton's method for any arrival
 family, via Lambert W for periodic arrivals), derives the system-time law
 and the inter-departure moments, and evaluates the mean age upon
 decisions and the update missing probability for Poisson,
-synchronous-periodic, and offset-periodic decision processes.
+synchronous-periodic, and offset-periodic decision processes.  Each
+discipline is one class, registered in ``DISCIPLINES``, that carries all
+its discipline-specific knowledge; everything else dispatches through it.
 
 Offset-periodic decisions.  With arrivals every P = 1/lambda and a decision
 a fixed delta after each arrival, FCFS service makes the decision miss
@@ -34,9 +36,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
-from .dist import ArrivalModel, Deterministic, ServiceModel, arrival_rate, format_arrival
+import numpy as np
+
+from .dist import (
+    ArrivalModel,
+    Deterministic,
+    ServiceModel,
+    _positive,
+    arrival_rate,
+    format_spec,
+    parse_spec,
+    spec_grammar,
+    spec_registry,
+)
 from .errors import ConvergenceError, InputError, StabilityError
 
 __all__ = [
@@ -44,6 +58,9 @@ __all__ = [
     "PeriodicSyncDecisions",
     "PeriodicOffsetDecisions",
     "DecisionModel",
+    "DISCIPLINES",
+    "DECISION_GRAMMAR",
+    "parse_decision",
     "SystemConfig",
     "DerivedQuantities",
     "Rho1Solution",
@@ -71,49 +88,30 @@ __all__ = [
 _INV_E = math.exp(-1.0)
 
 
-# --- decision disciplines and system configuration ------------------------
+# --- system configuration -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoissonDecisions:
-    """Decisions form a Poisson process of rate ``rate``."""
+class DecisionModel:
+    """Common interface of the decision disciplines.
 
-    rate: float
+    Class attributes: ``tag`` names the discipline in spec strings,
+    ``label`` in messages, ``variable`` is the sweep variable that sets its
+    one parameter, and ``keys`` (set by ``spec_registry``) names that
+    parameter.  Each discipline defines those and implements
 
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise InputError(f"decision rate must be > 0, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class PeriodicSyncDecisions:
-    """Periodic decisions at rate m0 * lambda, aligned with arrival epochs.
-
-    Requires periodic (deterministic) arrivals.
+        check(arrival)              raise InputError for arrivals it cannot serve
+        decision_rate(lam)          decisions per unit time at arrival rate lam
+        derive_extras(config, a)    its DerivedQuantities fields, a = mu (1 - rho1)
+        mean_aud(config)            closed-form mean AuD
+        missing_probability(config) closed form, or None where none exists
+        epochs(config, t_end, rng)  all decision epochs in (0, t_end], increasing
     """
 
-    m0: int
+    def check(self, arrival: ArrivalModel) -> None:
+        pass
 
-    def __post_init__(self):
-        if not (isinstance(self.m0, int) and self.m0 >= 1):
-            raise InputError(f"decision multiplier m0 must be an integer >= 1, got {self.m0}")
-
-
-@dataclass(frozen=True)
-class PeriodicOffsetDecisions:
-    """Periodic decisions at rate lambda, each a fixed ``delta`` after an arrival.
-
-    Requires periodic arrivals and 0 < delta < 1/lambda.
-    """
-
-    delta: float
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise InputError(f"decision offset must be > 0, got {self.delta}")
-
-
-DecisionModel = Union[PoissonDecisions, PeriodicSyncDecisions, PeriodicOffsetDecisions]
+    def missing_probability(self, config: "SystemConfig") -> Optional[float]:
+        return None
 
 
 @dataclass(frozen=True)
@@ -128,16 +126,7 @@ class SystemConfig:
         rho = self.rho
         if not rho < 1.0:
             raise StabilityError(rho)
-        if isinstance(self.decision, (PeriodicSyncDecisions, PeriodicOffsetDecisions)):
-            if not isinstance(self.arrival, Deterministic):
-                raise InputError(
-                    "periodic decision disciplines require deterministic arrivals"
-                )
-            if isinstance(self.decision, PeriodicOffsetDecisions):
-                if not self.decision.delta < self.arrival.period:
-                    raise InputError(
-                        f"offset {self.decision.delta} must lie in (0, {self.arrival.period})"
-                    )
+        self.decision.check(self.arrival)
 
     @property
     def arrival_rate(self) -> float:
@@ -149,25 +138,14 @@ class SystemConfig:
 
     @property
     def decision_rate(self) -> float:
-        if isinstance(self.decision, PoissonDecisions):
-            return self.decision.rate
-        if isinstance(self.decision, PeriodicSyncDecisions):
-            return self.decision.m0 * self.arrival_rate
-        return self.arrival_rate
+        return self.decision.decision_rate(self.arrival_rate)
 
     def describe(self) -> dict:
         """Plain-dict echo of the configuration, for reports and JSON output."""
-        d = self.decision
-        if isinstance(d, PoissonDecisions):
-            dec = f"poisson:rate={d.rate:.17g}"
-        elif isinstance(d, PeriodicSyncDecisions):
-            dec = f"sync:m0={d.m0}"
-        else:
-            dec = f"offset:delta={d.delta:.17g}"
         return {
-            "arrival": format_arrival(self.arrival),
+            "arrival": format_spec(self.arrival),
             "mu": self.service.rate,
-            "decision": dec,
+            "decision": format_spec(self.decision),
         }
 
 
@@ -303,25 +281,12 @@ def system_time_rate(mu: float, rho1: float) -> float:
     return mu * (1.0 - rho1)
 
 
-class DepartureMoments(Tuple[float, float, float]):
+class DepartureMoments(NamedTuple):
     """(E[Y], E[Y^2], E[T_{k-1} Y_k]) of the inter-departure process."""
 
-    __slots__ = ()
-
-    def __new__(cls, mean: float, second_moment: float, cross: float):
-        return super().__new__(cls, (mean, second_moment, cross))
-
-    @property
-    def mean(self) -> float:
-        return self[0]
-
-    @property
-    def second_moment(self) -> float:
-        return self[1]
-
-    @property
-    def cross(self) -> float:
-        return self[2]
+    mean: float
+    second_moment: float
+    cross: float
 
 
 def departure_moments(
@@ -513,19 +478,9 @@ def derive(config: SystemConfig) -> DerivedQuantities:
     a = mu * (1.0 - rho1)
     q1 = arrival.weighted_first_moment(a)
     moments = _moments_at(arrival, mu, rho1, q1)
-    extra: dict = {}
+    extra = config.decision.derive_extras(config, a)
     if isinstance(arrival, Deterministic):
         extra["rho0"] = math.exp(-mu * arrival.period)
-    d = config.decision
-    if isinstance(d, PoissonDecisions):
-        extra["q0"] = arrival.laplace(d.rate)
-    elif isinstance(d, PeriodicSyncDecisions):
-        nu = config.decision_rate
-        extra["w0"] = math.exp(-mu / nu)
-        extra["w1"] = math.exp(-a / nu)
-    else:
-        extra["u0"] = math.exp(-mu * d.delta)
-        extra["u1"] = math.exp(-a * d.delta)
     return DerivedQuantities(
         rho=rho,
         rho1=rho1,
@@ -540,20 +495,151 @@ def derive(config: SystemConfig) -> DerivedQuantities:
 
 def mean_aud(config: SystemConfig) -> float:
     """Mean AuD of ``config`` via the discipline-appropriate closed form."""
-    lam, mu = config.arrival_rate, config.service.rate
-    d = config.decision
-    if isinstance(d, PoissonDecisions):
-        return average_aud_from_moments(*departure_moments(config.arrival, mu))
-    if isinstance(d, PeriodicSyncDecisions):
-        return average_aud_dm1d_sync(lam, mu, d.m0)
-    return average_aud_dm1d_offset(lam, mu, d.delta)
+    return config.decision.mean_aud(config)
 
 
 def missing_probability(config: SystemConfig) -> Optional[float]:
     """Missing probability of ``config``, or None where no formula exists."""
-    d = config.decision
-    if isinstance(d, PoissonDecisions):
-        return missing_prob_gm1m(config.arrival, config.service.rate, d.rate)
-    if isinstance(d, PeriodicSyncDecisions):
-        return missing_prob_dm1d_sync(config.arrival_rate, config.service.rate, d.m0)
-    return None
+    return config.decision.missing_probability(config)
+
+
+# --- decision disciplines ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PoissonDecisions(DecisionModel):
+    """Decisions form a Poisson process of rate ``rate``."""
+
+    tag = "poisson"
+    label = "a Poisson"
+    variable = "nu"
+    rate: float
+
+    def __post_init__(self):
+        _positive("decision rate", self.rate)
+
+    def decision_rate(self, lam):
+        return self.rate
+
+    def derive_extras(self, config, a):
+        return {"q0": config.arrival.laplace(self.rate)}
+
+    def mean_aud(self, config):
+        return average_aud_from_moments(*departure_moments(config.arrival, config.service.rate))
+
+    def missing_probability(self, config):
+        return missing_prob_gm1m(config.arrival, config.service.rate, self.rate)
+
+    def epochs(self, config, t_end, rng):
+        nu = self.rate
+        epochs = []
+        t = 0.0
+        # Draw in bulk with a safety margin, extending if the horizon is
+        # not reached (probability ~1e-9 per chunk at 6 sigma).
+        expected = int(nu * t_end) + 1
+        chunk = max(expected + int(6.0 * np.sqrt(expected)) + 16, 64)
+        while t <= t_end:
+            gaps = rng.exponential(1.0 / nu, size=chunk)
+            block = t + np.cumsum(gaps)
+            epochs.append(block)
+            t = block[-1]
+            chunk = 1024
+        tau = np.concatenate(epochs)
+        return tau[tau <= t_end]
+
+
+class _PeriodicDecisions(DecisionModel):
+    """The arrival check shared by the periodic disciplines."""
+
+    def check(self, arrival):
+        if not isinstance(arrival, Deterministic):
+            raise InputError("periodic decision disciplines require deterministic arrivals")
+
+
+@dataclass(frozen=True)
+class PeriodicSyncDecisions(_PeriodicDecisions):
+    """Periodic decisions at rate m0 * lambda, aligned with arrival epochs.
+
+    Requires periodic (deterministic) arrivals.  An integral float m0 is
+    stored as an int.
+    """
+
+    tag = "sync"
+    label = "a synchronous periodic"
+    variable = "m0"
+    m0: int
+
+    def __post_init__(self):
+        m0 = self.m0
+        if isinstance(m0, float) and m0.is_integer():
+            m0 = int(m0)
+            object.__setattr__(self, "m0", m0)
+        if not (isinstance(m0, int) and m0 >= 1):
+            raise InputError(f"decision multiplier m0 must be an integer >= 1, got {m0}")
+
+    def decision_rate(self, lam):
+        return self.m0 * lam
+
+    def derive_extras(self, config, a):
+        nu = config.decision_rate
+        mu = config.service.rate
+        return {"w0": math.exp(-mu / nu), "w1": math.exp(-a / nu)}
+
+    def mean_aud(self, config):
+        return average_aud_dm1d_sync(config.arrival_rate, config.service.rate, self.m0)
+
+    def missing_probability(self, config):
+        return missing_prob_dm1d_sync(config.arrival_rate, config.service.rate, self.m0)
+
+    def epochs(self, config, t_end, rng):
+        nu = config.decision_rate
+        n = int(np.floor(t_end * nu))
+        return np.arange(1, n + 1, dtype=np.float64) / nu
+
+
+@dataclass(frozen=True)
+class PeriodicOffsetDecisions(_PeriodicDecisions):
+    """Periodic decisions at rate lambda, each a fixed ``delta`` after an arrival.
+
+    Requires periodic arrivals and 0 < delta < 1/lambda.
+    """
+
+    tag = "offset"
+    label = "an offset periodic"
+    variable = "delta"
+    delta: float
+
+    def __post_init__(self):
+        _positive("decision offset", self.delta)
+
+    def check(self, arrival):
+        super().check(arrival)
+        if not self.delta < arrival.period:
+            raise InputError(f"offset {self.delta} must lie in (0, {arrival.period})")
+
+    def decision_rate(self, lam):
+        return lam
+
+    def derive_extras(self, config, a):
+        mu = config.service.rate
+        return {"u0": math.exp(-mu * self.delta), "u1": math.exp(-a * self.delta)}
+
+    def mean_aud(self, config):
+        return average_aud_dm1d_offset(config.arrival_rate, config.service.rate, self.delta)
+
+    def epochs(self, config, t_end, rng):
+        # One decision delta after every arrival epoch of the periodic grid
+        # (including the epoch at t = 0).
+        period = config.arrival.period
+        n = int(np.floor((t_end - self.delta) / period))
+        return self.delta + np.arange(0, n + 1, dtype=np.float64) * period
+
+
+DISCIPLINES = spec_registry(PoissonDecisions, PeriodicSyncDecisions, PeriodicOffsetDecisions)
+
+DECISION_GRAMMAR = spec_grammar(DISCIPLINES)
+
+
+def parse_decision(text: str) -> DecisionModel:
+    """Parse a decision spec string such as ``sync:m0=2``."""
+    return parse_spec(text, DISCIPLINES, "decision")

@@ -11,23 +11,20 @@ seed perturbs only the stochastic columns.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import queue_core, sim
-from .dist import Deterministic
+from .dist import Deterministic, _positive
 from .errors import AudKitError, InputError, StabilityError
 from .optimize import OptimizationResult, optimal_arrival, optimize_offset
-from .queue_core import (
-    PeriodicOffsetDecisions,
-    PeriodicSyncDecisions,
-    PoissonDecisions,
-    SystemConfig,
-)
+from .queue_core import DISCIPLINES, SystemConfig
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -41,17 +38,6 @@ __all__ = [
 
 SCHEMA_VERSION = "aud-kit/1"
 
-EVALUATIONS = (
-    "analytic-aud",
-    "analytic-pmis",
-    "mc-aud",
-    "mc-pmis",
-    "optimal-arrival",
-    "optimal-offset",
-)
-
-_VARIABLES = ("mu", "lambda", "nu", "m0", "delta")
-
 # evaluation -> ordered (column, carries standard error) pairs
 _COLUMNS: Dict[str, Tuple[Tuple[str, bool], ...]] = {
     "analytic-aud": (("aud_analytic", False),),
@@ -62,12 +48,11 @@ _COLUMNS: Dict[str, Tuple[Tuple[str, bool], ...]] = {
     "optimal-offset": (("delta_opt", False), ("aud_at_delta_opt", False)),
 }
 
-_FAMILY_TAGS = {
-    "Exponential": "exp",
-    "Uniform": "uniform",
-    "Lomax": "lomax",
-    "FoldedNormal": "fnorm",
-}
+EVALUATIONS = tuple(_COLUMNS)
+
+# sweep variable -> the decision discipline whose parameter it sets
+_DECISION_VARIABLES = {cls.variable: cls for cls in DISCIPLINES.values()}
+_VARIABLES = ("mu", "lambda", *_DECISION_VARIABLES)
 
 
 @dataclass(frozen=True)
@@ -105,6 +90,8 @@ class SweepSpec:
             )
         if len(self.grid) == 0:
             raise InputError("sweep grid must be non-empty")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise InputError(f"sweep grid values must be finite, got {list(self.grid)}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise InputError("sweep grid must be strictly increasing")
         bad = [e for e in self.evaluations if e not in EVALUATIONS]
@@ -114,10 +101,7 @@ class SweepSpec:
             raise InputError("MC budget needs horizon >= 10 and replications >= 2")
 
     def columns(self) -> Tuple[Tuple[str, bool], ...]:
-        cols: List[Tuple[str, bool]] = []
-        for ev in self.evaluations:
-            cols.extend(_COLUMNS[ev])
-        return tuple(cols)
+        return tuple(col for ev in self.evaluations for col in _COLUMNS[ev])
 
 
 def _apply_variable(spec: SweepSpec, value: float) -> SystemConfig:
@@ -127,46 +111,22 @@ def _apply_variable(spec: SweepSpec, value: float) -> SystemConfig:
     if var == "mu":
         return dataclasses.replace(t, service=dataclasses.replace(t.service, rate=value))
     if var == "lambda":
-        a = t.arrival
-        name = type(a).__name__
-        if name == "Exponential":
-            arr = dataclasses.replace(a, rate=value)
-        elif name == "Deterministic":
-            arr = dataclasses.replace(a, period=1.0 / value)
-        elif name == "Uniform":
-            arr = dataclasses.replace(a, beta=2.0 / value)
-        else:
+        _positive("arrival rate", value)
+        return dataclasses.replace(t, arrival=t.arrival.with_rate(value))
+    if var in _DECISION_VARIABLES:
+        if t.decision.variable != var:
             raise InputError(
-                f"cannot sweep lambda for a {name} arrival; sweep arrival.<param> instead"
+                f"{var} sweeps require {_DECISION_VARIABLES[var].label} decision template"
             )
-        return dataclasses.replace(t, arrival=arr)
-    if var == "nu":
-        if not isinstance(t.decision, PoissonDecisions):
-            raise InputError("nu sweeps require a Poisson decision template")
-        return dataclasses.replace(t, decision=PoissonDecisions(rate=value))
-    if var == "m0":
-        if not isinstance(t.decision, PeriodicSyncDecisions):
-            raise InputError("m0 sweeps require a synchronous periodic decision template")
-        m0 = int(round(value))
-        if abs(m0 - value) > 1e-9:
-            raise InputError(f"m0 grid values must be integers, got {value}")
-        return dataclasses.replace(t, decision=PeriodicSyncDecisions(m0=m0))
-    if var == "delta":
-        if not isinstance(t.decision, PeriodicOffsetDecisions):
-            raise InputError("delta sweeps require an offset periodic decision template")
-        return dataclasses.replace(t, decision=PeriodicOffsetDecisions(delta=value))
+        return dataclasses.replace(t, decision=type(t.decision)(value))
     param = var.split(".", 1)[1]
-    if not hasattr(t.arrival, param):
+    if param not in t.arrival.keys:
         raise InputError(f"arrival model has no parameter {param!r}")
     return dataclasses.replace(t, arrival=dataclasses.replace(t.arrival, **{param: value}))
 
 
 def _flag_all(evaluations: Sequence[str], status: str) -> Dict[str, Cell]:
-    cells = {}
-    for ev in evaluations:
-        for col, _ in _COLUMNS[ev]:
-            cells[col] = Cell(status=status)
-    return cells
+    return {col: Cell(status=status) for ev in evaluations for col, _ in _COLUMNS[ev]}
 
 
 def _evaluate_point(
@@ -209,12 +169,10 @@ def _evaluate_point(
                 else:
                     cells["pmis_mc"] = Cell(report.p_mis_hat, report.p_mis_std_error)
             elif ev == "optimal-arrival":
-                tag = _FAMILY_TAGS.get(type(config.arrival).__name__)
-                if tag is None:
-                    cells["aud_opt"] = Cell(status="family-not-optimizable")
-                    cells["lambda_opt"] = Cell(status="family-not-optimizable")
+                if config.arrival.start is None:
+                    cells.update(_flag_all([ev], "family-not-optimizable"))
                 else:
-                    key = (tag, config.service.rate)
+                    key = (config.arrival.tag, config.service.rate)
                     res = optima.get(key)
                     if res is None:
                         res = optima[key] = optimal_arrival(*key)
@@ -222,8 +180,7 @@ def _evaluate_point(
                     cells["lambda_opt"] = Cell(value=res.arrival_rate())
             elif ev == "optimal-offset":
                 if not isinstance(config.arrival, Deterministic):
-                    cells["delta_opt"] = Cell(status="requires-deterministic-arrivals")
-                    cells["aud_at_delta_opt"] = Cell(status="requires-deterministic-arrivals")
+                    cells.update(_flag_all([ev], "requires-deterministic-arrivals"))
                 else:
                     lam = config.arrival_rate
                     mu = config.service.rate
@@ -273,7 +230,8 @@ def serialize(
     fmt: str,
     destination,
     variable: str = "grid",
-    columns: Optional[Sequence[Tuple[str, bool]]] = None,
+    *,
+    columns: Sequence[Tuple[str, bool]],
 ) -> None:
     """Write sweep rows as CSV or JSON.
 
@@ -284,13 +242,6 @@ def serialize(
     """
     if fmt not in ("csv", "json"):
         raise InputError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
-    if columns is None:
-        seen: List[Tuple[str, bool]] = []
-        for row in rows:
-            for name, cell in row.cells.items():
-                if all(name != n for n, _ in seen):
-                    seen.append((name, cell.std_error > 0))
-        columns = seen
 
     own = isinstance(destination, (str, bytes))
     fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
@@ -307,9 +258,7 @@ def serialize(
 
 
 def _write_csv(rows, fh, variable, columns) -> None:
-    import csv as _csv
-
-    writer = _csv.writer(fh, lineterminator="\n")
+    writer = csv.writer(fh, lineterminator="\n")
     header = [variable]
     for name, has_se in columns:
         header.append(name)

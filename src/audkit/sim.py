@@ -31,12 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError, InsufficientDataError
-from .queue_core import (
-    PeriodicOffsetDecisions,
-    PeriodicSyncDecisions,
-    PoissonDecisions,
-    SystemConfig,
-)
+from .queue_core import PeriodicSyncDecisions, SystemConfig
 
 __all__ = [
     "UpdateRecords",
@@ -122,36 +117,6 @@ class SimulationReport:
         return d
 
 
-def _decision_epochs(config: SystemConfig, t_end: float, rng: np.random.Generator) -> np.ndarray:
-    """All decision epochs in (0, t_end], in increasing order."""
-    d = config.decision
-    if isinstance(d, PoissonDecisions):
-        nu = d.rate
-        epochs = []
-        t = 0.0
-        # Draw in bulk with a safety margin, extending if the horizon is
-        # not reached (probability ~1e-9 per chunk at 6 sigma).
-        expected = int(nu * t_end) + 1
-        chunk = max(expected + int(6.0 * np.sqrt(expected)) + 16, 64)
-        while t <= t_end:
-            gaps = rng.exponential(1.0 / nu, size=chunk)
-            block = t + np.cumsum(gaps)
-            epochs.append(block)
-            t = block[-1]
-            chunk = 1024
-        tau = np.concatenate(epochs)
-        return tau[tau <= t_end]
-    if isinstance(d, PeriodicSyncDecisions):
-        nu = config.decision_rate
-        n = int(np.floor(t_end * nu))
-        return np.arange(1, n + 1, dtype=np.float64) / nu
-    # Offset-periodic: one decision delta after every arrival epoch of the
-    # periodic grid (including the epoch at t = 0).
-    period = config.arrival.period
-    n = int(np.floor((t_end - d.delta) / period))
-    return d.delta + np.arange(0, n + 1, dtype=np.float64) * period
-
-
 def assign_decisions(
     arrivals: np.ndarray, departures: np.ndarray, epochs: np.ndarray
 ) -> DecisionSamples:
@@ -199,7 +164,7 @@ def run_trajectory(
     y = np.diff(dep, prepend=0.0)
 
     records = UpdateRecords(t, x, s, w, t_sys, dep, y)
-    epochs = _decision_epochs(config, float(dep[-1]), rng)
+    epochs = config.decision.epochs(config, float(dep[-1]), rng)
     decisions = assign_decisions(t, dep, epochs)
     return records, decisions
 
@@ -214,16 +179,26 @@ def estimate_missing_prob(
     window and is never counted; ``skip`` additionally drops the warm-up
     prefix.
     """
+    missed, counted = _missed(records, decisions, skip)
+    return missed / counted
+
+
+def _first_counted(records: UpdateRecords, skip: int) -> int:
+    """First update index past the warm-up; update 0 has no predecessor window."""
     start = max(int(skip), 1)
-    n = len(records)
-    if start >= n:
+    if start >= len(records):
         raise InsufficientDataError(
-            f"no updates left after skipping {skip} of {n} for warm-up"
+            f"no updates left after skipping {skip} of {len(records)} for warm-up"
         )
+    return start
+
+
+def _missed(records: UpdateRecords, decisions: DecisionSamples, skip: int) -> Tuple[int, int]:
+    """(missed updates, counted updates) after the warm-up, as in estimate_missing_prob."""
+    start = _first_counted(records, skip)
     counts = np.searchsorted(decisions.epoch, records.departure, side="right")
-    per_update = np.diff(counts)  # decisions in (dep[k-1], dep[k]], k >= 1
-    window = per_update[start - 1:]
-    return float(np.count_nonzero(window == 0) / window.shape[0])
+    window = np.diff(counts)[start - 1:]  # decisions in (dep[k-1], dep[k]]
+    return int(np.count_nonzero(window == 0)), int(window.shape[0])
 
 
 def short_interdeparture_fraction(
@@ -236,12 +211,7 @@ def short_interdeparture_fraction(
     cross-check quantity for the synchronous missing-probability formula,
     which counts exactly this event rather than grid occupancy.
     """
-    start = max(int(skip), 1)
-    if start >= len(records):
-        raise InsufficientDataError(
-            f"no updates left after skipping {skip} of {len(records)} for warm-up"
-        )
-    window = records.interdeparture[start:]
+    window = records.interdeparture[_first_counted(records, skip):]
     return float(np.count_nonzero(window < threshold) / window.shape[0])
 
 
@@ -257,10 +227,7 @@ def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence):
         raise InsufficientDataError(
             "no decision epochs after the warm-up window; increase the horizon"
         )
-    start = max(n_warm, 1)
-    counts = np.searchsorted(decisions.epoch, records.departure, side="right")
-    per_update = np.diff(counts)[start - 1:]
-    missed = int(np.count_nonzero(per_update == 0))
+    missed, counted = _missed(records, decisions, n_warm)
     discarded = decisions.n_before_first_departure + int(
         np.count_nonzero(~kept)
     )
@@ -273,7 +240,7 @@ def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence):
         float(ages.mean()),
         int(ages.shape[0]),
         missed,
-        int(per_update.shape[0]),
+        counted,
         discarded,
         short,
     )

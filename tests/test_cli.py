@@ -117,3 +117,66 @@ def test_simulate_dump_is_replication_zero(tmp_path):
     # the replications' warm-up rule: keep decisions from the first kept departure on
     kept = decisions[decisions[:, 0] >= departures[horizon // 10], 1]
     assert float(kept.mean()) == payload["report"]["replication_means"][0]
+
+
+_ANALYZE = ["analyze", "--mu", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _ANALYZE + ["--arrival", "exp:rate=inf", "--decision", "poisson:rate=1"],
+        _ANALYZE + ["--arrival", "uniform:beta=inf", "--decision", "poisson:rate=1"],
+        _ANALYZE + ["--arrival", "det:period=2", "--decision", "sync:m0=inf"],
+        _ANALYZE + ["--arrival", "det:period=2", "--decision", "sync:m0=1.5"],
+        _ANALYZE + ["--arrival", "exp:rate=0.5", "--decision", "sync:m0=1"],
+        ["analyze", "--mu", "inf", "--arrival", "exp:rate=0.5", "--decision", "poisson:rate=1"],
+        ["simulate", "--mu", "1", "--arrival", "exp:rate=2", "--decision", "poisson:rate=1"],
+        ["simulate", "--mu", "1", "--arrival", "exp:rate=0.5", "--decision", "poisson:rate=1",
+         "--reps", "1"],
+        ["optimize-offset", "--lambda", "0.5", "--mu", "1", "--delta-grid", "-1"],
+        ["optimize-offset", "--lambda", "0.5", "--mu", "1", "--delta-grid", "-3"],
+        ["optimize-offset", "--lambda", "1.5", "--mu", "1"],
+        ["optimize-arrival", "--family", "exp", "--mu", "1", "--eps", "inf"],
+    ],
+)
+def test_input_errors_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _sweep_spec(grid):
+    return {
+        "variable": "nu",
+        "grid": grid,
+        "template": {"arrival": "exp:rate=0.5", "mu": 1.0, "decision": "poisson:rate=1"},
+        "evaluations": ["analytic-pmis"],
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,  # no such file
+        '{"variable": ',
+        json.dumps(_sweep_spec([0.5, math.inf])),
+        json.dumps(_sweep_spec([0.5, math.nan, 1.0])),
+        json.dumps(dict(_sweep_spec([0.5]), template={"arrival": "exp:rate=0.5", "mu": 1.0})),
+    ],
+    ids=["missing", "malformed", "inf-grid", "nan-grid", "no-decision"],
+)
+def test_sweep_input_errors_exit_2(tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    if text is not None:
+        spec.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_simulate_insufficient_data_exits_3(capsys):
+    argv = ["simulate", "--arrival", "exp:rate=0.5", "--mu", "1", "--decision",
+            "poisson:rate=0.001", "--horizon", "20", "--reps", "2"]
+    assert cli.main(argv) == 3
+    assert "no decision epochs" in capsys.readouterr().err

@@ -320,3 +320,37 @@ def test_format_parse_round_trip(model):
 def test_arrival_rate():
     assert ak.arrival_rate(ak.Uniform(2.0)) == 1.0
     assert ak.arrival_rate(ak.Deterministic(0.5)) == 2.0
+
+
+@pytest.mark.parametrize(
+    "cls,args",
+    [
+        (ak.Exponential, (math.inf,)),
+        (ak.Uniform, (math.inf,)),
+        (ak.Lomax, (math.inf, 1.0)),
+        (ak.Lomax, (3.0, math.inf)),
+        (ak.FoldedNormal, (math.inf, 1.0)),
+        (ak.FoldedNormal, (1.0, math.inf)),
+        (ak.Deterministic, (math.inf,)),
+        (ak.ServiceModel, (math.inf,)),
+        (ak.Exponential, (-math.inf,)),
+        (ak.Uniform, (math.nan,)),
+    ],
+)
+def test_non_finite_parameters_rejected(cls, args):
+    with pytest.raises(InputError):
+        cls(*args)
+
+
+@pytest.mark.parametrize(
+    "text,part",
+    [
+        ("exp:rate=inf", "rate=inf"),
+        ("uniform:beta=inf", "beta=inf"),
+        ("lomax:alpha=3,beta=-inf", "beta=-inf"),
+        ("det:period=nan", "period=nan"),
+    ],
+)
+def test_parse_arrival_names_non_finite_value(text, part):
+    with pytest.raises(InputError, match=f"non-finite value in '{part}'"):
+        ak.parse_arrival(text)

@@ -1,0 +1,113 @@
+"""CLI outputs compared byte for byte with committed golden files.
+
+The files in ``tests/data/golden`` pin the analyze, simulate and sweep
+outputs of a fixed set of inputs.  A change that alters numbers on purpose
+regenerates them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in CHANGES.md.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from audkit import cli
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+ANALYZE = {
+    "exp-poisson": ("exp:rate=0.6", "1", "poisson:rate=0.8"),
+    "uniform-poisson": ("uniform:beta=2.5", "1.3", "poisson:rate=2"),
+    "lomax-poisson": ("lomax:alpha=3.5,beta=3", "1", "poisson:rate=0.5"),
+    "fnorm-poisson": ("fnorm:alpha=1.5,sigma=0.4", "1", "poisson:rate=1"),
+    "det-poisson": ("det:period=1.25", "1", "poisson:rate=0.7"),
+    "det-sync": ("det:period=1.25", "1", "sync:m0=2"),
+    "det-offset": ("det:period=1.25", "1", "offset:delta=0.4"),
+}
+
+SIMULATE = {
+    "poisson": ("lomax:alpha=3.5,beta=3", "1", "poisson:rate=0.5"),
+    "sync": ("det:period=1.25", "1", "sync:m0=2"),
+    "offset": ("det:period=1.25", "1", "offset:delta=0.4"),
+}
+
+_MC = {"horizon": 500, "replications": 2, "base_seed": 3}
+_ALL = ["analytic-aud", "analytic-pmis", "mc-aud", "mc-pmis", "optimal-arrival",
+        "optimal-offset"]
+
+SWEEPS = {
+    "mu": {"grid": [0.5, 1.0, 2.5],
+           "template": {"arrival": "exp:rate=0.8", "mu": 1.0, "decision": "poisson:rate=1"},
+           "evaluations": _ALL},
+    "lambda": {"grid": [0.3, 0.6, 0.9, 1.2],
+               "template": {"arrival": "det:period=2", "mu": 1.0, "decision": "poisson:rate=1"},
+               "evaluations": _ALL},
+    "nu": {"grid": [0.25, 1.0, 4.0],
+           "template": {"arrival": "uniform:beta=2", "mu": 2.0, "decision": "poisson:rate=1"},
+           "evaluations": _ALL[:4]},
+    "m0": {"grid": [1, 2, 3],
+           "template": {"arrival": "det:period=1.25", "mu": 1.0, "decision": "sync:m0=1"},
+           "evaluations": _ALL},
+    "delta": {"grid": [0.1, 0.5, 0.9],
+              "template": {"arrival": "det:period=1.25", "mu": 1.0,
+                           "decision": "offset:delta=0.5"},
+              "evaluations": _ALL},
+    "arrival.sigma": {"grid": [0.0, 0.3, 1.0],
+                      "template": {"arrival": "fnorm:alpha=1.5,sigma=0.4", "mu": 1.0,
+                                   "decision": "poisson:rate=1"},
+                      "evaluations": _ALL},
+}
+
+
+def _cases():
+    cases = {}
+    for name, (arrival, mu, decision) in ANALYZE.items():
+        cases[f"analyze-{name}.json"] = (
+            ["analyze", "--arrival", arrival, "--mu", mu, "--decision", decision, "--json"],
+            None,
+        )
+    for name, (arrival, mu, decision) in SIMULATE.items():
+        cases[f"simulate-{name}.json"] = (
+            ["simulate", "--arrival", arrival, "--mu", mu, "--decision", decision,
+             "--threads", "1", "--horizon", "2000", "--reps", "3", "--seed", "7", "--json"],
+            None,
+        )
+    for variable, spec in SWEEPS.items():
+        cases[f"sweep-{variable}.csv"] = (["sweep", "--format", "csv"],
+                                          dict(spec, variable=variable, **_MC))
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(name: str, workdir: Path) -> bytes:
+    """Output file of one case, written under ``workdir``."""
+    argv, spec = CASES[name]
+    argv = list(argv)
+    if spec is not None:
+        spec_path = workdir / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv += ["--spec", str(spec_path)]
+    out = workdir / name
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(tmp_path, name):
+    assert run_case(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            (GOLDEN / case).write_bytes(run_case(case, Path(tmp)))
+            print(f"wrote {GOLDEN / case}", file=sys.stderr)

@@ -285,3 +285,10 @@ def test_optimal_arrival_rejects_bad_input():
         op.optimal_arrival("weibull", 2.0)
     with pytest.raises(InputError):
         op.optimal_arrival("exp", 2.0, eps=0.0)
+
+
+@pytest.mark.parametrize("solve", [op.optimal_arrival, op.bisection_optimal_arrival])
+def test_optimizers_reject_infinite_tolerance(solve):
+    # an infinite eps used to return the load-1/2 start as a converged optimum
+    with pytest.raises(InputError, match="finite"):
+        solve("exp", 2.0, eps=math.inf)

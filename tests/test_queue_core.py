@@ -392,3 +392,70 @@ def test_missing_probability_dispatch():
     assert qc.missing_probability(
         ak.SystemConfig(ak.Deterministic(1.0), svc, ak.PeriodicOffsetDecisions(0.5))
     ) is None
+
+
+# --- decision spec strings ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "decision",
+    [
+        ak.PoissonDecisions(0.7),
+        ak.PoissonDecisions(1.0 / 3.0),
+        ak.PeriodicSyncDecisions(1),
+        ak.PeriodicSyncDecisions(12),
+        ak.PeriodicOffsetDecisions(0.1 + 0.2),
+    ],
+)
+def test_decision_spec_round_trip(decision):
+    from audkit.dist import format_spec
+
+    text = format_spec(decision)
+    parsed = qc.parse_decision(text)
+    assert parsed == decision
+    assert format_spec(parsed) == text
+    assert qc.parse_decision(format_spec(parsed)) == decision
+
+
+def test_sync_m0_stored_as_int():
+    d = qc.parse_decision("sync:m0=2")
+    assert d.m0 == 2 and isinstance(d.m0, int)
+    assert d == ak.PeriodicSyncDecisions(2) and hash(d) == hash(ak.PeriodicSyncDecisions(2))
+    cfg = ak.SystemConfig(ak.Deterministic(1.0), ak.ServiceModel(2.0), d)
+    assert cfg.describe()["decision"] == "sync:m0=2"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sync:m0=1.5",
+        "sync:m0=0",
+        "sync:m0=inf",
+        "poisson:rate=inf",
+        "offset:delta=nan",
+        "periodic:m0=1",
+        "poisson",
+        "poisson:",
+        "poisson:nu=1",
+        "poisson:rate=x",
+        "offset:delta=0.2,rate=1",
+        "",
+    ],
+)
+def test_decision_spec_rejects(text):
+    with pytest.raises(InputError):
+        qc.parse_decision(text)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ak.PoissonDecisions(math.inf),
+        lambda: ak.PeriodicSyncDecisions(math.inf),
+        lambda: ak.PeriodicSyncDecisions(math.nan),
+        lambda: ak.PeriodicOffsetDecisions(math.inf),
+    ],
+)
+def test_decision_rejects_non_finite(make):
+    with pytest.raises(InputError):
+        make()

@@ -44,6 +44,12 @@ def test_sweep_spec_validation():
         report.SweepSpec("nu", (1.0,), POISSON_TEMPLATE, ("analytic-aud",), replications=1)
 
 
+@pytest.mark.parametrize("grid", [(0.5, math.inf), (0.5, math.nan, 1.0), (-math.inf, 1.0)])
+def test_sweep_spec_rejects_non_finite_grid(grid):
+    with pytest.raises(InputError, match="finite"):
+        report.SweepSpec("nu", grid, POISSON_TEMPLATE, ("analytic-pmis",))
+
+
 # --- sweeps -------------------------------------------------------------------
 
 
@@ -246,4 +252,13 @@ def test_serialize_json_validates_against_schema(tmp_path):
 def test_serialize_rejects_unknown_format():
     _, rows = _small_rows()
     with pytest.raises(InputError):
-        report.serialize(rows, "xml", io.StringIO())
+        report.serialize(rows, "xml", io.StringIO(), columns=())
+
+
+@pytest.mark.parametrize("arrival", [ak.Deterministic(1.0), ak.Uniform(2.0), ak.Exponential(1.0)])
+def test_lambda_sweep_flags_non_positive_rates(arrival):
+    template = ak.SystemConfig(arrival, SVC2, ak.PoissonDecisions(1.0))
+    rows = report.run_sweep(report.SweepSpec("lambda", (-1.0, 0.0, 1.0), template, ("analytic-aud",)))
+    for row in rows[:2]:
+        assert row.cells["aud_analytic"].status == f"invalid: arrival rate must be > 0, got {row.grid_value}"
+    assert rows[2].cells["aud_analytic"].status == "ok"
