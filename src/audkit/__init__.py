@@ -25,19 +25,9 @@ from .errors import (
     ConvergenceError,
     InputError,
     InsufficientDataError,
-    NoDensityError,
     StabilityError,
 )
-from .optimize import (
-    ObjectiveSpec,
-    OffsetResult,
-    OptimizationResult,
-    bisection_optimal_arrival,
-    optimal_arrival,
-    optimize_offset,
-    penalized_objective,
-    simplex_minimize,
-)
+from .optimize import OffsetResult, OptimizationResult, optimal_arrival, optimize_offset
 from .queue_core import (
     DecisionModel,
     DerivedQuantities,

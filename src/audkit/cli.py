@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Five subcommands: ``analyze`` (closed forms for one system), ``simulate``
-(Monte Carlo replications), ``optimize-arrival`` and ``optimize-offset``
-(the two optimization procedures), and ``sweep`` (grid evaluation driven
-by a JSON spec file).  Exit codes: 0 success, 2 invalid input or an
-unstable system, 3 a runtime numerical or simulation failure.  The spec
-grammars and ``--family`` choices in the help texts come from the family
-and discipline registries, ``dist.FAMILIES`` and ``queue_core.DISCIPLINES``.
+(Monte Carlo replications, and optionally the trajectory of replication 0
+as CSV), ``optimize-arrival`` (the AuD-minimizing arrival rate of a family,
+or of the limit family holding its infimum) and ``optimize-offset`` (the
+closed-form optimal decision offset), and ``sweep`` (grid evaluation driven
+by a JSON spec file).  Neither optimizer takes a tolerance or a budget.
+Exit codes: 0 success, 2 invalid input or an unstable system, 3 a runtime
+numerical or simulation failure.  The spec grammars and ``--family``
+choices in the help texts come from the family and discipline registries,
+``dist.FAMILIES`` and ``queue_core.DISCIPLINES``.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, queue_core, report, sim
-from .dist import ARRIVAL_GRAMMAR, ServiceModel, parse_arrival
+from .dist import ARRIVAL_GRAMMAR, FAMILIES, ServiceModel, parse_arrival
 from .errors import AudKitError, InputError
-from .optimize import (_MAX_EVALS, _N_STARTS, OPTIMIZABLE, ObjectiveSpec, optimal_arrival,
-                       optimize_offset)
+from .optimize import optimal_arrival, optimize_offset
 from .queue_core import (
     DECISION_GRAMMAR,
     SystemConfig,
@@ -80,18 +82,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _build_config(args)
-    rep = sim.run_replications(
-        config,
-        horizon=args.horizon,
-        n_reps=args.reps,
-        base_seed=args.seed,
-        threads=max(1, args.threads),
+    rep, first = sim._replications(
+        config, args.horizon, args.reps, args.seed, max(1, args.threads),
+        keep_first=bool(args.dump),
     )
     if args.dump:
-        # Replication 0's stream, so the dump is a trajectory the report averaged.
-        seq = np.random.SeedSequence(args.seed).spawn(args.reps)[0]
-        records, decisions = sim.run_trajectory(config, args.horizon, seq)
-        sim.dump_trajectory_csv(records, decisions, args.dump)
+        sim.dump_trajectory_csv(*first, args.dump)
     payload = {"command": "simulate", "report": rep.to_dict()}
     lines = [
         ("mean_aud", f"{rep.mean_aud:.12g}"),
@@ -114,36 +110,26 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_optimize_arrival(args) -> int:
-    eps = args.eps if args.eps is not None else 1e-6 / args.mu
-    res = optimal_arrival(args.family, args.mu, eps=eps)
+    res = optimal_arrival(args.family, args.mu)
     payload = {
         "command": "optimize-arrival",
         "family": res.family,
+        "limit": res.limit,
         "mu": args.mu,
         "kappa": list(res.kappa),
         "c0": res.c0,
         "lambda_opt": res.arrival_rate(),
-        "outer_iterations": res.outer_iterations,
         "inner_evaluations": res.inner_evaluations,
-        "converged": res.converged,
-        "bracket_width": res.bracket_width,
-        "defaults": {"eps": eps, "n_starts": _N_STARTS, "max_evals": _MAX_EVALS,
-                     "penalty": ObjectiveSpec.penalty},
+        "defaults": {},
     }
     lines = [
         ("family", res.family),
+        ("limit", res.limit or "none (optimum attained)"),
         ("kappa_opt", "[" + ", ".join(f"{v:.10g}" for v in res.kappa) + "]"),
         ("min_aud (c0)", f"{res.c0:.12g}"),
         ("lambda_opt", f"{res.arrival_rate():.10g}"),
-        ("outer_iterations", res.outer_iterations),
         ("inner_evaluations", res.inner_evaluations),
-        ("converged", res.converged),
-        ("bracket_width", f"{res.bracket_width:.3g}"),
-        ("eps", f"{eps:.3g}"),
     ]
-    if res.family == "fnorm":
-        lines.insert(2, ("sigma_sq_opt", f"{res.kappa[1] ** 2:.6g}"))
-        payload["sigma_sq_opt"] = res.kappa[1] ** 2
     _emit(payload, lines, args)
     return 0
 
@@ -249,12 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("optimize-arrival", help="AuD-minimizing arrival parameters")
-    sp.add_argument("--family", required=True, help=" | ".join(OPTIMIZABLE))
+    sp.add_argument("--family", required=True, help=" | ".join(FAMILIES))
     sp.add_argument("--mu", type=float, required=True, help="service rate")
-    sp.add_argument(
-        "--eps", type=float, default=None,
-        help="stop when the minimum mean AuD drops by at most this (default 1e-6/mu)",
-    )
     add_common(sp)
     sp.set_defaults(func=_cmd_optimize_arrival)
 

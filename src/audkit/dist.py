@@ -19,7 +19,9 @@ error function so they stay finite all the way down to sigma -> 0, where
 the family degenerates to a point mass.
 
 Each family is one class, registered in ``FAMILIES``: its spec-string tag,
-``with_rate`` for lambda sweeps, and the optimizer's coordinates.
+``with_rate`` for the one-parameter slice of the family at a given arrival
+rate (lambda sweeps and the arrival optimizer), and, for the two-parameter
+families, the ``limit`` family whose slice holds their infimum mean AuD.
 ``parse_spec``/``format_spec`` serve the families and the decision
 disciplines alike.
 """
@@ -30,12 +32,12 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy.special import erfcx, zeta
 
-from .errors import ConvergenceError, InputError, NoDensityError
+from .errors import ConvergenceError, InputError
 
 __all__ = [
     "ArrivalModel",
@@ -69,11 +71,6 @@ _CF_MAX_TERMS = 1000
 # zeta(k)/k, k = 53..2: ln Gamma(1-e) = euler_gamma e + sum_k zeta(k) e^k / k
 # (A&S 6.1.33), to 1e-17 for |e| <= 1/2.
 _LNGAMMA_1M = tuple(float(zeta(k) / k) for k in range(53, 1, -1))
-
-# optimizer coordinates: the smallest folded-normal scale, and the smallest
-# Lomax z = 1/(shape - 2), which caps the searched shape at 2 + 1/z
-_SIGMA_FLOOR = 1e-12
-_LOMAX_Z_FLOOR = 1e-6
 
 
 def _norm_cdf(z: float) -> float:
@@ -147,13 +144,6 @@ def _check_s(s: float) -> float:
     return s
 
 
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not x >= 0.0:
-        raise InputError(f"density argument must be >= 0, got {x}")
-    return x
-
-
 def _positive(what: str, value: float) -> None:
     """Rejects a parameter that is NaN, infinite or not above zero."""
     if not value > 0:
@@ -167,32 +157,26 @@ class ArrivalModel:
 
     Class attributes: ``tag`` names the family in spec strings, ``keys``
     (set by ``spec_registry``) lists its parameters in constructor order,
-    and ``start(mu)`` gives parameters at offered load 1/2.  A family is
-    optimizable if it has a ``start``.  The optimizer searches the
-    coordinates ``to_search(kappa)``; families whose optimum sits on an open
-    boundary override the identity maps so that the boundary is reachable.
+    and ``limit`` is None for a one-parameter family.  A two-parameter
+    family is not fixed by its rate, so its ``with_rate`` raises; its
+    ``limit`` names the one-parameter family on its boundary (folded normal
+    at sigma -> 0 is ``det``, Lomax at shape -> infinity is ``exp``), whose
+    mean AuD is at most its own at every arrival rate.  The arrival
+    optimizer searches that family instead.
     """
 
-    start: Optional[Callable[[float], Tuple[float, ...]]] = None
+    limit: Optional[str] = None
 
-    def with_rate(self, lam: float) -> "ArrivalModel":
-        """The model of the same family at arrival rate ``lam`` (lambda sweeps)."""
+    @classmethod
+    def with_rate(cls, lam: float) -> "ArrivalModel":
+        """The model of this family at arrival rate ``lam``.
+
+        A classmethod, also callable on an instance (lambda sweeps).
+        """
         raise InputError(
-            f"cannot sweep lambda for a {type(self).__name__} arrival; "
+            f"cannot sweep lambda for a {cls.__name__} arrival; "
             "sweep arrival.<param> instead"
         )
-
-    @staticmethod
-    def to_search(kappa: Sequence[float]) -> np.ndarray:
-        return np.asarray(kappa, dtype=np.float64)
-
-    @staticmethod
-    def from_search(y: np.ndarray) -> Tuple[float, ...]:
-        return tuple(float(v) for v in y)
-
-    def pdf(self, x: float) -> float:
-        """Density at x >= 0. Point-mass models raise NoDensityError."""
-        raise NotImplementedError
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -218,18 +202,14 @@ class Exponential(ArrivalModel):
     """Exponential inter-arrival times with rate ``rate`` (mean 1/rate)."""
 
     tag = "exp"
-    start = staticmethod(lambda mu: (mu / 2.0,))
     rate: float
 
     def __post_init__(self):
         _positive("exponential rate", self.rate)
 
-    def with_rate(self, lam):
-        return Exponential(lam)
-
-    def pdf(self, x):
-        x = _check_x(x)
-        return self.rate * math.exp(-self.rate * x)
+    @classmethod
+    def with_rate(cls, lam):
+        return cls(lam)
 
     def mean(self):
         return 1.0 / self.rate
@@ -255,18 +235,14 @@ class Uniform(ArrivalModel):
     """Uniform inter-arrival times on (0, beta)."""
 
     tag = "uniform"
-    start = staticmethod(lambda mu: (4.0 / mu,))
     beta: float
 
     def __post_init__(self):
         _positive("uniform width", self.beta)
 
-    def with_rate(self, lam):
-        return Uniform(2.0 / lam)
-
-    def pdf(self, x):
-        x = _check_x(x)
-        return 1.0 / self.beta if 0.0 < x < self.beta else 0.0
+    @classmethod
+    def with_rate(cls, lam):
+        return cls(2.0 / lam)
 
     def mean(self):
         return self.beta / 2.0
@@ -311,7 +287,7 @@ class Lomax(ArrivalModel):
     """
 
     tag = "lomax"
-    start = staticmethod(lambda mu: (3.0, 4.0 / mu))
+    limit = "exp"
     alpha: float
     beta: float
 
@@ -322,33 +298,6 @@ class Lomax(ArrivalModel):
             )
         _positive("lomax shape", self.alpha)  # rejects inf
         _positive("lomax scale", self.beta)
-
-    # Searched as (z, mean), z = 1/(shape - 2): the infimum is the shape ->
-    # infinity limit (z -> 0), where the family degenerates to exponential.
-    @staticmethod
-    def to_search(kappa):
-        alpha, beta = kappa
-        return np.array([1.0 / (alpha - 2.0), beta / (alpha - 1.0)])
-
-    @staticmethod
-    def from_search(y):
-        z, mean = float(y[0]), float(y[1])
-        if z <= 0.0:  # out of domain; yields shape <= 2 and gets penalized
-            return (1.0, max(mean, 1.0))
-        alpha = 2.0 + 1.0 / max(z, _LOMAX_Z_FLOOR)
-        return (alpha, mean * (alpha - 1.0))
-
-    def pdf(self, x):
-        x = _check_x(x)
-        # log form, with the shape multiplying log1p(-x/(x+beta)) rather than
-        # log(beta) alone: beta**alpha overflows for large shapes even when
-        # the density value itself is moderate.
-        log_f = (
-            math.log(self.alpha)
-            + self.alpha * math.log1p(-x / (x + self.beta))
-            - math.log(x + self.beta)
-        )
-        return math.exp(log_f)
 
     def mean(self):
         return self.beta / (self.alpha - 1.0)
@@ -388,7 +337,7 @@ class FoldedNormal(ArrivalModel):
     """
 
     tag = "fnorm"
-    start = staticmethod(lambda mu: (2.0 / mu, 0.5 / mu))
+    limit = "det"
     alpha: float
     sigma: float
 
@@ -401,36 +350,13 @@ class FoldedNormal(ArrivalModel):
             raise InputError("folded-normal needs alpha > 0 or sigma > 0")
         _positive("folded-normal parameters", max(self.alpha, self.sigma))  # rejects inf
 
-    # The scale is searched in log space: the infimum is sigma -> 0.
-    @staticmethod
-    def to_search(kappa):
-        return np.array([kappa[0], math.log(max(kappa[1], _SIGMA_FLOOR))])
-
-    @staticmethod
-    def from_search(y):
-        sigma = math.exp(min(float(y[1]), 700.0))
-        return (float(y[0]), max(sigma, _SIGMA_FLOOR))
-
-    def pdf(self, x):
-        x = _check_x(x)
-        if self.sigma == 0.0:
-            raise NoDensityError(
-                "folded normal with sigma=0 is a point mass and has no density"
-            )
-        a, sg = self.alpha, self.sigma
-        c = 1.0 / (math.sqrt(2.0 * math.pi) * sg)
-        return c * (
-            math.exp(-((x - a) ** 2) / (2.0 * sg**2))
-            + math.exp(-((x + a) ** 2) / (2.0 * sg**2))
-        )
-
     def mean(self):
         if self.sigma == 0.0:
             return self.alpha
+        # in z = alpha/sigma, so that no square of a parameter can overflow
         a, sg = self.alpha, self.sigma
-        return _SQRT_2_OVER_PI * sg * math.exp(-(a**2) / (2.0 * sg**2)) + a * (
-            1.0 - 2.0 * _norm_cdf(-a / sg)
-        )
+        z = a / sg
+        return _SQRT_2_OVER_PI * sg * math.exp(-0.5 * z * z) + a * (1.0 - 2.0 * _norm_cdf(-z))
 
     def second_moment(self):
         return self.alpha**2 + self.sigma**2
@@ -484,11 +410,9 @@ class Deterministic(ArrivalModel):
     def __post_init__(self):
         _positive("deterministic period", self.period)
 
-    def with_rate(self, lam):
-        return Deterministic(1.0 / lam)
-
-    def pdf(self, x):
-        raise NoDensityError("deterministic arrivals are a point mass; no density")
+    @classmethod
+    def with_rate(cls, lam):
+        return cls(1.0 / lam)
 
     def mean(self):
         return self.period

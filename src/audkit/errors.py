@@ -17,10 +17,6 @@ class StabilityError(InputError):
         super().__init__(f"unstable: rho={rho:.6g} (requires rho < 1)")
 
 
-class NoDensityError(InputError):
-    """The model is a point mass and has no probability density function."""
-
-
 class ConvergenceError(AudKitError):
     """An iterative solver ran out of iterations or evaluations.
 

@@ -69,8 +69,6 @@ __all__ = [
     "solve_rho1",
     "rho1_value",
     "rho1_deterministic",
-    "stationary_queue_pmf",
-    "system_time_rate",
     "departure_moments",
     "average_aud_from_moments",
     "average_aud_mm1m",
@@ -264,21 +262,7 @@ def rho1_deterministic(rho: float) -> float:
     return -rho * lambert_w0(arg)
 
 
-# --- stationary law and moments --------------------------------------------
-
-
-def stationary_queue_pmf(rho1: float, j: int) -> float:
-    """P{j updates found in system by an arrival} = (1 - rho1) rho1^j."""
-    if not 0.0 < rho1 < 1.0:
-        raise InputError(f"rho1 must lie in (0, 1), got {rho1}")
-    if j < 0:
-        raise InputError(f"queue length must be >= 0, got {j}")
-    return (1.0 - rho1) * rho1**j
-
-
-def system_time_rate(mu: float, rho1: float) -> float:
-    """System time is exponential with this rate, mu (1 - rho1)."""
-    return mu * (1.0 - rho1)
+# --- departure moments -------------------------------------------------------
 
 
 class DepartureMoments(NamedTuple):

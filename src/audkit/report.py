@@ -169,15 +169,12 @@ def _evaluate_point(
                 else:
                     cells["pmis_mc"] = Cell(report.p_mis_hat, report.p_mis_std_error)
             elif ev == "optimal-arrival":
-                if config.arrival.start is None:
-                    cells.update(_flag_all([ev], "family-not-optimizable"))
-                else:
-                    key = (config.arrival.tag, config.service.rate)
-                    res = optima.get(key)
-                    if res is None:
-                        res = optima[key] = optimal_arrival(*key)
-                    cells["aud_opt"] = Cell(value=res.c0)
-                    cells["lambda_opt"] = Cell(value=res.arrival_rate())
+                key = (config.arrival.tag, config.service.rate)
+                res = optima.get(key)
+                if res is None:
+                    res = optima[key] = optimal_arrival(*key)
+                cells["aud_opt"] = Cell(value=res.c0)
+                cells["lambda_opt"] = Cell(value=res.arrival_rate())
             elif ev == "optimal-offset":
                 if not isinstance(config.arrival, Deterministic):
                     cells.update(_flag_all([ev], "requires-deterministic-arrivals"))

@@ -215,9 +215,11 @@ def short_interdeparture_fraction(
     return float(np.count_nonzero(window < threshold) / window.shape[0])
 
 
-def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence):
+def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
+               keep: bool = False):
     """One replication: returns (mean AuD, kept decisions, missed, counted,
-    discarded, short-interdeparture fraction or None)."""
+    discarded, short-interdeparture fraction or None, and the trajectory
+    (records, decisions) if ``keep`` else None)."""
     records, decisions = run_trajectory(config, horizon, seq)
     n_warm = horizon // 10
     first_kept_departure = records.departure[n_warm]
@@ -243,6 +245,7 @@ def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence):
         counted,
         discarded,
         short,
+        (records, decisions) if keep else None,
     )
 
 
@@ -261,15 +264,25 @@ def run_replications(
     across-replication one, which is robust to within-trajectory
     autocorrelation.
     """
+    return _replications(config, horizon, n_reps, base_seed, threads)[0]
+
+
+def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: int,
+                  threads: int, keep_first: bool = False):
+    """``run_replications``, and replication 0's (records, decisions) if
+    ``keep_first`` (None otherwise), so a dump reuses that trajectory."""
     if n_reps < 2:
         raise InputError(f"need at least 2 replications, got {n_reps}")
     children = np.random.SeedSequence(base_seed).spawn(n_reps)
 
+    def replicate(i):
+        return _replicate(config, horizon, children[i], keep_first and i == 0)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda sq: _replicate(config, horizon, sq), children))
+            results = list(pool.map(replicate, range(n_reps)))
     else:
-        results = [_replicate(config, horizon, sq) for sq in children]
+        results = [replicate(i) for i in range(n_reps)]
 
     means = np.array([r[0] for r in results])
     n_decisions = sum(r[1] for r in results)
@@ -303,7 +316,7 @@ def run_replications(
         horizon=horizon,
         replication_means=tuple(float(m) for m in means),
         config=config.describe(),
-    )
+    ), results[0][6]
 
 
 _GZIP_THRESHOLD = 100 * 1024 * 1024

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import audkit
-from audkit import cli
+from audkit import cli, sim
 
 CLI_SCHEMA = json.loads(
     (Path(audkit.__file__).parent / "schemas" / "cli.schema.json").read_text()
@@ -51,9 +51,24 @@ def run_json(tmp_path, argv):
 def test_optimize_arrival_json(tmp_path):
     payload = run_json(tmp_path, ["optimize-arrival", "--family", "exp", "--mu", "1"])
     jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
-    assert payload["converged"]
+    assert payload["limit"] is None
     assert payload["c0"] == pytest.approx(audkit.average_aud_mm1m(payload["lambda_opt"], 1.0))
-    assert payload["bracket_width"] <= payload["defaults"]["eps"]
+    assert payload["defaults"] == {}
+
+
+@pytest.mark.parametrize(
+    "family,limit",
+    [("exp", None), ("uniform", None), ("lomax", "exp"), ("fnorm", "det"), ("det", None)],
+)
+@pytest.mark.parametrize("mu", ["1", "1e-200"])
+def test_optimize_arrival_json_every_family(tmp_path, family, limit, mu):
+    # mu = 1e-200 used to overflow FoldedNormal.mean and exit 1 with a traceback
+    payload = run_json(tmp_path, ["optimize-arrival", "--family", family, "--mu", mu])
+    jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
+    assert payload["family"] == family and payload["limit"] == limit
+    assert payload["c0"] * float(mu) == pytest.approx(
+        audkit.optimal_arrival(family, 1.0).c0, rel=1e-14
+    )
 
 
 def test_optimize_offset_json_at_high_load(tmp_path):
@@ -76,11 +91,17 @@ def test_optimize_offset_rejects_eps():
         cli.main(["optimize-offset", "--lambda", "0.5", "--mu", "1", "--eps", "1e-9"])
 
 
+def test_optimize_arrival_rejects_eps():
+    # the load search has no tolerance to set; --eps inf used to exit 2
+    with pytest.raises(SystemExit):
+        cli.main(["optimize-arrival", "--family", "exp", "--mu", "1", "--eps", "inf"])
+
+
 @pytest.mark.parametrize(
     "arrival,ok,skipped",
     [
         ("exp:rate=0.5", ("aud_opt", "lambda_opt"), ("delta_opt", "aud_at_delta_opt")),
-        ("det:period=2", ("delta_opt", "aud_at_delta_opt"), ("aud_opt", "lambda_opt")),
+        ("det:period=2", ("delta_opt", "aud_at_delta_opt", "aud_opt", "lambda_opt"), ()),
     ],
 )
 def test_lambda_sweep_of_optima_json(tmp_path, arrival, ok, skipped):
@@ -119,6 +140,29 @@ def test_simulate_dump_is_replication_zero(tmp_path):
     assert float(kept.mean()) == payload["report"]["replication_means"][0]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_dump_reuses_replication_zero(tmp_path, monkeypatch, threads):
+    run_trajectory = sim.run_trajectory
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return run_trajectory(*args)
+
+    monkeypatch.setattr(sim, "run_trajectory", counting)
+    dump = tmp_path / "trajectory.csv"
+    argv = ["simulate", "--arrival", "det:period=2", "--mu", "1", "--decision", "sync:m0=2",
+            "--horizon", "3000", "--reps", "3", "--seed", "5", "--threads", threads,
+            "--dump", str(dump)]
+    assert cli.main(argv + ["--out", str(tmp_path / "report.txt")]) == 0
+    assert len(calls) == 3
+    # the file a separate simulation of replication 0 writes
+    seq = np.random.SeedSequence(5).spawn(3)[0]
+    reference = tmp_path / "reference.csv"
+    sim.dump_trajectory_csv(*run_trajectory(calls[0][0], 3000, seq), str(reference))
+    assert dump.read_bytes() == reference.read_bytes()
+
+
 _ANALYZE = ["analyze", "--mu", "1"]
 
 
@@ -137,7 +181,6 @@ _ANALYZE = ["analyze", "--mu", "1"]
         ["optimize-offset", "--lambda", "0.5", "--mu", "1", "--delta-grid", "-1"],
         ["optimize-offset", "--lambda", "0.5", "--mu", "1", "--delta-grid", "-3"],
         ["optimize-offset", "--lambda", "1.5", "--mu", "1"],
-        ["optimize-arrival", "--family", "exp", "--mu", "1", "--eps", "inf"],
     ],
 )
 def test_input_errors_exit_2(argv, capsys):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import audkit as ak
-from audkit.errors import ConvergenceError, InputError, NoDensityError
+from audkit.errors import ConvergenceError, InputError
 
-from conftest import quad_transform
+from conftest import NoDensityError, pdf, quad_transform
 
 ALL_MODELS = [
     ak.Exponential(1.0),
@@ -25,7 +25,7 @@ ALL_MODELS = [
     ak.FoldedNormal(2.0, 0.05),
     ak.Deterministic(1.0),
     ak.Deterministic(0.25),
-    # Lomax shapes from near 2 up to the optimizer's cap 2 + 1e6, with beta s
+    # Lomax shapes from near 2 up to the oracle optimizer's cap 2 + 1e6, with beta s
     # spanning 1e-10 to 1e3 over S_GRID (8e6 at the cap)
     ak.Lomax(2.05, 0.01),
     ak.Lomax(3.0, 125.0),
@@ -73,25 +73,25 @@ def test_mean_positive(model):
 
 
 def test_pdf_examples():
-    assert ak.Uniform(2.0).pdf(1.0) == 0.5
-    assert ak.Lomax(3.0, 1.0).pdf(0.0) == pytest.approx(3.0, rel=1e-14)
+    assert pdf(ak.Uniform(2.0), 1.0) == 0.5
+    assert pdf(ak.Lomax(3.0, 1.0), 0.0) == pytest.approx(3.0, rel=1e-14)
     # two-Gaussian density at the origin with zero location
-    assert ak.FoldedNormal(0.0, 1.0).pdf(0.0) == pytest.approx(
+    assert pdf(ak.FoldedNormal(0.0, 1.0), 0.0) == pytest.approx(
         math.sqrt(2.0 / math.pi), rel=1e-14
     )
 
 
 def test_pdf_point_masses_rejected():
     with pytest.raises(NoDensityError):
-        ak.Deterministic(1.0).pdf(1.0)
+        pdf(ak.Deterministic(1.0), 1.0)
     with pytest.raises(NoDensityError):
-        ak.FoldedNormal(1.0, 0.0).pdf(1.0)
+        pdf(ak.FoldedNormal(1.0, 0.0), 1.0)
 
 
 @pytest.mark.parametrize("model", DENSITY_MODELS)
 def test_pdf_rejects_negative_argument(model):
     with pytest.raises(InputError):
-        model.pdf(-0.5)
+        pdf(model, -0.5)
 
 
 @pytest.mark.parametrize("model", DENSITY_MODELS)
@@ -128,6 +128,15 @@ def test_folded_normal_second_moment_is_alpha_sq_plus_sigma_sq():
     assert quad_transform(fn, 0.0, moment=2, upper=60.0) == pytest.approx(
         fn.second_moment(), rel=1e-9
     )
+
+
+@pytest.mark.parametrize("alpha,sigma", [(1.0, 0.1), (1.5, 0.4), (1.0, 1.0), (0.0, 1.0),
+                                         (2.0, 5.0), (10.0, 1.0)])
+def test_folded_normal_mean_scales_without_overflow(alpha, sigma):
+    # alpha**2 used to overflow: FoldedNormal(1e200, 1e199).mean() raised OverflowError
+    base = ak.FoldedNormal(alpha, sigma).mean()
+    for k in (1e-200, 1e-100, 1e-10, 3.0, 1e10, 1e100, 1e200):
+        assert ak.FoldedNormal(k * alpha, k * sigma).mean() == pytest.approx(k * base, rel=1e-15)
 
 
 # --- laplace / weighted first moment -----------------------------------------

