@@ -45,7 +45,6 @@ from .queue_core import (
     lambert_w0,
     mean_aud,
     missing_prob_dm1d_sync,
-    missing_prob_gm1m,
     missing_probability,
     rho1_deterministic,
     rho1_value,

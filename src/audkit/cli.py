@@ -21,8 +21,6 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__, queue_core, report, sim
 from .dist import ARRIVAL_GRAMMAR, FAMILIES, ServiceModel, parse_arrival
 from .errors import AudKitError, InputError
@@ -120,7 +118,6 @@ def _cmd_optimize_arrival(args) -> int:
         "c0": res.c0,
         "lambda_opt": res.arrival_rate(),
         "inner_evaluations": res.inner_evaluations,
-        "defaults": {},
     }
     lines = [
         ("family", res.family),
@@ -136,38 +133,29 @@ def _cmd_optimize_arrival(args) -> int:
 
 def _cmd_optimize_offset(args) -> int:
     lam, mu = args.lam, args.mu
-    if args.delta_grid < 0:
-        raise InputError(f"--delta-grid must be >= 0, got {args.delta_grid}")
     res = optimize_offset(lam, mu)
     aud_star = average_aud_dm1d_offset(lam, mu, res.delta)
+    aud_poisson = average_aud_dm1m(lam, mu)
+    aud_sync = average_aud_dm1d_sync(lam, mu, 1)
     payload = {
         "command": "optimize-offset",
         "lambda": lam,
         "mu": mu,
         "delta_opt": res.delta,
         "u1_opt": res.u1,
-        "phi_residual": res.phi_residual,
         "iterations": res.iterations,
         "aud_at_delta_opt": aud_star,
-        "aud_poisson_decisions": average_aud_dm1m(lam, mu),
-        "aud_sync_m0_1": average_aud_dm1d_sync(lam, mu, 1),
-        "defaults": {},
+        "aud_poisson_decisions": aud_poisson,
+        "aud_sync_m0_1": aud_sync,
     }
     lines = [
         ("delta_opt", f"{res.delta:.12g}"),
         ("u1_opt", f"{res.u1:.12g}"),
-        ("phi_residual", f"{res.phi_residual:.3g}"),
         ("iterations", res.iterations),
         ("aud_at_delta_opt", f"{aud_star:.12g}"),
-        ("aud_poisson_decisions", f"{average_aud_dm1m(lam, mu):.12g}"),
-        ("aud_sync_m0_1", f"{average_aud_dm1d_sync(lam, mu, 1):.12g}"),
+        ("aud_poisson_decisions", f"{aud_poisson:.12g}"),
+        ("aud_sync_m0_1", f"{aud_sync:.12g}"),
     ]
-    if args.delta_grid:
-        grid = np.linspace(0.0, 1.0 / lam, args.delta_grid + 2)[1:-1]
-        values = [average_aud_dm1d_offset(lam, mu, d) for d in grid]
-        best = int(np.argmin(values))
-        payload["delta_grid_min"] = {"delta": float(grid[best]), "aud": values[best]}
-        lines.append(("delta_grid_min", f"{grid[best]:.12g} (aud {values[best]:.12g})"))
     _emit(payload, lines, args)
     return 0
 
@@ -243,10 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize-offset", help="AuD-minimizing decision offset")
     sp.add_argument("--lambda", dest="lam", type=float, required=True, help="arrival rate")
     sp.add_argument("--mu", type=float, required=True, help="service rate")
-    sp.add_argument(
-        "--delta-grid", type=int, default=0,
-        help="also report the minimum over this many interior grid points",
-    )
     add_common(sp)
     sp.set_defaults(func=_cmd_optimize_offset)
 

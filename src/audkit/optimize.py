@@ -37,12 +37,7 @@ from scipy import optimize as sp_optimize
 
 from .dist import FAMILIES, ArrivalModel, _positive
 from .errors import ConvergenceError, InputError
-from .queue_core import (
-    average_aud_from_moments,
-    departure_moments,
-    offset_derivative_phi,
-    rho1_deterministic,
-)
+from .queue_core import average_aud_from_moments, departure_moments, rho1_deterministic
 
 __all__ = [
     "OptimizationResult",
@@ -82,14 +77,13 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class OffsetResult:
-    """Optimal decision offset and the derivative residual at it.
+    """Optimal decision offset and u1 = exp(-mu (1 - rho1) delta) at it.
 
     ``iterations`` is 0: the optimum is closed form.
     """
 
     delta: float
     u1: float
-    phi_residual: float
     iterations: int
 
 
@@ -146,5 +140,4 @@ def optimize_offset(lam: float, mu: float) -> OffsetResult:
     rho1 = rho1_deterministic(rho)
     u1 = rho
     delta = -math.log(u1) / (mu * (1.0 - rho1))
-    phi = offset_derivative_phi(rho, u1)
-    return OffsetResult(delta=delta, u1=u1, phi_residual=phi, iterations=0)
+    return OffsetResult(delta=delta, u1=u1, iterations=0)

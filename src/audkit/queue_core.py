@@ -15,6 +15,12 @@ synchronous-periodic, and offset-periodic decision processes.  Each
 discipline is one class, registered in ``DISCIPLINES``, that carries all
 its discipline-specific knowledge; everything else dispatches through it.
 
+A ``SystemConfig`` computes its ``DerivedQuantities`` once, as its
+``derived`` property, and the Poisson-decision closed forms read it.  The
+periodic closed forms (``average_aud_dm1*``, ``missing_prob_dm1d_sync``)
+take (lambda, mu), so the offset optimizer calls them without building a
+system; the periodic disciplines delegate to them.
+
 Offset-periodic decisions.  With arrivals every P = 1/lambda and a decision
 a fixed delta after each arrival, FCFS service makes the decision miss
 update k - j (and every later one) exactly when T_{k-j} > delta + j P, so
@@ -35,8 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,8 +81,6 @@ __all__ = [
     "average_aud_dm1m",
     "average_aud_dm1d_sync",
     "average_aud_dm1d_offset",
-    "offset_derivative_phi",
-    "missing_prob_gm1m",
     "missing_prob_dm1d_sync",
     "derive",
     "mean_aud",
@@ -84,6 +88,9 @@ __all__ = [
 ]
 
 _INV_E = math.exp(-1.0)
+
+# |g| accepted at the end of the rho1 Newton climb
+_RHO1_TOL = 1e-12
 
 
 # --- system configuration -------------------------------------------------
@@ -103,6 +110,10 @@ class DecisionModel:
         mean_aud(config)            closed-form mean AuD
         missing_probability(config) closed form, or None where none exists
         epochs(config, t_end, rng)  all decision epochs in (0, t_end], increasing
+
+    ``derive_extras`` runs once per system, inside ``SystemConfig.derived``,
+    which Poisson decisions read; the periodic disciplines pass (lambda, mu)
+    to the module's periodic closed forms.
     """
 
     def check(self, arrival: ArrivalModel) -> None:
@@ -145,6 +156,31 @@ class SystemConfig:
             "mu": self.service.rate,
             "decision": format_spec(self.decision),
         }
+
+    @cached_property
+    def derived(self) -> "DerivedQuantities":
+        """All derived scalars of this system, computed on first access.
+
+        Cached in the instance ``__dict__``, which equality and hashing ignore.
+        """
+        arrival, mu = self.arrival, self.service.rate
+        rho1 = rho1_value(arrival, mu)
+        a = mu * (1.0 - rho1)
+        q1 = arrival.weighted_first_moment(a)
+        moments = _moments_at(arrival, mu, rho1, q1)
+        extra = self.decision.derive_extras(self, a)
+        if isinstance(arrival, Deterministic):
+            extra["rho0"] = math.exp(-mu * arrival.period)
+        return DerivedQuantities(
+            rho=self.rho,
+            rho1=rho1,
+            mean_y=moments.mean,
+            second_moment_y=moments.second_moment,
+            cross_ty=moments.cross,
+            q1=q1,
+            mean_system_time=1.0 / a,
+            **extra,
+        )
 
 
 # --- Lambert W and the embedded-chain fixed point --------------------------
@@ -191,20 +227,14 @@ def lambert_w0(x: float) -> float:
 
 @dataclass(frozen=True)
 class Rho1Solution:
-    """Fixed point of the embedded chain plus its iteration history."""
+    """Fixed point of the embedded chain, its Newton step count and |g| there."""
 
     value: float
     iterations: int
     residual: float
-    trace: Tuple[float, ...]
 
 
-def solve_rho1(
-    arrival: ArrivalModel,
-    mu: float,
-    eps: float = 1e-12,
-    max_iter: int = 100,
-) -> Rho1Solution:
+def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Solution:
     """Solve rho1 = laplace(arrival, mu (1 - rho1)) by Newton's method.
 
     Newton runs on g(r) = laplace(mu (1-r)) - r from r = 0, with
@@ -212,33 +242,32 @@ def solve_rho1(
     and g'(0) <= 1/e - 1 < 0, so the iterates climb monotonically to rho1
     and never reach the second root r = 1.  The climb runs until rounding
     stops it (g <= 0, or r no longer moves), which near rho = 1 lies far
-    below eps / |g'(rho1)|, and is accepted if then |g| <= ``eps``.
-    Otherwise, and after ``max_iter`` steps, ConvergenceError carries the
-    best iterate.  Instability is rejected up front.
+    below ``_RHO1_TOL`` / |g'(rho1)|, and is accepted if then
+    |g| <= ``_RHO1_TOL`` (1e-12).  Otherwise, and after ``max_iter`` steps,
+    ConvergenceError carries the best iterate.  Instability is rejected up
+    front.
     """
-    if not eps > 0:
-        raise InputError(f"tolerance must be > 0, got {eps}")
     rho = 1.0 / (mu * arrival.mean())
     if not rho < 1.0:
         raise StabilityError(rho)
 
     r = 0.0
-    trace = [r]
+    steps = 0
     while True:
         s = mu * (1.0 - r)
         g = arrival.laplace(s) - r
         r_next = r + g / (1.0 - mu * arrival.weighted_first_moment(s)) if g > 0.0 else r
-        if not r < r_next < 1.0 or len(trace) > max_iter:
-            if abs(g) <= eps:
-                return Rho1Solution(r, len(trace) - 1, abs(g), tuple(trace))
+        if not r < r_next < 1.0 or steps >= max_iter:
+            if abs(g) <= _RHO1_TOL:
+                return Rho1Solution(r, steps, abs(g))
             raise ConvergenceError(
-                f"rho1 Newton iteration stalled at r={r!r} after {len(trace) - 1} "
+                f"rho1 Newton iteration stalled at r={r!r} after {steps} "
                 f"steps (max_iter={max_iter})",
                 best=r,
                 residual=abs(g),
             )
         r = r_next
-        trace.append(r)
+        steps += 1
 
 
 @lru_cache(maxsize=16384)
@@ -247,10 +276,11 @@ def _rho1_cached(arrival: ArrivalModel, mu: float) -> float:
 
 
 def rho1_value(arrival: ArrivalModel, mu: float) -> float:
-    """Cached rho1 at default tolerance; sweeps hit the same (arrival, mu) a lot."""
+    """Cached rho1; sweeps hit the same (arrival, mu) a lot."""
     if isinstance(arrival, Deterministic):
-        # Closed form via Lambert W; agrees with the Newton solve to ~1e-12.
-        return rho1_deterministic(1.0 / (mu * arrival.period))
+        # Closed form via Lambert W at the load lam/mu that the periodic
+        # closed forms use; agrees with the Newton solve to ~1e-12.
+        return rho1_deterministic(arrival_rate(arrival) / mu)
     return _rho1_cached(arrival, mu)
 
 
@@ -273,9 +303,7 @@ class DepartureMoments(NamedTuple):
     cross: float
 
 
-def departure_moments(
-    arrival: ArrivalModel, mu: float, rho1: Optional[float] = None
-) -> DepartureMoments:
+def departure_moments(arrival: ArrivalModel, mu: float) -> DepartureMoments:
     """First two inter-departure moments and the system-time cross moment.
 
     E[Y]   = E[X]
@@ -283,8 +311,7 @@ def departure_moments(
     E[TY]  = (E[X] - 1/mu + q1) / (mu (1-rho1)),
              q1 = weighted_first_moment(arrival, mu (1-rho1))
     """
-    if rho1 is None:
-        rho1 = rho1_value(arrival, mu)
+    rho1 = rho1_value(arrival, mu)
     return _moments_at(arrival, mu, rho1, arrival.weighted_first_moment(mu * (1.0 - rho1)))
 
 
@@ -358,54 +385,7 @@ def average_aud_dm1d_offset(lam: float, mu: float, delta: float) -> float:
     return delta + u1 / (lam * (1.0 - rho1))
 
 
-def offset_derivative_phi(rho: float, u1: float) -> float:
-    """d(mean AuD)/d(delta) of the offset system, written in u1: 1 - u1/rho.
-
-    u1 = exp(-mu (1-rho1) delta) decreases from 1 (delta = 0) to rho1
-    (delta = 1/lam); the root u1 = rho is the optimal offset.
-    """
-    if not 0.0 < rho < 1.0:
-        raise InputError(f"rho must lie in (0, 1), got {rho}")
-    return 1.0 - u1 / rho
-
-
 # --- missing probability ------------------------------------------------------
-
-
-def missing_prob_gm1m(arrival: ArrivalModel, mu: float, nu: float) -> float:
-    """Probability that a received update is never used, Poisson decisions.
-
-      mu (mu (1-rho1) q0 - nu rho1) / ((mu + nu)(mu (1-rho1) - nu)),
-      q0 = laplace(arrival, nu).
-
-    The expression has a removable singularity at nu = mu (1 - rho1); near
-    it the value is recovered by symmetric perturbation in nu plus
-    Richardson extrapolation, which works for every arrival family.
-    """
-    if not nu > 0:
-        raise InputError(f"decision rate must be > 0, got {nu}")
-    rho1 = rho1_value(arrival, mu)
-    a = mu * (1.0 - rho1)
-
-    def direct(nu_pt: float) -> float:
-        q0 = arrival.laplace(nu_pt)
-        return mu * (a * q0 - nu_pt * rho1) / ((mu + nu_pt) * (a - nu_pt))
-
-    if abs(a - nu) < 1e-9 * mu:
-        # Sit exactly on the singular point and extrapolate h -> 0 from
-        # symmetric averages, which cancel the odd error terms.  h scales
-        # with a, so that a - h stays a valid (positive) rate as rho1 -> 1.
-        def sym(h: float) -> float:
-            return 0.5 * (direct(a + h) + direct(a - h))
-
-        h = 1e-3 * a
-        g1, g2, g3 = sym(h), sym(h / 2.0), sym(h / 4.0)
-        r1 = (4.0 * g2 - g1) / 3.0
-        r2 = (4.0 * g3 - g2) / 3.0
-        value = (16.0 * r2 - r1) / 15.0
-    else:
-        value = direct(nu)
-    return min(max(value, 0.0), 1.0)
 
 
 def missing_prob_dm1d_sync(lam: float, mu: float, m0: int) -> float:
@@ -455,26 +435,8 @@ class DerivedQuantities:
 
 
 def derive(config: SystemConfig) -> DerivedQuantities:
-    """Compute all derived scalars relevant to ``config``'s decision discipline."""
-    arrival, mu = config.arrival, config.service.rate
-    rho = config.rho
-    rho1 = rho1_value(arrival, mu)
-    a = mu * (1.0 - rho1)
-    q1 = arrival.weighted_first_moment(a)
-    moments = _moments_at(arrival, mu, rho1, q1)
-    extra = config.decision.derive_extras(config, a)
-    if isinstance(arrival, Deterministic):
-        extra["rho0"] = math.exp(-mu * arrival.period)
-    return DerivedQuantities(
-        rho=rho,
-        rho1=rho1,
-        mean_y=moments.mean,
-        second_moment_y=moments.second_moment,
-        cross_ty=moments.cross,
-        q1=q1,
-        mean_system_time=1.0 / a,
-        **extra,
-    )
+    """All derived scalars of ``config``: its cached ``derived`` object."""
+    return config.derived
 
 
 def mean_aud(config: SystemConfig) -> float:
@@ -509,10 +471,44 @@ class PoissonDecisions(DecisionModel):
         return {"q0": config.arrival.laplace(self.rate)}
 
     def mean_aud(self, config):
-        return average_aud_from_moments(*departure_moments(config.arrival, config.service.rate))
+        d = config.derived
+        return average_aud_from_moments(d.mean_y, d.second_moment_y, d.cross_ty)
 
     def missing_probability(self, config):
-        return missing_prob_gm1m(config.arrival, config.service.rate, self.rate)
+        """Probability that a received update is never used:
+
+          mu (a q0 - nu rho1) / ((mu + nu)(a - nu)),  a = mu (1 - rho1),
+
+        with q0 = laplace(arrival, nu).  The expression has a removable
+        singularity at nu = a; near it the value is recovered by symmetric
+        perturbation in nu plus Richardson extrapolation, which works for
+        every arrival family.
+        """
+        d = config.derived
+        mu, nu, rho1 = config.service.rate, self.rate, d.rho1
+        a = mu * (1.0 - rho1)
+
+        def formula(nu_pt: float, q0: float) -> float:
+            return mu * (a * q0 - nu_pt * rho1) / ((mu + nu_pt) * (a - nu_pt))
+
+        def direct(nu_pt: float) -> float:
+            return formula(nu_pt, config.arrival.laplace(nu_pt))
+
+        if abs(a - nu) < 1e-9 * mu:
+            # Sit exactly on the singular point and extrapolate h -> 0 from
+            # symmetric averages, which cancel the odd error terms.  h scales
+            # with a, so that a - h stays a valid (positive) rate as rho1 -> 1.
+            def sym(h: float) -> float:
+                return 0.5 * (direct(a + h) + direct(a - h))
+
+            h = 1e-3 * a
+            g1, g2, g3 = sym(h), sym(h / 2.0), sym(h / 4.0)
+            r1 = (4.0 * g2 - g1) / 3.0
+            r2 = (4.0 * g3 - g2) / 3.0
+            value = (16.0 * r2 - r1) / 15.0
+        else:
+            value = formula(nu, d.q0)
+        return min(max(value, 0.0), 1.0)
 
     def epochs(self, config, t_end, rng):
         nu = self.rate

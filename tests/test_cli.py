@@ -36,6 +36,22 @@ def test_analyze_json_near_critical(tmp_path, arrival, rho):
     assert payload["derived"]["rho"] == pytest.approx(rho, rel=1e-12)
 
 
+def test_analyze_evaluates_each_transform_once(tmp_path, monkeypatch):
+    # derive, mean_aud and missing_probability share one DerivedQuantities
+    audkit.rho1_value(audkit.Lomax(3.5, 3.0), 1.0)  # warm the rho1 cache
+    calls = []
+    for name in ("laplace", "weighted_first_moment"):
+        original = getattr(audkit.Lomax, name)
+        monkeypatch.setattr(audkit.Lomax, name,
+                            lambda self, s, _f=original, _n=name: calls.append(_n) or _f(self, s))
+    code = cli.main(
+        ["analyze", "--arrival", "lomax:alpha=3.5,beta=3", "--mu", "1",
+         "--decision", "poisson:rate=0.5", "--out", str(tmp_path / "analyze.txt")]
+    )
+    assert code == 0
+    assert sorted(calls) == ["laplace", "weighted_first_moment"]
+
+
 SWEEP_SCHEMA = json.loads(
     (Path(audkit.__file__).parent / "schemas" / "sweep.schema.json").read_text()
 )
@@ -53,7 +69,6 @@ def test_optimize_arrival_json(tmp_path):
     jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
     assert payload["limit"] is None
     assert payload["c0"] == pytest.approx(audkit.average_aud_mm1m(payload["lambda_opt"], 1.0))
-    assert payload["defaults"] == {}
 
 
 @pytest.mark.parametrize(
@@ -89,6 +104,14 @@ def test_optimize_arrival_unknown_family_exits_2():
 def test_optimize_offset_rejects_eps():
     with pytest.raises(SystemExit):
         cli.main(["optimize-offset", "--lambda", "0.5", "--mu", "1", "--eps", "1e-9"])
+
+
+@pytest.mark.parametrize("count", ["-1", "-3"])
+def test_optimize_offset_rejects_delta_grid(count):
+    # the brute-force grid check is test_optimize_offset_matches_grid_oracle
+    with pytest.raises(SystemExit) as err:
+        cli.main(["optimize-offset", "--lambda", "0.5", "--mu", "1", "--delta-grid", count])
+    assert err.value.code == 2
 
 
 def test_optimize_arrival_rejects_eps():
@@ -178,8 +201,8 @@ _ANALYZE = ["analyze", "--mu", "1"]
         ["simulate", "--mu", "1", "--arrival", "exp:rate=2", "--decision", "poisson:rate=1"],
         ["simulate", "--mu", "1", "--arrival", "exp:rate=0.5", "--decision", "poisson:rate=1",
          "--reps", "1"],
-        ["optimize-offset", "--lambda", "0.5", "--mu", "1", "--delta-grid", "-1"],
-        ["optimize-offset", "--lambda", "0.5", "--mu", "1", "--delta-grid", "-3"],
+        ["optimize-offset", "--lambda", "0", "--mu", "1"],
+        ["optimize-offset", "--lambda", "nan", "--mu", "1"],
         ["optimize-offset", "--lambda", "1.5", "--mu", "1"],
     ],
 )

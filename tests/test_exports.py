@@ -6,7 +6,9 @@ leave its ``__all__`` and the package imports too.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -34,3 +36,12 @@ def test_package_imports_resolve():
             assert getattr(audkit, alias.asname or alias.name) is getattr(source, alias.name)
             if hasattr(source, "__all__"):
                 assert alias.name in source.__all__, f"{node.module}.{alias.name}"
+
+
+def test_names_the_bench_observers_bind():
+    # bench/tracing.py reads these by name at span close; a missing one
+    # would only show there as a failed operation
+    assert "max_iter" in inspect.signature(audkit.solve_rho1).parameters
+    assert "arrival" in inspect.signature(audkit.rho1_value).parameters
+    for cls in (audkit.queue_core.Rho1Solution, audkit.OffsetResult):
+        assert "iterations" in {f.name for f in dataclasses.fields(cls)}

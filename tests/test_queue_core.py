@@ -2,6 +2,7 @@
 formulas. Expected values were computed independently (30-digit arithmetic or
 brute quadrature) and frozen."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,8 +22,6 @@ W0_AT_NEG_2E2 = -0.40637573995995991  # W0(-2 exp(-2))
 DM1M_1_2 = 1.1275004874579876
 SYNC_1_2_1 = 1.2550009749159753
 OFFSET_1_2_HALF = 1.0657088227384059
-PHI_AT_ONE = -1.0
-PHI_AT_RHO1 = 0.59362426004004009
 PMIS_SYNC_1_2_1 = 0.5412371698844107
 
 FAMILIES_AT_LOAD = {
@@ -85,8 +84,6 @@ def test_rho1_exponential_equals_load():
     sol = qc.solve_rho1(ak.Exponential(1.0), 2.0)
     assert sol.value == pytest.approx(0.5, abs=1e-11)
     assert sol.residual <= 1e-12
-    assert sol.trace[0] == 0.0
-    assert len(sol.trace) == sol.iterations + 1
 
 
 def test_rho1_deterministic_matches_reference():
@@ -109,7 +106,7 @@ def test_rho1_rejects_unstable():
 
 def test_rho1_nonconvergence_reports_last_iterate():
     with pytest.raises(ConvergenceError) as err:
-        qc.solve_rho1(ak.Exponential(1.0), 2.0, eps=1e-12, max_iter=3)
+        qc.solve_rho1(ak.Exponential(1.0), 2.0, max_iter=3)
     assert err.value.best is not None
     assert err.value.residual > 0
 
@@ -256,46 +253,27 @@ def test_offset_curve_convex_on_grid():
     assert np.all(second_diff >= -1e-8)
 
 
-def test_offset_derivative_phi_signs():
-    rho, rho1 = 0.5, RHO1_HALF
-    phi_delta0 = qc.offset_derivative_phi(rho, 1.0)
-    phi_delta_max = qc.offset_derivative_phi(rho, rho1)
-    assert phi_delta0 == pytest.approx(PHI_AT_ONE, rel=1e-12)
-    assert phi_delta_max == pytest.approx(PHI_AT_RHO1, rel=1e-12)
-    assert phi_delta0 < 0 < phi_delta_max  # a root exists on (rho1, 1)
-
-
-def test_offset_derivative_phi_consistent_with_curve():
-    # phi expressed in u1 must carry the sign of the delta-derivative
-    lam, mu = 1.0, 2.0
-    rho = lam / mu
-    rho1 = qc.rho1_deterministic(rho)
-    a = mu * (1.0 - rho1)
-    h = 1e-7
-    for delta in np.linspace(0.05, 0.95, 20):
-        du = (
-            qc.average_aud_dm1d_offset(lam, mu, delta + h)
-            - qc.average_aud_dm1d_offset(lam, mu, delta - h)
-        ) / (2.0 * h)
-        phi = qc.offset_derivative_phi(rho, math.exp(-a * delta))
-        assert du == pytest.approx(phi, rel=1e-5, abs=1e-6)
-
-
 # --- missing probability ---------------------------------------------------------------
+
+
+def pmis_poisson(arrival, mu, nu):
+    """Missing probability of ``arrival`` at service rate mu under Poisson(nu) decisions."""
+    config = ak.SystemConfig(arrival, ak.ServiceModel(mu), ak.PoissonDecisions(nu))
+    return qc.missing_probability(config)
 
 
 def test_missing_prob_mm1m_exact():
     # lam/(lam+nu) for the fully Markovian system; nu = mu(1-rho1) here,
     # which exercises the removable-singularity path
-    assert qc.missing_prob_gm1m(ak.Exponential(1.0), 2.0, 1.0) == pytest.approx(
+    assert pmis_poisson(ak.Exponential(1.0), 2.0, 1.0) == pytest.approx(
         0.5, abs=1e-9
     )
     for nu in (0.3, 0.7, 2.0, 5.0):
-        assert qc.missing_prob_gm1m(ak.Exponential(1.0), 2.0, nu) == pytest.approx(
+        assert pmis_poisson(ak.Exponential(1.0), 2.0, nu) == pytest.approx(
             1.0 / (1.0 + nu), abs=1e-10
         )
     # near-critical: nu = 1e-4 lies within 1e-9 mu of mu (1 - rho1) ~ 1e-4
-    assert qc.missing_prob_gm1m(ak.Exponential(0.9999), 1.0, 1e-4) == pytest.approx(
+    assert pmis_poisson(ak.Exponential(0.9999), 1.0, 1e-4) == pytest.approx(
         0.9999, abs=1e-9
     )
 
@@ -304,22 +282,22 @@ def test_missing_prob_near_singularity_continuous():
     # values just off the singular point agree with the extrapolated value on it
     model = ak.Uniform(2.0)
     a = 2.0 * (1.0 - qc.rho1_value(model, 2.0))
-    on = qc.missing_prob_gm1m(model, 2.0, a)
-    near = qc.missing_prob_gm1m(model, 2.0, a * (1.0 + 5e-7))
+    on = pmis_poisson(model, 2.0, a)
+    near = pmis_poisson(model, 2.0, a * (1.0 + 5e-7))
     assert on == pytest.approx(near, abs=1e-5)
     assert 0.0 <= on <= 1.0
 
 
 def test_missing_prob_vanishes_at_high_decision_rate():
-    assert qc.missing_prob_gm1m(ak.Exponential(1.0), 2.0, 100.0) < 0.02
-    assert qc.missing_prob_gm1m(ak.Deterministic(1.0), 2.0, 500.0) < 0.01
+    assert pmis_poisson(ak.Exponential(1.0), 2.0, 100.0) < 0.02
+    assert pmis_poisson(ak.Deterministic(1.0), 2.0, 500.0) < 0.01
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES_AT_LOAD))
 @pytest.mark.parametrize("nu", [0.4, 1.1, 3.0])
 def test_missing_prob_in_unit_interval(family, nu):
     model = FAMILIES_AT_LOAD[family](0.5, 2.0)
-    p = qc.missing_prob_gm1m(model, 2.0, nu)
+    p = pmis_poisson(model, 2.0, nu)
     assert 0.0 <= p <= 1.0
 
 
@@ -371,6 +349,40 @@ def test_derive_field_presence():
     )
     assert d_off.u0 is not None and d_off.u1 is not None
     assert d_off.mean_y == 1.0
+
+
+def test_derive_is_computed_once_per_config():
+    cfg = ak.SystemConfig(ak.Lomax(3.5, 3.0), ak.ServiceModel(1.0), ak.PoissonDecisions(0.5))
+    assert qc.derive(cfg) is qc.derive(cfg) is cfg.derived
+    other = dataclasses.replace(cfg, decision=ak.PoissonDecisions(2.0))
+    assert qc.derive(other) is not qc.derive(cfg)
+    assert other.derived.q0 == ak.Lomax(3.5, 3.0).laplace(2.0)
+    assert cfg.derived.q0 == ak.Lomax(3.5, 3.0).laplace(0.5)
+
+
+def test_derived_cache_leaves_hash_and_equality_alone():
+    def make():
+        return ak.SystemConfig(ak.Exponential(0.5), ak.ServiceModel(1.0), ak.PoissonDecisions(1.0))
+
+    cfg, twin = make(), make()
+    before = hash(cfg)
+    qc.derive(cfg)
+    assert hash(cfg) == before == hash(twin)
+    assert cfg == twin
+    assert {twin: "value"}[cfg] == "value"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    load=st.floats(0.01, 0.999),
+    mu=st.floats(1e-3, 1e3),
+)
+def test_periodic_rho1_is_the_closed_forms_rho1(load, mu):
+    # derive and the periodic closed forms both form the load as lam/mu
+    config = ak.SystemConfig(
+        ak.Deterministic(1.0 / (load * mu)), ak.ServiceModel(mu), ak.PoissonDecisions(1.0)
+    )
+    assert qc.derive(config).rho1 == qc.rho1_deterministic(config.rho)
 
 
 def test_mean_aud_dispatch():
