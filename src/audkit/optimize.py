@@ -134,8 +134,8 @@ def optimize_offset(lam: float, mu: float) -> OffsetResult:
     The derivative 1 - u1/rho vanishes at u1 = rho, which lies inside
     (rho1, 1), so delta* = ln(1/rho) / (mu (1 - rho1)) in (0, 1/lam).
     """
-    if not 0.0 < lam < mu:
-        raise InputError(f"requires 0 < lam < mu, got lam={lam}, mu={mu}")
+    if not 0.0 < lam < mu < math.inf:
+        raise InputError(f"requires 0 < lam < mu < inf, got lam={lam}, mu={mu}")
     rho = lam / mu
     rho1 = rho1_deterministic(rho)
     u1 = rho

@@ -288,8 +288,10 @@ def rho1_deterministic(rho: float) -> float:
     """rho1 for periodic arrivals: -rho * W0(-(1/rho) exp(-1/rho))."""
     if not 0.0 < rho < 1.0:
         raise StabilityError(rho)
-    arg = -(1.0 / rho) * math.exp(-1.0 / rho)
-    return -rho * lambert_w0(arg)
+    e = math.exp(-1.0 / rho)
+    if e == 0.0:  # rho1 ~ exp(-1/rho) lies below the smallest subnormal
+        return 0.0
+    return -rho * lambert_w0(-(1.0 / rho) * e)
 
 
 # --- departure moments -------------------------------------------------------

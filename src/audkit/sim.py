@@ -21,9 +21,8 @@ worker threads execute it.
 
 from __future__ import annotations
 
-import csv
 import gzip
-import io
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -122,14 +121,14 @@ def assign_decisions(
 ) -> DecisionSamples:
     """Match decision epochs to the latest departed update and compute AuD.
 
-    A decision at exactly a departure epoch sees that departure.  Epochs
-    strictly before the first departure are dropped and only counted.
+    ``epochs`` ascend, as every discipline draws them.  A decision at
+    exactly a departure epoch sees that departure.  Epochs strictly before
+    the first departure are dropped and only counted.
     """
     idx = np.searchsorted(departures, epochs, side="right")
-    skipped = int(np.count_nonzero(idx == 0))
-    keep = idx > 0
-    epochs = epochs[keep]
-    used = idx[keep] - 1
+    skipped = int(np.count_nonzero(idx == 0))  # a prefix, as the epochs ascend
+    epochs = epochs[skipped:]
+    used = idx[skipped:] - 1
     age = epochs - arrivals[used]
     return DecisionSamples(epochs, used, age, skipped)
 
@@ -194,10 +193,21 @@ def _first_counted(records: UpdateRecords, skip: int) -> int:
 
 
 def _missed(records: UpdateRecords, decisions: DecisionSamples, skip: int) -> Tuple[int, int]:
-    """(missed updates, counted updates) after the warm-up, as in estimate_missing_prob."""
+    """(missed updates, counted updates) after the warm-up, as in estimate_missing_prob.
+
+    The windows come from ``used_update``, without a second search: the decisions
+    in [dep[k-1], dep[k]) used update k-1, and one at a departure epoch moves to
+    the window that departure (the first of equal ones) closes.
+    """
     start = _first_counted(records, skip)
-    counts = np.searchsorted(decisions.epoch, records.departure, side="right")
-    window = np.diff(counts)[start - 1:]  # decisions in (dep[k-1], dep[k]]
+    dep, used = records.departure, decisions.used_update
+    window = np.bincount(used, minlength=len(records))[start - 1:-1]
+    tied = used[decisions.epoch == dep[used]]
+    if tied.shape[0]:
+        ties = np.bincount(tied, minlength=len(records))
+        for k in np.flatnonzero(dep[:-1] == dep[1:])[::-1]:
+            ties[k] = ties[k + 1]
+        window += np.diff(ties)[start - 1:]  # decisions in (dep[k-1], dep[k]]
     return int(np.count_nonzero(window == 0)), int(window.shape[0])
 
 
@@ -222,17 +232,14 @@ def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
     (records, decisions) if ``keep`` else None)."""
     records, decisions = run_trajectory(config, horizon, seq)
     n_warm = horizon // 10
-    first_kept_departure = records.departure[n_warm]
-    kept = decisions.epoch >= first_kept_departure
-    ages = decisions.age[kept]
+    early = int(np.count_nonzero(decisions.used_update < n_warm))  # before dep[n_warm]
+    ages = decisions.age[early:]
     if ages.shape[0] == 0:
         raise InsufficientDataError(
             "no decision epochs after the warm-up window; increase the horizon"
         )
     missed, counted = _missed(records, decisions, n_warm)
-    discarded = decisions.n_before_first_departure + int(
-        np.count_nonzero(~kept)
-    )
+    discarded = decisions.n_before_first_departure + early
     short = None
     if isinstance(config.decision, PeriodicSyncDecisions):
         short = short_interdeparture_fraction(
@@ -262,7 +269,9 @@ def run_replications(
     together with every decision made before the first retained departure.
     The report aggregates per-replication means; its standard error is the
     across-replication one, which is robust to within-trajectory
-    autocorrelation.
+    autocorrelation.  Threads share out whole replications.  On 2 cores, 10
+    replications: 2 threads beat 1 from about 10^5 updates per replication
+    (1.3-2.0x at 2*10^5 to 4*10^6); at 2*10^4 they gave 0.86-1.36x.
     """
     return _replications(config, horizon, n_reps, base_seed, threads)[0]
 
@@ -284,14 +293,11 @@ def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: in
     else:
         results = [replicate(i) for i in range(n_reps)]
 
-    means = np.array([r[0] for r in results])
-    n_decisions = sum(r[1] for r in results)
-    missed = sum(r[2] for r in results)
-    counted = sum(r[3] for r in results)
-    discarded_dec = sum(r[4] for r in results)
-    p_mis_reps = np.array([r[2] / r[3] for r in results])
-    if results[0][5] is not None:
-        shorts = np.array([r[5] for r in results])
+    means, kept, missed, counted, discarded, shorts, trajectories = zip(*results)
+    means = np.array(means)
+    p_mis_reps = np.array(missed) / np.array(counted)
+    if shorts[0] is not None:
+        shorts = np.array(shorts)
         p_short = float(shorts.mean())
         p_short_se = float(shorts.std(ddof=1) / np.sqrt(n_reps))
     else:
@@ -303,23 +309,24 @@ def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: in
         mean_aud=mean_aud,
         aud_std_error=se,
         ci95=(mean_aud - 1.96 * se, mean_aud + 1.96 * se),
-        p_mis_hat=missed / counted,
+        p_mis_hat=sum(missed) / sum(counted),
         p_mis_std_error=float(p_mis_reps.std(ddof=1) / np.sqrt(n_reps)),
         p_short_interdeparture=p_short,
         p_short_interdeparture_std_error=p_short_se,
-        n_updates=counted,
-        n_decisions=n_decisions,
+        n_updates=sum(counted),
+        n_decisions=sum(kept),
         updates_discarded=(horizon // 10) * n_reps,
-        decisions_discarded=discarded_dec,
+        decisions_discarded=sum(discarded),
         seed=base_seed,
         n_replications=n_reps,
         horizon=horizon,
         replication_means=tuple(float(m) for m in means),
         config=config.describe(),
-    ), results[0][6]
+    ), trajectories[0]
 
 
 _GZIP_THRESHOLD = 100 * 1024 * 1024
+_DUMP_BLOCK = 4096
 
 
 def dump_trajectory_csv(
@@ -327,42 +334,32 @@ def dump_trajectory_csv(
 ) -> str:
     """Write the per-update and per-decision tables to one CSV file.
 
-    Two header rows delimit the tables.  When the rendered file exceeds
-    100 MB it is gzip-compressed and written to ``path + '.gz'``; the
+    Two header rows delimit the tables, and every value is written with
+    ``repr``, which round-trips the double.  Rows are written in blocks, so
+    the file is never held in memory.  When the file exceeds 100 MB it is
+    gzip-compressed to ``path + '.gz'`` and the plain file removed; the
     actual path written is returned.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "t_k", "X_k", "S_k", "W_k", "T_k", "t_dep_k", "Y_k"])
-    for k in range(len(records)):
-        writer.writerow(
-            [
-                k + 1,
-                repr(float(records.arrival[k])),
-                repr(float(records.interarrival[k])),
-                repr(float(records.service[k])),
-                repr(float(records.waiting[k])),
-                repr(float(records.system[k])),
-                repr(float(records.departure[k])),
-                repr(float(records.interdeparture[k])),
-            ]
-        )
-    writer.writerow(["j", "tau_j", "used_update", "aud"])
-    for j in range(len(decisions)):
-        writer.writerow(
-            [
-                j + 1,
-                repr(float(decisions.epoch[j])),
-                int(decisions.used_update[j]) + 1,
-                repr(float(decisions.age[j])),
-            ]
-        )
-    data = buf.getvalue().encode()
-    if len(data) > _GZIP_THRESHOLD:
-        out = path + ".gz"
-        with gzip.open(out, "wb") as fh:
-            fh.write(data)
-        return out
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return path
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write_table(fh, "k,t_k,X_k,S_k,W_k,T_k,t_dep_k,Y_k",
+                     [getattr(records, f) for f in records.__dataclass_fields__])
+        _write_table(fh, "j,tau_j,used_update,aud",
+                     [decisions.epoch, decisions.used_update + 1, decisions.age])
+    if os.path.getsize(path) <= _GZIP_THRESHOLD:
+        return path
+    out = path + ".gz"
+    with open(path, "rb") as src, gzip.open(out, "wb") as dst:
+        while chunk := src.read(1 << 20):
+            dst.write(chunk)
+    os.remove(path)
+    return out
+
+
+def _write_table(fh, header: str, columns) -> None:
+    """``header``, then one CSV row per element of the equal-length ``columns``,
+    numbered from 1, in blocks of ``_DUMP_BLOCK`` rows."""
+    fh.write(header + "\n")
+    for a in range(0, columns[0].shape[0], _DUMP_BLOCK):
+        cells = [map(repr, range(a + 1, a + 1 + _DUMP_BLOCK))]  # zip stops at the columns
+        cells += [map(repr, c[a:a + _DUMP_BLOCK].tolist()) for c in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

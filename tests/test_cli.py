@@ -101,6 +101,21 @@ def test_optimize_arrival_unknown_family_exits_2():
     assert cli.main(["optimize-arrival", "--family", "weibull", "--mu", "1"]) == 2
 
 
+def test_optimize_offset_at_subnormal_load(tmp_path):
+    # exp(-1/rho) underflows to 0 and 1/rho overflows: the Lambert W argument was inf * 0
+    payload = run_json(tmp_path, ["optimize-offset", "--lambda", "1e-320", "--mu", "1"])
+    jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
+    assert payload["delta_opt"] == pytest.approx(-math.log(1e-320), rel=1e-14)
+
+
+@pytest.mark.parametrize("lam", ["0.5", "inf"])
+def test_optimize_offset_rejects_infinite_mu(capsys, lam):
+    assert cli.main(["optimize-offset", "--lambda", lam, "--mu", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert "mu=inf" in err
+    assert "unstable" not in err
+
+
 def test_optimize_offset_rejects_eps():
     with pytest.raises(SystemExit):
         cli.main(["optimize-offset", "--lambda", "0.5", "--mu", "1", "--eps", "1e-9"])

@@ -137,6 +137,7 @@ def test_rho1_deterministic_agrees_with_iteration(rho):
 def test_rho1_deterministic_examples():
     assert qc.rho1_deterministic(0.5) == pytest.approx(0.2032, abs=5e-4)
     assert qc.rho1_deterministic(1e-4) < 1e-300
+    assert qc.rho1_deterministic(1e-320) == 0.0  # 1/rho overflows, exp(-1/rho) underflows
     with pytest.raises(StabilityError):
         qc.rho1_deterministic(1.0)
 

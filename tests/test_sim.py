@@ -2,16 +2,21 @@
 replication protocol, and the trajectory dump."""
 
 import csv
-import io
+import gzip
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import audkit as ak
 from audkit import queue_core as qc
 from audkit import sim
 from audkit.errors import InputError, InsufficientDataError
+
+from dump_oracle import dump_bytes
 
 SVC2 = ak.ServiceModel(2.0)
 
@@ -86,6 +91,50 @@ def test_decision_assignment_ties_and_skips():
     # a decision exactly at a departure epoch sees the just-departed update
     assert list(out.used_update) == [0, 0, 1, 2]
     assert out.age == pytest.approx([0.5, 1.4, 0.5, 0.6])
+
+
+def records_from(arrival, departure):
+    """UpdateRecords of a hand-built trajectory in which no update waits."""
+    system = departure - arrival
+    return sim.UpdateRecords(arrival, np.diff(arrival, prepend=0.0), system,
+                             np.zeros_like(system), system, departure,
+                             np.diff(departure, prepend=0.0))
+
+
+@st.composite
+def tied_trajectories(draw):
+    """Departures on a half-unit grid, some equal, and ascending decision
+    epochs on a quarter-unit grid: exact copies of departures, epochs before
+    the first departure and after the last, and repeated epochs."""
+    steps = draw(st.lists(st.integers(0, 3), min_size=2, max_size=12))
+    departure = 1.0 + 0.5 * np.cumsum(steps)
+    grid = st.integers(0, int(4 * departure[-1]) + 4).map(lambda i: 0.25 * i)
+    epochs = draw(st.lists(st.one_of(st.sampled_from(departure.tolist()), grid), max_size=30))
+    return departure, np.sort(np.array(epochs, dtype=np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_trajectories())
+def test_tie_rule_matches_brute_force(trajectory):
+    departure, epochs = trajectory
+    arrival = departure - 0.125
+    dec = sim.assign_decisions(arrival, departure, epochs)
+    # per epoch, the latest departure at or before it
+    latest = [max((k for k, d in enumerate(departure) if d <= tau), default=None)
+              for tau in epochs]
+    used = [(tau, k) for tau, k in zip(epochs, latest) if k is not None]
+    assert dec.n_before_first_departure == latest.count(None)
+    assert dec.used_update.tolist() == [k for _, k in used]
+    assert dec.age.tolist() == [tau - arrival[k] for tau, k in used]
+    # per update, the epochs in (dep[k-1], dep[k]]
+    windows = [sum(departure[k - 1] < tau <= departure[k] for tau in epochs)
+               for k in range(1, len(departure))]
+    rec = records_from(arrival, departure)
+    for skip in range(len(departure)):
+        counted = windows[max(skip, 1) - 1:]
+        assert sim.estimate_missing_prob(rec, dec, skip) == counted.count(0) / len(counted)
+    with pytest.raises(InsufficientDataError):
+        sim.estimate_missing_prob(rec, dec, len(departure))
 
 
 def test_offset_decisions_with_instant_service():
@@ -221,6 +270,18 @@ def test_replication_report_fields():
         sim.run_replications(cfg, horizon=100, n_reps=1)
 
 
+@pytest.mark.parametrize("decision", [ak.PoissonDecisions(0.4), ak.PeriodicSyncDecisions(2),
+                                      ak.PeriodicOffsetDecisions(0.5)])
+def test_one_search_per_replication(monkeypatch, decision):
+    searchsorted = np.searchsorted
+    calls = []
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda *args, **kw: calls.append(1) or searchsorted(*args, **kw))
+    cfg = ak.SystemConfig(ak.Deterministic(2.0), ak.ServiceModel(1.0), decision)
+    sim.run_replications(cfg, horizon=5_000, n_reps=3, base_seed=8)
+    assert len(calls) == 3
+
+
 def test_ci_coverage_meta_trial():
     cfg = poisson_cfg(ak.Exponential(1.0), nu=1.0)
     hits = 0
@@ -260,3 +321,46 @@ def test_dump_trajectory_csv(tmp_path):
     decision_rows = rows[2 + len(rec) :]
     assert len(decision_rows) == len(dec)
     assert float(decision_rows[0][3]) == dec.age[0]
+
+
+# repr switches to exponent notation below 1e-4 and from 1e16 on
+REPR_EDGES = [1e-5, 1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324, -0.0,
+              0.0, 1.0, 0.1, -2.5e-7, 1.7976931348623157e308]
+
+
+def edge_trajectory(n_updates, n_decisions):
+    """Hand-built records and decisions whose every column cycles through REPR_EDGES."""
+    def column(n, shift):
+        return np.resize(np.roll(REPR_EDGES, shift), n)
+
+    records = sim.UpdateRecords(*(column(n_updates, i) for i in range(7)))
+    decisions = sim.DecisionSamples(column(n_decisions, 7),
+                                    np.arange(n_decisions) % max(n_updates, 1),
+                                    column(n_decisions, 8), 0)
+    return records, decisions
+
+
+@pytest.mark.parametrize(
+    "n_updates,n_decisions",
+    [(0, 0), (1, 0), (0, 1), (1, 1), (2 * sim._DUMP_BLOCK + 3, sim._DUMP_BLOCK + 1)],
+)
+def test_dump_matches_row_writer(tmp_path, n_updates, n_decisions):
+    records, decisions = edge_trajectory(n_updates, n_decisions)
+    path = str(tmp_path / "trajectory.csv")
+    assert sim.dump_trajectory_csv(records, decisions, path) == path
+    with open(path, "rb") as fh:
+        assert fh.read() == dump_bytes(records, decisions)
+
+
+def test_dump_gzips_past_threshold(tmp_path, monkeypatch):
+    rec, dec = sim.run_trajectory(poisson_cfg(ak.Exponential(1.0)), 500, seed=77)
+    expected = dump_bytes(rec, dec)
+    path = str(tmp_path / "trajectory.csv")
+    monkeypatch.setattr(sim, "_GZIP_THRESHOLD", len(expected))
+    assert sim.dump_trajectory_csv(rec, dec, path) == path  # at the threshold: plain
+    monkeypatch.setattr(sim, "_GZIP_THRESHOLD", len(expected) - 1)
+    written = sim.dump_trajectory_csv(rec, dec, path)
+    assert written == path + ".gz"
+    assert not os.path.exists(path)
+    with gzip.open(written, "rb") as fh:
+        assert fh.read() == expected
