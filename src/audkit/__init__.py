@@ -44,10 +44,10 @@ from .queue_core import (
     derive,
     lambert_w0,
     mean_aud,
-    missing_prob_dm1d_sync,
     missing_probability,
     rho1_deterministic,
     rho1_value,
+    short_interdeparture_prob_dm1d_sync,
     solve_rho1,
 )
 from .report import Cell, SweepRow, SweepSpec, run_sweep, serialize
@@ -56,8 +56,6 @@ from .sim import (
     SimulationReport,
     UpdateRecords,
     dump_trajectory_csv,
-    estimate_missing_prob,
     run_replications,
     run_trajectory,
-    short_interdeparture_fraction,
 )

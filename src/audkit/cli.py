@@ -72,7 +72,7 @@ def _cmd_analyze(args) -> int:
         ("second_moment_y", f"{derived.second_moment_y:.12g}"),
         ("cross_ty", f"{derived.cross_ty:.12g}"),
         ("mean_aud", f"{aud:.12g}"),
-        ("missing_probability", "n/a (no closed form)" if pmis is None else f"{pmis:.12g}"),
+        ("missing_probability", f"{pmis:.12g}"),
     ]
     _emit(payload, lines, args)
     return 0
@@ -93,8 +93,6 @@ def _cmd_simulate(args) -> int:
         ("ci95", f"[{rep.ci95[0]:.12g}, {rep.ci95[1]:.12g}]"),
         ("p_mis", f"{rep.p_mis_hat:.12g}"),
         ("p_mis_std_error", f"{rep.p_mis_std_error:.6g}"),
-        ("p_short_interdep", "n/a" if rep.p_short_interdeparture is None
-         else f"{rep.p_short_interdeparture:.12g}"),
         ("updates_used", rep.n_updates),
         ("decisions_used", rep.n_decisions),
         ("updates_discarded", rep.updates_discarded),
@@ -169,14 +167,13 @@ def _load_sweep_spec(path: str) -> report.SweepSpec:
             ServiceModel(rate=float(raw["template"]["mu"])),
             parse_decision(raw["template"]["decision"]),
         )
+        budget = {k: int(raw[k]) for k in ("horizon", "replications", "base_seed") if k in raw}
         return report.SweepSpec(
             variable=raw["variable"],
             grid=tuple(float(v) for v in raw["grid"]),
             template=template,
             evaluations=tuple(raw["evaluations"]),
-            horizon=int(raw.get("horizon", 1_000_000)),
-            replications=int(raw.get("replications", 5)),
-            base_seed=int(raw.get("base_seed", 0)),
+            **budget,
         )
     except (OSError, KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad sweep spec {path}: {err}") from None
@@ -185,9 +182,8 @@ def _load_sweep_spec(path: str) -> report.SweepSpec:
 def _cmd_sweep(args) -> int:
     spec = _load_sweep_spec(args.spec)
     rows = report.run_sweep(spec)
-    fmt = "json" if args.json and args.format == "csv" else args.format
-    report.serialize(rows, fmt, args.out or sys.stdout, variable=spec.variable,
-                     columns=spec.columns())
+    report.serialize(rows, "json" if args.json else "csv", args.out or sys.stdout,
+                     variable=spec.variable, columns=spec.columns())
     return 0
 
 
@@ -200,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        sp.add_argument("--json", action="store_true",
+                        help="emit JSON instead of text (CSV for sweep)")
         sp.add_argument("--out", help="write output to this path instead of stdout")
 
     sp = sub.add_parser("analyze", help="closed-form quantities for one system")
@@ -237,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="grid evaluation from a JSON spec file")
     sp.add_argument("--spec", required=True, help="path to the sweep spec JSON")
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
     add_common(sp)
     sp.set_defaults(func=_cmd_sweep)
 

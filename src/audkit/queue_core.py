@@ -16,10 +16,16 @@ discipline is one class, registered in ``DISCIPLINES``, that carries all
 its discipline-specific knowledge; everything else dispatches through it.
 
 A ``SystemConfig`` computes its ``DerivedQuantities`` once, as its
-``derived`` property, and the Poisson-decision closed forms read it.  The
-periodic closed forms (``average_aud_dm1*``, ``missing_prob_dm1d_sync``)
-take (lambda, mu), so the offset optimizer calls them without building a
-system; the periodic disciplines delegate to them.
+``derived`` property, and every discipline's mean AuD and missing
+probability read it.  The periodic mean-AuD closed forms
+(``average_aud_dm1*``) also take (lambda, mu), so the offset optimizer
+calls them without building a system; each shares one private function of
+the scalars with its discipline class.
+
+Missing probability.  An update is never used exactly when no decision
+epoch falls between its departure and the next one; under periodic
+decisions, when two consecutive departures share a decision slot.  Each
+discipline's ``missing_probability`` is the exact law of that event.
 
 Offset-periodic decisions.  With arrivals every P = 1/lambda and a decision
 a fixed delta after each arrival, FCFS service makes the decision miss
@@ -81,7 +87,7 @@ __all__ = [
     "average_aud_dm1m",
     "average_aud_dm1d_sync",
     "average_aud_dm1d_offset",
-    "missing_prob_dm1d_sync",
+    "short_interdeparture_prob_dm1d_sync",
     "derive",
     "mean_aud",
     "missing_probability",
@@ -108,19 +114,15 @@ class DecisionModel:
         decision_rate(lam)          decisions per unit time at arrival rate lam
         derive_extras(config, a)    its DerivedQuantities fields, a = mu (1 - rho1)
         mean_aud(config)            closed-form mean AuD
-        missing_probability(config) closed form, or None where none exists
+        missing_probability(config) exact probability that an update is never used
         epochs(config, t_end, rng)  all decision epochs in (0, t_end], increasing
 
     ``derive_extras`` runs once per system, inside ``SystemConfig.derived``,
-    which Poisson decisions read; the periodic disciplines pass (lambda, mu)
-    to the module's periodic closed forms.
+    and ``mean_aud`` and ``missing_probability`` read that object.
     """
 
     def check(self, arrival: ArrivalModel) -> None:
         pass
-
-    def missing_probability(self, config: "SystemConfig") -> Optional[float]:
-        return None
 
 
 @dataclass(frozen=True)
@@ -366,10 +368,14 @@ def average_aud_dm1d_sync(lam: float, mu: float, m0: int) -> float:
         raise StabilityError(lam / mu if mu > 0 else math.inf)
     if not m0 >= 1:
         raise InputError(f"m0 must be >= 1, got {m0}")
-    nu = m0 * lam
-    rho1 = rho1_deterministic(lam / mu)
-    w1 = math.exp(-mu * (1.0 - rho1) / nu)
-    return (1.0 + m0) / (2.0 * nu) + w1 / (nu * (1.0 - w1))
+    return _sync_aud(m0, m0 * lam, mu * (1.0 - rho1_deterministic(lam / mu)))
+
+
+def _sync_aud(m0: int, nu: float, a: float) -> float:
+    """The sync law at decision rate nu and a = mu (1 - rho1), with
+    1 - w1 = -expm1(-a/nu), which keeps its digits as m0 grows."""
+    x = a / nu
+    return (1.0 + m0) / (2.0 * nu) - math.exp(-x) / (nu * math.expm1(-x))
 
 
 def average_aud_dm1d_offset(lam: float, mu: float, delta: float) -> float:
@@ -383,27 +389,32 @@ def average_aud_dm1d_offset(lam: float, mu: float, delta: float) -> float:
     if not 0.0 < delta < 1.0 / lam:
         raise InputError(f"offset must lie in (0, {1.0 / lam:.6g}), got {delta}")
     rho1 = rho1_deterministic(lam / mu)
-    u1 = math.exp(-mu * (1.0 - rho1) * delta)
+    return _offset_aud(lam, delta, rho1, math.exp(-mu * (1.0 - rho1) * delta))
+
+
+def _offset_aud(lam: float, delta: float, rho1: float, u1: float) -> float:
+    """The offset law from rho1 and u1 = exp(-mu (1 - rho1) delta)."""
     return delta + u1 / (lam * (1.0 - rho1))
 
 
-# --- missing probability ------------------------------------------------------
+# --- short inter-departure probability -----------------------------------------
 
 
-def missing_prob_dm1d_sync(lam: float, mu: float, m0: int) -> float:
-    """Missing probability with periodic arrivals and aligned periodic decisions.
+def short_interdeparture_prob_dm1d_sync(lam: float, mu: float, m0: int) -> float:
+    """The paper's synchronous-decision expression (rho1 / (2 - rho1)) (1/w1 - w0).
 
-    (rho1 / (2 - rho1)) (1/w1 - w0) at decision rate nu = m0 * lam.
+    It is P(Y < 1/nu), the probability that an inter-departure time is
+    shorter than one decision period, nu = m0 * lam; it is not the share of
+    unused updates, which ``PeriodicSyncDecisions.missing_probability``
+    gives.  The fixed point rho1 = exp(-mu (1 - rho1)/lam) makes
+    rho1/w1 = rho1^(1 - 1/m0), which stays finite where w1 underflows.
     """
     if not 0.0 < lam < mu:
         raise StabilityError(lam / mu if mu > 0 else math.inf)
     if not m0 >= 1:
         raise InputError(f"m0 must be >= 1, got {m0}")
-    nu = m0 * lam
     rho1 = rho1_deterministic(lam / mu)
-    w0 = math.exp(-mu / nu)
-    w1 = math.exp(-mu * (1.0 - rho1) / nu)
-    value = rho1 / (2.0 - rho1) * (1.0 / w1 - w0)
+    value = (rho1 ** (1.0 - 1.0 / m0) - rho1 * math.exp(-mu / (m0 * lam))) / (2.0 - rho1)
     return min(max(value, 0.0), 1.0)
 
 
@@ -446,8 +457,8 @@ def mean_aud(config: SystemConfig) -> float:
     return config.decision.mean_aud(config)
 
 
-def missing_probability(config: SystemConfig) -> Optional[float]:
-    """Missing probability of ``config``, or None where no formula exists."""
+def missing_probability(config: SystemConfig) -> float:
+    """Probability that a received update of ``config`` is never used."""
     return config.decision.missing_probability(config)
 
 
@@ -568,10 +579,17 @@ class PeriodicSyncDecisions(_PeriodicDecisions):
         return {"w0": math.exp(-mu / nu), "w1": math.exp(-a / nu)}
 
     def mean_aud(self, config):
-        return average_aud_dm1d_sync(config.arrival_rate, config.service.rate, self.m0)
+        d = config.derived
+        return _sync_aud(self.m0, config.decision_rate, config.service.rate * (1.0 - d.rho1))
 
     def missing_probability(self, config):
-        return missing_prob_dm1d_sync(config.arrival_rate, config.service.rate, self.m0)
+        """rho1 - (1 - rho1)(w1 - w0)/(1 - w1), the sum over slots of length
+        1/nu of P(miss | T_{k-1}).  w1 - w0 = -w1 expm1(-mu rho1/nu) and
+        1 - w1 = -expm1(-mu (1 - rho1)/nu) keep their digits as m0 grows."""
+        d = config.derived
+        mu, nu = config.service.rate, config.decision_rate
+        ratio = d.w1 * math.expm1(-mu * d.rho1 / nu) / math.expm1(-mu * (1.0 - d.rho1) / nu)
+        return max(d.rho1 - (1.0 - d.rho1) * ratio, 0.0)
 
     def epochs(self, config, t_end, rng):
         nu = config.decision_rate
@@ -607,7 +625,15 @@ class PeriodicOffsetDecisions(_PeriodicDecisions):
         return {"u0": math.exp(-mu * self.delta), "u1": math.exp(-a * self.delta)}
 
     def mean_aud(self, config):
-        return average_aud_dm1d_offset(config.arrival_rate, config.service.rate, self.delta)
+        d = config.derived
+        return _offset_aud(config.arrival_rate, self.delta, d.rho1, d.u1)
+
+    def missing_probability(self, config):
+        """u0 (1 - u1) + rho0 u1, rho0 = exp(-mu P), summed over slots as for
+        sync decisions; 1 - u1 = -expm1(-mu (1 - rho1) delta)."""
+        d = config.derived
+        one_minus_u1 = -math.expm1(-config.service.rate * (1.0 - d.rho1) * self.delta)
+        return d.u0 * one_minus_u1 + d.rho0 * d.u1
 
     def epochs(self, config, t_end, rng):
         # One decision delta after every arrival epoch of the periodic grid

@@ -3,8 +3,8 @@
 A sweep walks one variable over a strictly increasing grid, builds a
 system configuration per point from a fixed template, and evaluates any
 mix of analytic formulas, Monte Carlo estimates, and optimizer runs.
-Per-cell failures (an unstable point, a discipline without a closed
-form) are flagged in the row status instead of aborting the sweep, and
+Per-cell failures (an unstable point, an optimizer that does not apply)
+are flagged in the row status instead of aborting the sweep, and
 analytic columns are pure functions of the grid point: a different base
 seed perturbs only the stochastic columns.
 """
@@ -143,11 +143,7 @@ def _evaluate_point(
             if ev == "analytic-aud":
                 cells["aud_analytic"] = Cell(value=queue_core.mean_aud(config))
             elif ev == "analytic-pmis":
-                p = queue_core.missing_probability(config)
-                if p is None:
-                    cells["pmis_analytic"] = Cell(status="no-formula")
-                else:
-                    cells["pmis_analytic"] = Cell(value=p)
+                cells["pmis_analytic"] = Cell(value=queue_core.missing_probability(config))
             elif ev in ("mc-aud", "mc-pmis"):
                 if report is None:
                     report = sim.run_replications(
@@ -158,14 +154,6 @@ def _evaluate_point(
                     )
                 if ev == "mc-aud":
                     cells["aud_mc"] = Cell(report.mean_aud, report.aud_std_error)
-                elif report.p_short_interdeparture is not None:
-                    # Synchronous periodic decisions: the closed form predicts
-                    # the short-interdeparture event, so compare against that
-                    # estimator rather than the raw unused-update fraction.
-                    cells["pmis_mc"] = Cell(
-                        report.p_short_interdeparture,
-                        report.p_short_interdeparture_std_error,
-                    )
                 else:
                     cells["pmis_mc"] = Cell(report.p_mis_hat, report.p_mis_std_error)
             elif ev == "optimal-arrival":

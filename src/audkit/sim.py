@@ -25,12 +25,12 @@ import gzip
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import InputError, InsufficientDataError
-from .queue_core import PeriodicSyncDecisions, SystemConfig
+from .queue_core import SystemConfig
 
 __all__ = [
     "UpdateRecords",
@@ -38,8 +38,6 @@ __all__ = [
     "SimulationReport",
     "run_trajectory",
     "assign_decisions",
-    "estimate_missing_prob",
-    "short_interdeparture_fraction",
     "run_replications",
     "dump_trajectory_csv",
 ]
@@ -97,8 +95,6 @@ class SimulationReport:
     ci95: Tuple[float, float]
     p_mis_hat: float
     p_mis_std_error: float
-    p_short_interdeparture: Optional[float]
-    p_short_interdeparture_std_error: Optional[float]
     n_updates: int
     n_decisions: int
     updates_discarded: int
@@ -182,16 +178,6 @@ def estimate_missing_prob(
     return missed / counted
 
 
-def _first_counted(records: UpdateRecords, skip: int) -> int:
-    """First update index past the warm-up; update 0 has no predecessor window."""
-    start = max(int(skip), 1)
-    if start >= len(records):
-        raise InsufficientDataError(
-            f"no updates left after skipping {skip} of {len(records)} for warm-up"
-        )
-    return start
-
-
 def _missed(records: UpdateRecords, decisions: DecisionSamples, skip: int) -> Tuple[int, int]:
     """(missed updates, counted updates) after the warm-up, as in estimate_missing_prob.
 
@@ -199,7 +185,11 @@ def _missed(records: UpdateRecords, decisions: DecisionSamples, skip: int) -> Tu
     in [dep[k-1], dep[k]) used update k-1, and one at a departure epoch moves to
     the window that departure (the first of equal ones) closes.
     """
-    start = _first_counted(records, skip)
+    start = max(int(skip), 1)
+    if start >= len(records):
+        raise InsufficientDataError(
+            f"no updates left after skipping {skip} of {len(records)} for warm-up"
+        )
     dep, used = records.departure, decisions.used_update
     window = np.bincount(used, minlength=len(records))[start - 1:-1]
     tied = used[decisions.epoch == dep[used]]
@@ -211,25 +201,10 @@ def _missed(records: UpdateRecords, decisions: DecisionSamples, skip: int) -> Tu
     return int(np.count_nonzero(window == 0)), int(window.shape[0])
 
 
-def short_interdeparture_fraction(
-    records: UpdateRecords, threshold: float, skip: int = 0
-) -> float:
-    """Fraction of inter-departure times below ``threshold``.
-
-    For periodic decisions this is the fraction of updates whose preceding
-    inter-departure window is shorter than one inter-decision period: the
-    cross-check quantity for the synchronous missing-probability formula,
-    which counts exactly this event rather than grid occupancy.
-    """
-    window = records.interdeparture[_first_counted(records, skip):]
-    return float(np.count_nonzero(window < threshold) / window.shape[0])
-
-
 def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
                keep: bool = False):
     """One replication: returns (mean AuD, kept decisions, missed, counted,
-    discarded, short-interdeparture fraction or None, and the trajectory
-    (records, decisions) if ``keep`` else None)."""
+    discarded, and the trajectory (records, decisions) if ``keep`` else None)."""
     records, decisions = run_trajectory(config, horizon, seq)
     n_warm = horizon // 10
     early = int(np.count_nonzero(decisions.used_update < n_warm))  # before dep[n_warm]
@@ -240,18 +215,12 @@ def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
         )
     missed, counted = _missed(records, decisions, n_warm)
     discarded = decisions.n_before_first_departure + early
-    short = None
-    if isinstance(config.decision, PeriodicSyncDecisions):
-        short = short_interdeparture_fraction(
-            records, 1.0 / config.decision_rate, skip=n_warm
-        )
     return (
         float(ages.mean()),
         int(ages.shape[0]),
         missed,
         counted,
         discarded,
-        short,
         (records, decisions) if keep else None,
     )
 
@@ -293,15 +262,9 @@ def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: in
     else:
         results = [replicate(i) for i in range(n_reps)]
 
-    means, kept, missed, counted, discarded, shorts, trajectories = zip(*results)
+    means, kept, missed, counted, discarded, trajectories = zip(*results)
     means = np.array(means)
     p_mis_reps = np.array(missed) / np.array(counted)
-    if shorts[0] is not None:
-        shorts = np.array(shorts)
-        p_short = float(shorts.mean())
-        p_short_se = float(shorts.std(ddof=1) / np.sqrt(n_reps))
-    else:
-        p_short = p_short_se = None
 
     mean_aud = float(means.mean())
     se = float(means.std(ddof=1) / np.sqrt(n_reps))
@@ -311,8 +274,6 @@ def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: in
         ci95=(mean_aud - 1.96 * se, mean_aud + 1.96 * se),
         p_mis_hat=sum(missed) / sum(counted),
         p_mis_std_error=float(p_mis_reps.std(ddof=1) / np.sqrt(n_reps)),
-        p_short_interdeparture=p_short,
-        p_short_interdeparture_std_error=p_short_se,
         n_updates=sum(counted),
         n_decisions=sum(kept),
         updates_discarded=(horizon // 10) * n_reps,

@@ -52,6 +52,44 @@ def test_analyze_evaluates_each_transform_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["laplace", "weighted_first_moment"]
 
 
+@pytest.mark.parametrize("decision", ["poisson:rate=0.5", "sync:m0=2", "offset:delta=0.5"])
+def test_analyze_solves_rho1_once(tmp_path, monkeypatch, decision):
+    # the periodic disciplines read rho1 off the system's derived quantities
+    solve = audkit.queue_core.rho1_deterministic
+    calls = []
+    monkeypatch.setattr(audkit.queue_core, "rho1_deterministic",
+                        lambda rho: calls.append(rho) or solve(rho))
+    code = cli.main(["analyze", "--arrival", "det:period=2", "--mu", "1",
+                     "--decision", decision, "--out", str(tmp_path / "analyze.txt")])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def analyze_json(tmp_path, arrival, decision):
+    out = tmp_path / "analyze.json"
+    code = cli.main(["analyze", "--arrival", arrival, "--mu", "1", "--decision", decision,
+                     "--json", "--out", str(out)])
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+def test_analyze_sync_at_huge_m0(tmp_path):
+    # 1 - w1 rounded to 0 here and the mean AuD divided by it
+    payload = analyze_json(tmp_path, "det:period=2", "sync:m0=1e20")
+    jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
+    assert payload["mean_aud"] == pytest.approx(audkit.average_aud_dm1m(0.5, 1.0),
+                                                rel=1e-12, abs=0)
+    assert 0.0 <= payload["missing_probability"] <= 1e-15
+
+
+def test_analyze_sync_where_w1_underflows(tmp_path):
+    # w1 = exp(-mu (1 - rho1) P) underflows at P = 1000; the paper's
+    # expression used to divide by it
+    payload = analyze_json(tmp_path, "det:period=1000", "sync:m0=1")
+    assert payload["missing_probability"] == 0.0
+    assert payload["mean_aud"] == pytest.approx(1000.0, rel=1e-12)
+
+
 SWEEP_SCHEMA = json.loads(
     (Path(audkit.__file__).parent / "schemas" / "sweep.schema.json").read_text()
 )
@@ -150,7 +188,7 @@ def test_lambda_sweep_of_optima_json(tmp_path, arrival, ok, skipped):
         "template": {"arrival": arrival, "mu": 1.0, "decision": "poisson:rate=1"},
         "evaluations": ["optimal-arrival", "optimal-offset"],
     }))
-    doc = run_json(tmp_path, ["sweep", "--spec", str(spec), "--format", "json"])
+    doc = run_json(tmp_path, ["sweep", "--spec", str(spec)])
     jsonschema.Draft202012Validator(SWEEP_SCHEMA).validate(doc)
     assert [row["grid"] for row in doc["rows"]] == [0.2, 0.5, 0.9]
     for row in doc["rows"]:

@@ -77,8 +77,7 @@ def _cases():
             None,
         )
     for variable, spec in SWEEPS.items():
-        cases[f"sweep-{variable}.csv"] = (["sweep", "--format", "csv"],
-                                          dict(spec, variable=variable, **_MC))
+        cases[f"sweep-{variable}.csv"] = (["sweep"], dict(spec, variable=variable, **_MC))
     return cases
 
 

@@ -22,7 +22,9 @@ W0_AT_NEG_2E2 = -0.40637573995995991  # W0(-2 exp(-2))
 DM1M_1_2 = 1.1275004874579876
 SYNC_1_2_1 = 1.2550009749159753
 OFFSET_1_2_HALF = 1.0657088227384059
-PMIS_SYNC_1_2_1 = 0.5412371698844107
+PMIS_SYNC_1_2_1 = 0.5412371698844107   # the paper's short-window expression
+PMIS_SYNC_1_2_2 = 0.082942469558660628  # exact law, m0 = 2
+PMIS_OFFSET_1_2_HALF = 0.26305698728544907
 
 FAMILIES_AT_LOAD = {
     # each constructor takes rho and mu and yields a model with that load
@@ -303,14 +305,30 @@ def test_missing_prob_in_unit_interval(family, nu):
 
 
 def test_missing_prob_dm1d_sync():
-    assert qc.missing_prob_dm1d_sync(1.0, 2.0, 1) == pytest.approx(
+    # the paper's sync expression, kept as short_interdeparture_prob_dm1d_sync
+    assert qc.short_interdeparture_prob_dm1d_sync(1.0, 2.0, 1) == pytest.approx(
         PMIS_SYNC_1_2_1, rel=1e-12
     )
-    values = [qc.missing_prob_dm1d_sync(1.0, 2.0, m0) for m0 in range(1, 11)]
+    values = [qc.short_interdeparture_prob_dm1d_sync(1.0, 2.0, m0) for m0 in range(1, 11)]
     for a, b in zip(values, values[1:]):
         assert b < a
     for v in values:
         assert 0.0 <= v <= 1.0
+    # w1 = exp(-1000) underflows; this used to divide by it
+    assert qc.short_interdeparture_prob_dm1d_sync(1e-3, 1.0, 1) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 3.0])
+def test_periodic_missing_probabilities_reduce_to_rho0(mu):
+    # both laws give rho0 = exp(-mu P) for aligned decisions at the arrival
+    # rate (m0 = 1) and for offset decisions as delta -> 0
+    for load in np.linspace(0.3, 0.95, 200):
+        period = 1.0 / (load * mu)
+        for decision in (ak.PeriodicSyncDecisions(1), ak.PeriodicOffsetDecisions(1e-13 * period)):
+            config = ak.SystemConfig(ak.Deterministic(period), ak.ServiceModel(mu), decision)
+            assert qc.missing_probability(config) == pytest.approx(
+                math.exp(-1.0 / load), rel=1e-11, abs=0
+            )
 
 
 # --- configs and derived quantities ------------------------------------------------------
@@ -405,8 +423,11 @@ def test_missing_probability_dispatch():
         ak.SystemConfig(ak.Exponential(1.0), svc, ak.PoissonDecisions(1.0))
     ) == pytest.approx(0.5, abs=1e-9)
     assert qc.missing_probability(
+        ak.SystemConfig(ak.Deterministic(1.0), svc, ak.PeriodicSyncDecisions(2))
+    ) == pytest.approx(PMIS_SYNC_1_2_2, rel=1e-12)
+    assert qc.missing_probability(
         ak.SystemConfig(ak.Deterministic(1.0), svc, ak.PeriodicOffsetDecisions(0.5))
-    ) is None
+    ) == pytest.approx(PMIS_OFFSET_1_2_HALF, rel=1e-12)
 
 
 # --- decision spec strings ------------------------------------------------------------

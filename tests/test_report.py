@@ -90,19 +90,6 @@ def test_unstable_points_flagged_not_dropped():
     assert rows[2].cells["aud_analytic"].value is None
 
 
-def test_offset_pmis_has_no_formula():
-    template = ak.SystemConfig(
-        ak.Deterministic(1.0), SVC2, ak.PeriodicOffsetDecisions(0.3)
-    )
-    spec = report.SweepSpec(
-        "delta", (0.2, 0.5, 0.8), template, ("analytic-aud", "analytic-pmis")
-    )
-    rows = report.run_sweep(spec)
-    for row in rows:
-        assert row.cells["aud_analytic"].status == "ok"
-        assert row.cells["pmis_analytic"].status == "no-formula"
-
-
 def test_delta_sweep_reproduces_convex_curve():
     template = ak.SystemConfig(
         ak.Deterministic(1.0), SVC2, ak.PeriodicOffsetDecisions(0.3)
@@ -133,12 +120,24 @@ def test_analytic_columns_ignore_seed_stochastic_move():
         assert r1.cells["aud_analytic"].std_error == 0.0
 
 
-def test_mc_consistency_gate():
+OFFSET_TEMPLATE = ak.SystemConfig(ak.Deterministic(1.0), SVC2, ak.PeriodicOffsetDecisions(0.3))
+
+
+@pytest.mark.parametrize(
+    "variable,grid,template,seed",
+    [
+        ("nu", (0.5, 1.0, 2.0), POISSON_TEMPLATE, 17),
+        ("m0", (1.0, 2.0, 5.0), SYNC_TEMPLATE, 23),
+        ("delta", (0.25, 0.5, 0.75), OFFSET_TEMPLATE, 29),
+    ],
+    ids=["nu", "m0", "delta"],
+)
+def test_mc_consistency_gate(variable, grid, template, seed):
     # |analytic - mc| <= max(1% analytic, 3 se) wherever both cells exist
     spec = report.SweepSpec(
-        "nu", (0.5, 1.0, 2.0), POISSON_TEMPLATE,
+        variable, grid, template,
         ("analytic-aud", "analytic-pmis", "mc-aud", "mc-pmis"),
-        horizon=200_000, replications=5, base_seed=17,
+        horizon=200_000, replications=5, base_seed=seed,
     )
     for row in report.run_sweep(spec):
         for name in ("aud", "pmis"):
@@ -147,17 +146,6 @@ def test_mc_consistency_gate():
             assert analytic.status == "ok" and mc.status == "ok"
             bound = max(0.01 * analytic.value, 3.0 * mc.std_error)
             assert abs(analytic.value - mc.value) <= bound
-
-
-def test_sync_pmis_gate_uses_short_window_estimator():
-    spec = report.SweepSpec(
-        "m0", (1.0, 2.0), SYNC_TEMPLATE, ("analytic-pmis", "mc-pmis"),
-        horizon=200_000, replications=5, base_seed=23,
-    )
-    for row, m0 in zip(report.run_sweep(spec), (1, 2)):
-        analytic = qc.missing_prob_dm1d_sync(1.0, 2.0, m0)
-        mc = row.cells["pmis_mc"]
-        assert abs(mc.value - analytic) <= max(0.01 * analytic, 3.0 * mc.std_error)
 
 
 def test_optimal_arrival_sweep():
