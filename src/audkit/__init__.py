@@ -42,7 +42,6 @@ from .queue_core import (
     average_aud_mm1m,
     departure_moments,
     derive,
-    lambert_w0,
     mean_aud,
     missing_probability,
     rho1_deterministic,

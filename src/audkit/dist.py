@@ -7,8 +7,11 @@ integrals that the queueing formulas consume,
 
     laplace(s)               = int_0^inf f(x) exp(-s x) dx
     weighted_first_moment(s) = int_0^inf x f(x) exp(-s x) dx
+    survival_laplace(s)      = int_0^inf (1 - F(x)) exp(-s x) dx
+                             = (1 - laplace(s)) / s,
 
-and seedable random sampling.  Model objects are immutable and hashable,
+and seedable random sampling.  ``survival_laplace`` keeps the digits that
+1 - laplace(s) cancels as s -> 0.  Model objects are immutable and hashable,
 so results keyed on them can be cached and shared across threads.
 
 Every transform is a closed form.  The Lomax transforms are generalized
@@ -71,6 +74,9 @@ _CF_MAX_TERMS = 1000
 # zeta(k)/k, k = 53..2: ln Gamma(1-e) = euler_gamma e + sum_k zeta(k) e^k / k
 # (A&S 6.1.33), to 1e-17 for |e| <= 1/2.
 _LNGAMMA_1M = tuple(float(zeta(k) / k) for k in range(53, 1, -1))
+# (-1)^k/(k+2)!, k = 15..0: (u + expm1(-u))/u^2 = sum_k (-u)^k/(k+2)!, to
+# 1e-17 relative for u <= 1/2.
+_UNIFORM_SURVIVAL = tuple((-1.0) ** k / math.factorial(k + 2) for k in range(15, -1, -1))
 
 
 def _norm_cdf(z: float) -> float:
@@ -83,10 +89,12 @@ def _exp_times_gauss_tail(log_scale: float, v: float) -> float:
 
     For v > 0 the product is rewritten through erfcx so that a huge
     exponential against a tiny Gaussian tail never meets in the middle.
+    A Python float either way, so that arithmetic on it overflows to inf
+    without numpy warnings, as on the other families' transforms.
     """
     if v <= 0.0:
         return 0.5 * math.exp(log_scale) * math.erfc(v / _SQRT2)
-    return 0.5 * math.exp(log_scale - 0.5 * v * v) * erfcx(v / _SQRT2)
+    return 0.5 * math.exp(log_scale - 0.5 * v * v) * float(erfcx(v / _SQRT2))
 
 
 def _scaled_expint_pair(p: float, z: float) -> tuple[float, float]:
@@ -157,12 +165,16 @@ class ArrivalModel:
 
     Class attributes: ``tag`` names the family in spec strings, ``keys``
     (set by ``spec_registry``) lists its parameters in constructor order,
-    and ``limit`` is None for a one-parameter family.  A two-parameter
-    family is not fixed by its rate, so its ``with_rate`` raises; its
-    ``limit`` names the one-parameter family on its boundary (folded normal
-    at sigma -> 0 is ``det``, Lomax at shape -> infinity is ``exp``), whose
-    mean AuD is at most its own at every arrival rate.  The arrival
-    optimizer searches that family instead.
+    and ``limit`` is None for a one-parameter family.  Each family gives
+    ``mean``, ``second_moment``, ``laplace``, ``weighted_first_moment``,
+    ``survival_laplace`` and ``sample``; the base ``survival_laplace`` is
+    (1 - laplace(s))/s, which cancels as s -> 0, and a family with a form
+    that does not overrides it.  A two-parameter family is not fixed by its
+    rate, so its ``with_rate`` raises; its ``limit`` names the
+    one-parameter family on its boundary (folded normal at sigma -> 0 is
+    ``det``, Lomax at shape -> infinity is ``exp``), whose mean AuD is at
+    most its own at every arrival rate.  The arrival optimizer searches
+    that family instead.
     """
 
     limit: Optional[str] = None
@@ -191,6 +203,11 @@ class ArrivalModel:
     def weighted_first_moment(self, s: float) -> float:
         """int_0^inf x f(x) exp(-s x) dx for s >= 0; equals mean() at s = 0."""
         raise NotImplementedError
+
+    def survival_laplace(self, s: float) -> float:
+        """int_0^inf (1 - F(x)) exp(-s x) dx = (1 - laplace(s))/s; mean() at s = 0."""
+        s = _check_s(s)
+        return (1.0 - self.laplace(s)) / s if s else self.mean()
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         """Draw one value (size=None) or a vector of values from the model."""
@@ -224,6 +241,9 @@ class Exponential(ArrivalModel):
     def weighted_first_moment(self, s):
         s = _check_s(s)
         return self.rate / (self.rate + s) ** 2
+
+    def survival_laplace(self, s):
+        return 1.0 / (self.rate + _check_s(s))
 
     def sample(self, rng, size=None):
         u = rng.random(size)
@@ -271,6 +291,15 @@ class Uniform(ArrivalModel):
         else:
             g = 1.0 - math.exp(-z) * (1.0 + z)
         return g / (self.beta * s * s)
+
+    def survival_laplace(self, s):
+        u = self.beta * _check_s(s)
+        if u < 0.5:
+            acc = 0.0
+            for coef in _UNIFORM_SURVIVAL:
+                acc = acc * u + coef
+            return self.beta * acc
+        return self.beta * (u + math.expm1(-u)) / (u * u)
 
     def sample(self, rng, size=None):
         u = rng.random(size)
@@ -322,6 +351,11 @@ class Lomax(ArrivalModel):
         _, df = _scaled_expint_pair(self.alpha, z)
         return self.alpha * self.beta * df
 
+    def survival_laplace(self, s):
+        # beta e^z E_alpha(z) at z = beta s, from 1 - F(x) = (beta/(x+beta))^alpha
+        z = self.beta * _check_s(s)
+        return self.beta * _scaled_expint_pair(self.alpha, z)[0] if z else self.mean()
+
     def sample(self, rng, size=None):
         # Inverse CDF: x = beta * ((1-U)^(-1/alpha) - 1), exact and loop-free.
         u = rng.random(size)
@@ -359,7 +393,8 @@ class FoldedNormal(ArrivalModel):
         return _SQRT_2_OVER_PI * sg * math.exp(-0.5 * z * z) + a * (1.0 - 2.0 * _norm_cdf(-z))
 
     def second_moment(self):
-        return self.alpha**2 + self.sigma**2
+        # products, not powers: past ~1.3e154 they round to inf instead of raising
+        return self.alpha * self.alpha + self.sigma * self.sigma
 
     def laplace(self, s):
         # MGF of |N(alpha, sigma^2)| evaluated at -s.  Each of the two
@@ -371,10 +406,10 @@ class FoldedNormal(ArrivalModel):
         if self.sigma == 0.0:
             return math.exp(-s * self.alpha)
         a, sg = self.alpha, self.sigma
-        z = a / sg
-        quad_term = 0.5 * sg**2 * s**2
-        t1 = _exp_times_gauss_tail(quad_term - a * s, sg * s - z)
-        t2 = _exp_times_gauss_tail(quad_term + a * s, sg * s + z)
+        z, v = a / sg, sg * s  # v, not sigma^2, so that no square can overflow
+        quad_term = 0.5 * v * v
+        t1 = _exp_times_gauss_tail(quad_term - a * s, v - z)
+        t2 = _exp_times_gauss_tail(quad_term + a * s, v + z)
         return min(t1 + t2, 1.0)  # roundoff can poke one ulp above 1 near s=0
 
     def weighted_first_moment(self, s):
@@ -385,12 +420,12 @@ class FoldedNormal(ArrivalModel):
         if self.sigma == 0.0:
             return self.alpha * math.exp(-s * self.alpha)
         a, sg = self.alpha, self.sigma
-        z = a / sg
-        quad_term = 0.5 * sg**2 * s**2
-        t1 = _exp_times_gauss_tail(quad_term - a * s, sg * s - z)
-        t2 = _exp_times_gauss_tail(quad_term + a * s, sg * s + z)
+        z, v = a / sg, sg * s  # v, not sigma^2, so that no square can overflow
+        quad_term = 0.5 * v * v
+        t1 = _exp_times_gauss_tail(quad_term - a * s, v - z)
+        t2 = _exp_times_gauss_tail(quad_term + a * s, v + z)
         gauss = _SQRT_2_OVER_PI * sg * math.exp(-0.5 * z * z)
-        return (a - sg**2 * s) * t1 - (a + sg**2 * s) * t2 + gauss
+        return (a - sg * v) * t1 - (a + sg * v) * t2 + gauss
 
     def sample(self, rng, size=None):
         if self.sigma == 0.0:
@@ -418,7 +453,7 @@ class Deterministic(ArrivalModel):
         return self.period
 
     def second_moment(self):
-        return self.period**2
+        return self.period * self.period  # inf, not OverflowError, past ~1.3e154
 
     def laplace(self, s):
         s = _check_s(s)
@@ -427,6 +462,10 @@ class Deterministic(ArrivalModel):
     def weighted_first_moment(self, s):
         s = _check_s(s)
         return self.period * math.exp(-s * self.period)
+
+    def survival_laplace(self, s):
+        s = _check_s(s)
+        return -math.expm1(-s * self.period) / s if s else self.period
 
     def sample(self, rng, size=None):
         if size is None:

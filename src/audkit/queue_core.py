@@ -7,8 +7,8 @@ length embedded at arrival instants, the unique fixed point in (0, 1) of
 
     rho1 = int_0^inf f_X(x) exp(-mu (1 - rho1) x) dx.
 
-This module solves that fixed point (by Newton's method for any arrival
-family, via Lambert W for periodic arrivals), derives the system-time law
+This module solves that fixed point, by one cached Newton climb for every
+arrival family (``solve_rho1``, ``rho1_value``), derives the system-time law
 and the inter-departure moments, and evaluates the mean age upon
 decisions and the update missing probability for Poisson,
 synchronous-periodic, and offset-periodic decision processes.  Each
@@ -77,7 +77,6 @@ __all__ = [
     "DerivedQuantities",
     "Rho1Solution",
     "DepartureMoments",
-    "lambert_w0",
     "solve_rho1",
     "rho1_value",
     "rho1_deterministic",
@@ -92,8 +91,6 @@ __all__ = [
     "mean_aud",
     "missing_probability",
 ]
-
-_INV_E = math.exp(-1.0)
 
 # |g| accepted at the end of the rho1 Newton climb
 _RHO1_TOL = 1e-12
@@ -164,12 +161,16 @@ class SystemConfig:
         """All derived scalars of this system, computed on first access.
 
         Cached in the instance ``__dict__``, which equality and hashing ignore.
+        InputError if E[Y^2] is not representable in the caller's time unit.
         """
         arrival, mu = self.arrival, self.service.rate
         rho1 = rho1_value(arrival, mu)
         a = mu * (1.0 - rho1)
         q1 = arrival.weighted_first_moment(a)
         moments = _moments_at(arrival, mu, rho1, q1)
+        if not math.isfinite(moments.second_moment):
+            raise InputError("second_moment_y is not finite at this time scale; "
+                             "rescale the arrival parameters and mu")
         extra = self.decision.derive_extras(self, a)
         if isinstance(arrival, Deterministic):
             extra["rho0"] = math.exp(-mu * arrival.period)
@@ -185,46 +186,7 @@ class SystemConfig:
         )
 
 
-# --- Lambert W and the embedded-chain fixed point --------------------------
-
-
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function, W exp(W) = x, W >= -1.
-
-    Defined for x >= -1/e.  Halley iteration from a branch-point or
-    asymptotic seed; converges to |W exp(W) - x| <= 1e-13 * max(1, |x|).
-    """
-    x = float(x)
-    if x < -_INV_E:
-        if x > -_INV_E - 1e-15:  # roundoff at the branch point
-            return -1.0
-        raise InputError(f"lambert_w0 requires x >= -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
-
-    if x < -0.25:
-        # Series around the branch point x = -1/e.
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    elif x < math.e:
-        w = x / (1.0 + x)  # crude but in the basin everywhere on (-0.25, e)
-    else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
-
-    tol = 1e-13 * max(1.0, abs(x))
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= tol:
-            return w
-        wp1 = w + 1.0
-        # Halley step; the denominator correction keeps it stable near w = -1.
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= step
-        if w < -1.0:
-            w = -1.0 + 1e-300
-    raise ConvergenceError("lambert_w0 Halley iteration stalled", best=w, residual=f)
+# --- the embedded-chain fixed point ----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -239,12 +201,18 @@ class Rho1Solution:
 def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Solution:
     """Solve rho1 = laplace(arrival, mu (1 - rho1)) by Newton's method.
 
-    Newton runs on g(r) = laplace(mu (1-r)) - r from r = 0, with
-    g'(r) = mu weighted_first_moment(mu (1-r)) - 1.  g is convex, g(0) > 0
-    and g'(0) <= 1/e - 1 < 0, so the iterates climb monotonically to rho1
-    and never reach the second root r = 1.  The climb runs until rounding
-    stops it (g <= 0, or r no longer moves), which near rho = 1 lies far
-    below ``_RHO1_TOL`` / |g'(rho1)|, and is accepted if then
+    Newton runs on g(r) = laplace(mu s) - r, s = 1 - r, from r = 0, with
+    g'(r) = mu weighted_first_moment(mu s) - 1.  g is convex, g(0) > 0 and
+    g'(0) <= 1/e - 1 < 0, so the iterates climb monotonically to rho1 and
+    never reach the second root r = 1.  From r = 1/2 on, where s is exact
+    (Sterbenz), g is evaluated as s - z survival_laplace(z), z = mu s: the
+    same function without the cancellation of laplace(z) against r, so
+    near rho = 1 the relative error of s = 1 - rho1 stays at the
+    eps/(1 - rho) that rounding the inputs costs.  (Written with the
+    rounded z in both factors, the base-class (1 - laplace(z))/z gives back
+    laplace(z) - r; s (1 - mu survival_laplace(z)) would round above zero
+    at the root and let the climb creep by ulps.)  The climb runs until
+    rounding stops it (g <= 0, or r no longer moves) and is accepted if then
     |g| <= ``_RHO1_TOL`` (1e-12).  Otherwise, and after ``max_iter`` steps,
     ConvergenceError carries the best iterate.  Instability is rejected up
     front.
@@ -256,9 +224,13 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
     r = 0.0
     steps = 0
     while True:
-        s = mu * (1.0 - r)
-        g = arrival.laplace(s) - r
-        r_next = r + g / (1.0 - mu * arrival.weighted_first_moment(s)) if g > 0.0 else r
+        s = 1.0 - r
+        z = mu * s
+        if r < 0.5:
+            g = arrival.laplace(z) - r
+        else:
+            g = s - z * arrival.survival_laplace(z)
+        r_next = r + g / (1.0 - mu * arrival.weighted_first_moment(z)) if g > 0.0 else r
         if not r < r_next < 1.0 or steps >= max_iter:
             if abs(g) <= _RHO1_TOL:
                 return Rho1Solution(r, steps, abs(g))
@@ -278,22 +250,20 @@ def _rho1_cached(arrival: ArrivalModel, mu: float) -> float:
 
 
 def rho1_value(arrival: ArrivalModel, mu: float) -> float:
-    """Cached rho1; sweeps hit the same (arrival, mu) a lot."""
-    if isinstance(arrival, Deterministic):
-        # Closed form via Lambert W at the load lam/mu that the periodic
-        # closed forms use; agrees with the Newton solve to ~1e-12.
-        return rho1_deterministic(arrival_rate(arrival) / mu)
+    """rho1 of ``arrival`` at service rate ``mu``: ``solve_rho1``, cached on
+    (arrival, mu), since sweeps hit the same system a lot."""
     return _rho1_cached(arrival, mu)
 
 
 def rho1_deterministic(rho: float) -> float:
-    """rho1 for periodic arrivals: -rho * W0(-(1/rho) exp(-1/rho))."""
+    """rho1 for periodic arrivals at load ``rho``: the solve for period 1/rho
+    at mu = 1, the root of rho1 = exp(-(1 - rho1)/rho).  0.0 once
+    exp(-1/rho), which rho1 then equals to within rounding, underflows."""
     if not 0.0 < rho < 1.0:
         raise StabilityError(rho)
-    e = math.exp(-1.0 / rho)
-    if e == 0.0:  # rho1 ~ exp(-1/rho) lies below the smallest subnormal
+    if math.exp(-1.0 / rho) == 0.0:  # rho1 lies below the smallest subnormal
         return 0.0
-    return -rho * lambert_w0(-(1.0 / rho) * e)
+    return rho1_value(Deterministic(1.0 / rho), 1.0)
 
 
 # --- departure moments -------------------------------------------------------

@@ -164,26 +164,16 @@ def run_trajectory(
     return records, decisions
 
 
-def estimate_missing_prob(
-    records: UpdateRecords, decisions: DecisionSamples, skip: int = 0
-) -> float:
-    """Fraction of updates whose trailing inter-departure window saw no decision.
+def _missed(records: UpdateRecords, decisions: DecisionSamples, skip: int) -> Tuple[int, int]:
+    """(missed updates, counted updates) after the warm-up.
 
     Update k counts as missed when no decision epoch lies in
     (departure[k-1], departure[k]].  The first update has no predecessor
     window and is never counted; ``skip`` additionally drops the warm-up
-    prefix.
-    """
-    missed, counted = _missed(records, decisions, skip)
-    return missed / counted
-
-
-def _missed(records: UpdateRecords, decisions: DecisionSamples, skip: int) -> Tuple[int, int]:
-    """(missed updates, counted updates) after the warm-up, as in estimate_missing_prob.
-
-    The windows come from ``used_update``, without a second search: the decisions
-    in [dep[k-1], dep[k]) used update k-1, and one at a departure epoch moves to
-    the window that departure (the first of equal ones) closes.
+    prefix.  The windows come from ``used_update``, without a second search:
+    the decisions in [dep[k-1], dep[k]) used update k-1, and one at a
+    departure epoch moves to the window that departure (the first of equal
+    ones) closes.
     """
     start = max(int(skip), 1)
     if start >= len(records):

@@ -1,0 +1,125 @@
+"""The embedded-chain root s = 1 - rho1 at 40 digits, the oracle for the rho1 solve.
+
+With s = 1 - rho1, the fixed point rho1 = L(mu s) is the root in (0, 1) of
+
+    h(s) = mu phi(mu s) - 1,   phi(z) = int_0^inf exp(-z x) (1 - F(x)) dx,
+
+phi the survival transform of the inter-arrival law.  phi decreases from
+E[X] at z = 0, so h falls from 1/rho - 1 > 0 at s -> 0 to -L(mu) < 0 at
+s = 1, and the root is unique.  (The fixed-point equation itself,
+s h(s) = 0, has a second root at s = 0, which h divides out.)
+
+Each family's phi is written here from its survival function 1 - F, not
+from ``audkit.dist``:
+
+    exp(lam)             e^{-lam x}                  1 / (lam + z)
+    uniform(beta)        1 - x/beta on (0, beta)     beta (u - 1 + e^{-u}) / u^2,  u = beta z
+    lomax(alpha, beta)   (beta / (x + beta))^alpha   beta e^u E_alpha(u),          u = beta z
+    det(P)               1 on (0, P)                 (1 - e^{-z P}) / z
+    fnorm(a, sigma)      P(|N(a, sigma^2)| > x)      (1 - L(z)) / z,
+                         L(z) = e^{q - a z} Phi(a/sigma - sigma z)
+                              + e^{q + a z} Phi(-a/sigma - sigma z),  q = (sigma z)^2 / 2
+
+phi is evaluated with ``_GUARD`` extra digits, which absorb the
+cancellation in the uniform and folded-normal forms at small z, and the
+inputs enter at their exact binary values.  The bracket's lower end starts
+at (1 - rho)/2 and halves until h > 0 there, so it never reaches the
+removable root at s = 0, where a 40-digit h has no correct sign left.
+"""
+
+from __future__ import annotations
+
+import mpmath
+from mpmath import mp, mpf
+
+DPS = 40
+_GUARD = 60
+
+
+def _phi_exp(z, lam):
+    return 1 / (lam + z)
+
+
+def _phi_uniform(z, beta):
+    u = beta * z
+    return beta * (u - 1 + mpmath.exp(-u)) / (u * u)
+
+
+def _phi_lomax(z, alpha, beta):
+    u = beta * z
+    return beta * mpmath.exp(u) * mpmath.expint(alpha, u)
+
+
+def _phi_det(z, period):
+    return -mpmath.expm1(-z * period) / z
+
+
+def _phi_fnorm(z, a, sigma):
+    q = (sigma * z) ** 2 / 2
+    laplace = (mpmath.exp(q - a * z) * mpmath.ncdf(a / sigma - sigma * z)
+               + mpmath.exp(q + a * z) * mpmath.ncdf(-a / sigma - sigma * z))
+    return (1 - laplace) / z
+
+
+_PHI = {
+    "exp": _phi_exp,
+    "uniform": _phi_uniform,
+    "lomax": _phi_lomax,
+    "det": _phi_det,
+    "fnorm": _phi_fnorm,
+}
+
+
+def survival_laplace(arrival, z) -> mpf:
+    """phi(z) of ``arrival``, to about 40 digits."""
+    with mp.workdps(DPS + _GUARD):
+        return _PHI[arrival.tag](mpf(z), *_params(arrival))
+
+
+def _params(arrival):
+    return [mpf(getattr(arrival, k)) for k in arrival.keys]
+
+
+def s_root(arrival, mu: float) -> mpf:
+    """1 - rho1 of ``arrival`` at service rate ``mu``, to about 40 digits."""
+    with mp.workdps(DPS + _GUARD):
+        phi, params, m = _PHI[arrival.tag], _params(arrival), mpf(mu)
+
+        def h(s):
+            return m * phi(m * s, *params) - 1
+
+        rho = 1 / (m * _mean(arrival.tag, params))
+        lo, hi = (1 - rho) / 2, mpf(1)
+        while h(lo) <= 0:
+            lo /= 2
+        assert h(hi) < 0
+        return mpmath.findroot(h, (lo, hi), solver="anderson", tol=mpf(10) ** (-2 * DPS))
+
+
+def _mean(tag: str, params) -> mpf:
+    """E[X], that is phi(0), from the same parameters."""
+    if tag == "exp":
+        return 1 / params[0]
+    if tag == "uniform":
+        return params[0] / 2
+    if tag == "lomax":
+        return params[1] / (params[0] - 1)
+    if tag == "det":
+        return params[0]
+    a, sigma = params  # fnorm: E|N(a, sigma^2)|
+    return (sigma * mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-(a / sigma) ** 2 / 2)
+            + a * mpmath.erf(a / (sigma * mpmath.sqrt(2))))
+
+
+def s_rel_error(rho1: float, arrival, mu: float) -> float:
+    """Relative error of 1 - rho1 (formed exactly) against the oracle's s."""
+    with mp.workdps(DPS + _GUARD):
+        exact = s_root(arrival, mu)
+        return float(abs((1 - mpf(rho1)) - exact) / exact)
+
+
+def rho1_rel_error(rho1: float, arrival, mu: float) -> float:
+    """Relative error of rho1 against the oracle's 1 - s."""
+    with mp.workdps(DPS + _GUARD):
+        exact = 1 - s_root(arrival, mu)
+        return float(abs(mpf(rho1) - exact) / exact)

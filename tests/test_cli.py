@@ -55,10 +55,11 @@ def test_analyze_evaluates_each_transform_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("decision", ["poisson:rate=0.5", "sync:m0=2", "offset:delta=0.5"])
 def test_analyze_solves_rho1_once(tmp_path, monkeypatch, decision):
     # the periodic disciplines read rho1 off the system's derived quantities
-    solve = audkit.queue_core.rho1_deterministic
+    solve = audkit.queue_core.solve_rho1
     calls = []
-    monkeypatch.setattr(audkit.queue_core, "rho1_deterministic",
-                        lambda rho: calls.append(rho) or solve(rho))
+    monkeypatch.setattr(audkit.queue_core, "solve_rho1",
+                        lambda arrival, mu: calls.append(arrival) or solve(arrival, mu))
+    audkit.queue_core._rho1_cached.cache_clear()
     code = cli.main(["analyze", "--arrival", "det:period=2", "--mu", "1",
                      "--decision", decision, "--out", str(tmp_path / "analyze.txt")])
     assert code == 0
@@ -86,8 +87,28 @@ def test_analyze_sync_where_w1_underflows(tmp_path):
     # w1 = exp(-mu (1 - rho1) P) underflows at P = 1000; the paper's
     # expression used to divide by it
     payload = analyze_json(tmp_path, "det:period=1000", "sync:m0=1")
+    jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)  # rho1 rounds to 0
     assert payload["missing_probability"] == 0.0
     assert payload["mean_aud"] == pytest.approx(1000.0, rel=1e-12)
+
+
+def test_analyze_exp_keeps_its_digits_near_critical_load(tmp_path):
+    # the rho1 solve gave a mean AuD of 1.13e8 here, against 1.0e10
+    payload = analyze_json(tmp_path, "exp:rate=0.9999999999", "poisson:rate=0.5")
+    jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
+    assert payload["mean_aud"] == pytest.approx(audkit.average_aud_mm1m(0.9999999999, 1.0),
+                                                rel=1e-5, abs=0)
+
+
+@pytest.mark.parametrize("arrival", ["det:period=1e160", "fnorm:alpha=1e160,sigma=1e159"])
+def test_analyze_rejects_an_unrepresentable_second_moment(capsys, arrival):
+    # E[Y^2] overflows at this time scale; squaring the period raised OverflowError
+    code = cli.main(["analyze", "--arrival", arrival, "--mu", "1e-159",
+                     "--decision", "poisson:rate=1e-160"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "second_moment_y" in err
+    assert "Traceback" not in err
 
 
 SWEEP_SCHEMA = json.loads(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import audkit as ak
 from audkit.errors import ConvergenceError, InputError
 
+import mp_oracle
 from conftest import NoDensityError, pdf, quad_transform
 
 ALL_MODELS = [
@@ -183,6 +184,20 @@ def test_weighted_first_moment_at_zero_is_mean(model):
     assert model.weighted_first_moment(0.0) == pytest.approx(
         model.mean(), rel=1e-10
     )
+
+
+@pytest.mark.parametrize(
+    "model", [m for m in ALL_MODELS if not (isinstance(m, ak.Lomax) and m.alpha > 1e3)]
+)
+def test_survival_laplace_matches_oracle(model):
+    # a few ulps where the family has its own form; the folded normal's
+    # (1 - laplace(s))/s loses the digits 1 - laplace(s) cancels, about 1/(s E[X])
+    assert model.survival_laplace(0.0) == model.mean()
+    for s in S_GRID:
+        exact = mp_oracle.survival_laplace(model, s)
+        err = float(abs(model.survival_laplace(s) - exact) / exact)
+        cancelled = 1.0 / min(1.0, s * model.mean()) if isinstance(model, ak.FoldedNormal) else 1.0
+        assert err <= 4 * 2.0**-52 * cancelled, s
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

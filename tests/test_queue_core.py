@@ -1,13 +1,13 @@
-"""Closed-form layer: fixed point, Lambert W, moments, AuD and missing-probability
+"""Closed-form layer: fixed point, moments, AuD and missing-probability
 formulas. Expected values were computed independently (30-digit arithmetic or
-brute quadrature) and frozen."""
+brute quadrature) and frozen, or come from the 40-digit rho1 oracle in
+``mp_oracle``."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,16 +15,19 @@ import audkit as ak
 from audkit import queue_core as qc
 from audkit.errors import ConvergenceError, InputError, StabilityError
 
+import mp_oracle
+
 # frozen reference constants (30-digit evaluation of the closed forms)
 RHO1_HALF = 0.20318786997997995       # fixed point at offered load 1/2
 RHO0_HALF = 0.13533528323661269       # exp(-2)
-W0_AT_NEG_2E2 = -0.40637573995995991  # W0(-2 exp(-2))
 DM1M_1_2 = 1.1275004874579876
 SYNC_1_2_1 = 1.2550009749159753
 OFFSET_1_2_HALF = 1.0657088227384059
 PMIS_SYNC_1_2_1 = 0.5412371698844107   # the paper's short-window expression
 PMIS_SYNC_1_2_2 = 0.082942469558660628  # exact law, m0 = 2
 PMIS_OFFSET_1_2_HALF = 0.26305698728544907
+
+EPS = 2.0**-52
 
 FAMILIES_AT_LOAD = {
     # each constructor takes rho and mu and yields a model with that load
@@ -34,49 +37,6 @@ FAMILIES_AT_LOAD = {
     "fnorm": lambda rho, mu: ak.FoldedNormal(1.0 / (rho * mu), 0.25 / (rho * mu)),
     "det": lambda rho, mu: ak.Deterministic(1.0 / (rho * mu)),
 }
-
-
-# --- lambert W -----------------------------------------------------------------
-
-
-def test_lambert_w0_examples():
-    assert qc.lambert_w0(0.0) == 0.0
-    assert qc.lambert_w0(math.e) == pytest.approx(1.0, abs=1e-14)
-    w = qc.lambert_w0(-2.0 * math.exp(-2.0))
-    assert w == pytest.approx(W0_AT_NEG_2E2, abs=1e-13)
-    assert -0.5 * w == pytest.approx(0.2032, abs=5e-5)
-
-
-def test_lambert_w0_identity_on_log_grid():
-    xs = np.concatenate(
-        [
-            [-1.0 / math.e + 1e-9, -0.25, -1e-6, 1e-12],
-            np.logspace(-6, 6, 60),
-        ]
-    )
-    for x in xs:
-        w = qc.lambert_w0(float(x))
-        assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
-        assert w >= -1.0
-
-
-def test_lambert_w0_matches_scipy():
-    for x in [-0.3, -0.05, 0.1, 1.0, 5.0, 1e3, 1e6]:
-        assert qc.lambert_w0(x) == pytest.approx(
-            float(scipy.special.lambertw(x).real), rel=1e-12, abs=1e-14
-        )
-
-
-def test_lambert_w0_domain_error():
-    with pytest.raises(InputError):
-        qc.lambert_w0(-1.0 / math.e - 1e-6)
-
-
-@settings(max_examples=200, deadline=None)
-@given(x=st.floats(-1.0 / math.e + 1e-9, 1e6))
-def test_lambert_w0_identity_property(x):
-    w = qc.lambert_w0(x)
-    assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
 
 
 # --- fixed point -----------------------------------------------------------------
@@ -130,10 +90,66 @@ def test_fixed_point_residual_grid(family, rho):
 
 @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.9999, 0.99999])
 def test_rho1_deterministic_agrees_with_iteration(rho):
-    mu = 2.0
-    closed = qc.rho1_deterministic(rho)
-    iterated = qc.solve_rho1(ak.Deterministic(1.0 / (rho * mu)), mu).value
-    assert closed == pytest.approx(iterated, abs=1e-10)
+    # the iteration is the oracle's 40-digit root solve at period 1/rho, mu = 1
+    rho1 = qc.rho1_deterministic(rho)
+    arrival = ak.Deterministic(1.0 / rho)
+    assert mp_oracle.rho1_rel_error(rho1, arrival, 1.0) <= 8 * EPS
+    assert mp_oracle.s_rel_error(rho1, arrival, 1.0) <= 16 * EPS / (1.0 - rho)
+
+
+# each constructor takes the load and yields a model with it at mu = 1
+ORACLE_FAMILIES = {
+    "exp": lambda rho: ak.Exponential(rho),
+    "uniform": lambda rho: ak.Uniform(2.0 / rho),
+    "lomax": lambda rho: ak.Lomax(3.5, 2.5 / rho),
+    "det": lambda rho: ak.Deterministic(1.0 / rho),
+}
+ORACLE_GAPS = [0.5, 1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-12]
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+@pytest.mark.parametrize("gap", ORACLE_GAPS)
+def test_rho1_keeps_its_digits_up_to_critical_load(family, gap):
+    # s = 1 - rho1 is within a few eps/(1 - rho) relative, the error that
+    # rounding the inputs alone costs; mean AuD ~ 1/(mu s) inherits it
+    arrival = ORACLE_FAMILIES[family](1.0 - gap)
+    rho1 = qc.rho1_value(arrival, 1.0)
+    assert mp_oracle.s_rel_error(rho1, arrival, 1.0) <= 16 * EPS / gap
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_rho1_to_a_few_ulps_at_moderate_load(family):
+    for rho in np.linspace(0.05, 0.99, 20):
+        arrival = ORACLE_FAMILIES[family](float(rho))
+        rho1 = qc.rho1_value(arrival, 1.0)
+        assert mp_oracle.rho1_rel_error(rho1, arrival, 1.0) <= 8 * EPS, rho
+
+
+@pytest.mark.xfail(strict=True, reason="fnorm has no cancellation-free survival "
+                   "transform yet (ROADMAP item 2)")
+def test_fnorm_rho1_near_critical_load():
+    gap = 1e-8
+    shape = ak.FoldedNormal(1.0, 0.5)
+    scale = 1.0 / ((1.0 - gap) * shape.mean())
+    arrival = ak.FoldedNormal(scale, 0.5 * scale)
+    rho1 = qc.rho1_value(arrival, 1.0)
+    assert mp_oracle.s_rel_error(rho1, arrival, 1.0) <= 16 * EPS / gap
+
+
+def test_rho1_climb_stops_at_the_rounding_floor():
+    # evaluated as s (1 - mu phi), g with the base-class phi = (1 - L)/z rounds
+    # at or above 0 at the root, and the climb creeps by ulps through all 100
+    # steps here (19 with L - r)
+    arrival = ak.FoldedNormal(0.005529605582273856, 0.00016108405414841156)
+    assert qc.solve_rho1(arrival, 180.84764121419923).iterations <= 30
+
+
+def test_periodic_rho1_keeps_the_paper_inequality_near_critical_load():
+    # result 3, 1 - rho1 > 2 rho ln(1/rho), failed at 332 of these loads
+    # while rho1 came from Lambert W
+    for rho in np.linspace(0.999994, 0.999999, 2000):
+        rho = float(rho)
+        assert 1.0 - qc.rho1_deterministic(rho) > 2.0 * rho * math.log(1.0 / rho), rho
 
 
 def test_rho1_deterministic_examples():
@@ -397,11 +413,15 @@ def test_derived_cache_leaves_hash_and_equality_alone():
     mu=st.floats(1e-3, 1e3),
 )
 def test_periodic_rho1_is_the_closed_forms_rho1(load, mu):
-    # derive and the periodic closed forms both form the load as lam/mu
+    # derive solves at (period, mu), the periodic closed forms at (1/rho, 1):
+    # the same root from different doubles, as close as the load's rounding
     config = ak.SystemConfig(
         ak.Deterministic(1.0 / (load * mu)), ak.ServiceModel(mu), ak.PoissonDecisions(1.0)
     )
-    assert qc.derive(config).rho1 == qc.rho1_deterministic(config.rho)
+    rho = config.rho
+    s_system = 1.0 - qc.derive(config).rho1
+    s_closed = 1.0 - qc.rho1_deterministic(rho)
+    assert abs(s_system - s_closed) <= 4 * EPS / (1.0 - rho) * s_closed
 
 
 def test_mean_aud_dispatch():

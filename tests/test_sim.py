@@ -132,9 +132,9 @@ def test_tie_rule_matches_brute_force(trajectory):
     rec = records_from(arrival, departure)
     for skip in range(len(departure)):
         counted = windows[max(skip, 1) - 1:]
-        assert sim.estimate_missing_prob(rec, dec, skip) == counted.count(0) / len(counted)
+        assert sim._missed(rec, dec, skip) == (counted.count(0), len(counted))
     with pytest.raises(InsufficientDataError):
-        sim.estimate_missing_prob(rec, dec, len(departure))
+        sim._missed(rec, dec, len(departure))
 
 
 def test_offset_decisions_with_instant_service():
@@ -163,21 +163,22 @@ def test_mean_aud_matches_markovian_value():
 def test_missing_prob_markovian():
     cfg = poisson_cfg(ak.Exponential(1.0), nu=1.0)
     rec, dec = sim.run_trajectory(cfg, 1_000_000, seed=43)
-    p = sim.estimate_missing_prob(rec, dec, skip=len(rec) // 10)
-    assert p == pytest.approx(0.5, abs=0.005)
+    missed, counted = sim._missed(rec, dec, skip=len(rec) // 10)
+    assert missed / counted == pytest.approx(0.5, abs=0.005)
 
 
 def test_missing_prob_high_decision_rate():
     cfg = poisson_cfg(ak.Exponential(1.0), nu=100.0)
     rec, dec = sim.run_trajectory(cfg, 100_000, seed=44)
-    assert sim.estimate_missing_prob(rec, dec, skip=10_000) < 0.02
+    missed, counted = sim._missed(rec, dec, skip=10_000)
+    assert missed / counted < 0.02
 
 
 def test_missing_prob_requires_data():
     cfg = poisson_cfg(ak.Exponential(1.0))
     rec, dec = sim.run_trajectory(cfg, 100, seed=1)
     with pytest.raises(InsufficientDataError):
-        sim.estimate_missing_prob(rec, dec, skip=100)
+        sim._missed(rec, dec, skip=100)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
