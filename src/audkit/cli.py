@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Optional
 
@@ -81,7 +80,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_simulate(args) -> int:
     config = _build_config(args)
     rep, first = sim._replications(
-        config, args.horizon, args.reps, args.seed, max(1, args.threads),
+        config, args.horizon, args.reps, args.seed, args.threads,
         keep_first=bool(args.dump),
     )
     if args.dump:
@@ -215,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=5, help="number of replications")
     sp.add_argument("--seed", type=int, default=0, help="base seed")
     sp.add_argument("--dump", help="write the per-update/per-decision CSV here")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker threads; on 2 cores 2 beat 1 from about --horizon 1e5")
+    sp.add_argument("--threads", type=int,
+                    help="worker threads (default: one per available core, at most one "
+                         "per replication, from --horizon 1e5 up; 1 below)")
     add_common(sp)
     sp.set_defaults(func=_cmd_simulate)
 

@@ -247,7 +247,12 @@ class Exponential(ArrivalModel):
 
     def sample(self, rng, size=None):
         u = rng.random(size)
-        return -np.log1p(-u) / self.rate
+        if size is None:
+            return -np.log1p(-u) / self.rate
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= -self.rate  # -log1p(-u) / rate, without a temporary
+        return u
 
 
 @dataclass(frozen=True)

@@ -502,13 +502,14 @@ class PoissonDecisions(DecisionModel):
         expected = int(nu * t_end) + 1
         chunk = max(expected + int(6.0 * np.sqrt(expected)) + 16, 64)
         while t <= t_end:
-            gaps = rng.exponential(1.0 / nu, size=chunk)
-            block = t + np.cumsum(gaps)
+            block = rng.exponential(1.0 / nu, size=chunk)
+            np.cumsum(block, out=block)
+            block += t
             epochs.append(block)
             t = block[-1]
             chunk = 1024
-        tau = np.concatenate(epochs)
-        return tau[tau <= t_end]
+        tau = epochs[0] if len(epochs) == 1 else np.concatenate(epochs)
+        return tau[:np.count_nonzero(tau <= t_end)]  # a prefix, as tau ascends
 
 
 class _PeriodicDecisions(DecisionModel):
@@ -564,7 +565,9 @@ class PeriodicSyncDecisions(_PeriodicDecisions):
     def epochs(self, config, t_end, rng):
         nu = config.decision_rate
         n = int(np.floor(t_end * nu))
-        return np.arange(1, n + 1, dtype=np.float64) / nu
+        tau = np.arange(1, n + 1, dtype=np.float64)
+        tau /= nu
+        return tau
 
 
 @dataclass(frozen=True)
@@ -610,7 +613,10 @@ class PeriodicOffsetDecisions(_PeriodicDecisions):
         # (including the epoch at t = 0).
         period = config.arrival.period
         n = int(np.floor((t_end - self.delta) / period))
-        return self.delta + np.arange(0, n + 1, dtype=np.float64) * period
+        tau = np.arange(0, n + 1, dtype=np.float64)
+        tau *= period
+        tau += self.delta
+        return tau
 
 
 DISCIPLINES = spec_registry(PoissonDecisions, PeriodicSyncDecisions, PeriodicOffsetDecisions)

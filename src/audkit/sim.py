@@ -16,7 +16,13 @@ vectorizes exactly with a cumulative sum and a cumulative maximum; a
 Replications are seeded through ``numpy.random.SeedSequence.spawn`` on a
 counter-based Philox generator, so streams are independent by construction
 and a report is bit-identical for a given base seed regardless of how many
-worker threads execute it.
+worker threads execute it.  By default replications of 10^5 updates or more
+run on every available core, which lifted the benchmark's Monte Carlo
+workload about 1.8x on 2 cores.  A replication that is not dumped keeps only
+the arrival and departure epochs and its decisions: 7-10 horizon-length
+float64 arrays at its peak (10.4 MiB for exp arrivals with Poisson decisions,
+15.6 MiB for periodic ones with m0 = 2, at 2*10^5 updates), against 14-18
+when every column was built.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import gzip
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -124,8 +130,10 @@ def assign_decisions(
     idx = np.searchsorted(departures, epochs, side="right")
     skipped = int(np.count_nonzero(idx == 0))  # a prefix, as the epochs ascend
     epochs = epochs[skipped:]
-    used = idx[skipped:] - 1
-    age = epochs - arrivals[used]
+    used = idx[skipped:]
+    used -= 1
+    age = arrivals[used]
+    np.subtract(epochs, age, out=age)
     return DecisionSamples(epochs, used, age, skipped)
 
 
@@ -138,53 +146,71 @@ def run_trajectory(
     SeedSequence is fed to a Philox bit generator, so the full trajectory
     is a pure function of (config, horizon, seed).
     """
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
+    records, _, decisions = _trajectory(config, horizon, seed, keep=True)
+    return records, decisions
+
+
+def _trajectory(config: SystemConfig, horizon: int, seed, keep: bool):
+    """(records if ``keep`` else None, departures, decisions).  Without
+    ``keep`` the inter-arrival and service times are dropped as soon as the
+    departures exist, and the waiting, system and inter-departure columns
+    are never built."""
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = np.random.Generator(np.random.Philox(seed))
+    x, s, t, dep = _lindley(config, horizon, rng)
+    records = None
+    if keep:
+        t_sys = dep - t
+        w = t_sys - s
+        np.maximum(w, 0.0, out=w)  # clip roundoff at the idle-server boundary
+        records = UpdateRecords(t, x, s, w, t_sys, dep, np.diff(dep, prepend=0.0))
+    del x, s
+    epochs = config.decision.epochs(config, float(dep[-1]), rng)
+    return records, dep, assign_decisions(t, dep, epochs)
 
-    mu = config.service.rate
+
+def _lindley(config: SystemConfig, horizon: int, rng: np.random.Generator):
+    """Draw the inter-arrival and service times of ``horizon`` updates and
+    run the Lindley scan: returns (x, s, t, dep)."""
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1, got {horizon}")
     x = np.asarray(config.arrival.sample(rng, size=horizon), dtype=np.float64)
-    s = rng.exponential(1.0 / mu, size=horizon)
-
+    s = rng.exponential(1.0 / config.service.rate, size=horizon)
     t = np.cumsum(x)
     c = np.cumsum(s)
-    # dep_k = C_k + max_{i<=k}(t_i - C_{i-1})
-    dep = c + np.maximum.accumulate(t - c + s)
-    t_sys = dep - t
-    w = t_sys - s
-    np.maximum(w, 0.0, out=w)  # clip roundoff at the idle-server boundary
-    y = np.diff(dep, prepend=0.0)
-
-    records = UpdateRecords(t, x, s, w, t_sys, dep, y)
-    epochs = config.decision.epochs(config, float(dep[-1]), rng)
-    decisions = assign_decisions(t, dep, epochs)
-    return records, decisions
+    # dep_k = C_k + max_{i<=k}(t_i - C_{i-1}), in place
+    dep = t - c
+    dep += s
+    np.maximum.accumulate(dep, out=dep)
+    dep += c
+    return x, s, t, dep
 
 
-def _missed(records: UpdateRecords, decisions: DecisionSamples, skip: int) -> Tuple[int, int]:
-    """(missed updates, counted updates) after the warm-up.
+def _missed(dep: np.ndarray, decisions: DecisionSamples, skip: int) -> Tuple[int, int]:
+    """(missed updates, counted updates) after the warm-up, from the
+    departure epochs ``dep`` and the decisions made over them.
 
     Update k counts as missed when no decision epoch lies in
-    (departure[k-1], departure[k]].  The first update has no predecessor
+    (dep[k-1], dep[k]].  The first update has no predecessor
     window and is never counted; ``skip`` additionally drops the warm-up
     prefix.  The windows come from ``used_update``, without a second search:
     the decisions in [dep[k-1], dep[k]) used update k-1, and one at a
     departure epoch moves to the window that departure (the first of equal
     ones) closes.
     """
+    n = dep.shape[0]
     start = max(int(skip), 1)
-    if start >= len(records):
+    if start >= n:
         raise InsufficientDataError(
-            f"no updates left after skipping {skip} of {len(records)} for warm-up"
+            f"no updates left after skipping {skip} of {n} for warm-up"
         )
-    dep, used = records.departure, decisions.used_update
-    window = np.bincount(used, minlength=len(records))[start - 1:-1]
+    used = decisions.used_update
+    window = np.bincount(used, minlength=n)[start - 1:-1]
     tied = used[decisions.epoch == dep[used]]
     if tied.shape[0]:
-        ties = np.bincount(tied, minlength=len(records))
+        ties = np.bincount(tied, minlength=n)
         for k in np.flatnonzero(dep[:-1] == dep[1:])[::-1]:
             ties[k] = ties[k + 1]
         window += np.diff(ties)[start - 1:]  # decisions in (dep[k-1], dep[k]]
@@ -195,7 +221,7 @@ def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
                keep: bool = False):
     """One replication: returns (mean AuD, kept decisions, missed, counted,
     discarded, and the trajectory (records, decisions) if ``keep`` else None)."""
-    records, decisions = run_trajectory(config, horizon, seq)
+    records, dep, decisions = _trajectory(config, horizon, seq, keep)
     n_warm = horizon // 10
     early = int(np.count_nonzero(decisions.used_update < n_warm))  # before dep[n_warm]
     ages = decisions.age[early:]
@@ -203,7 +229,7 @@ def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
         raise InsufficientDataError(
             "no decision epochs after the warm-up window; increase the horizon"
         )
-    missed, counted = _missed(records, decisions, n_warm)
+    missed, counted = _missed(dep, decisions, n_warm)
     discarded = decisions.n_before_first_departure + early
     return (
         float(ages.mean()),
@@ -215,12 +241,30 @@ def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
     )
 
 
+# From this many updates per replication on, replications run on every core
+# by default.  On 2 cores, 10 replications of exp arrivals at load 0.6, two
+# threads gave 0.86-1.36x at 2*10^4 updates, 1.33-1.72x at 2*10^5, 1.91x at
+# 10^6 and 1.80-2.00x at 4*10^6.
+_PARALLEL_HORIZON = 100_000
+
+
+def _default_threads(horizon: int) -> int:
+    """The thread count ``threads=None`` stands for: every available core
+    from ``_PARALLEL_HORIZON`` updates per replication up, and 1 below."""
+    if horizon < _PARALLEL_HORIZON:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_replications(
     config: SystemConfig,
     horizon: int = 1_000_000,
     n_reps: int = 5,
     base_seed: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> SimulationReport:
     """Independent replications with deterministically split seeds.
 
@@ -228,29 +272,48 @@ def run_replications(
     together with every decision made before the first retained departure.
     The report aggregates per-replication means; its standard error is the
     across-replication one, which is robust to within-trajectory
-    autocorrelation.  Threads share out whole replications.  On 2 cores, 10
-    replications: 2 threads beat 1 from about 10^5 updates per replication
-    (1.3-2.0x at 2*10^5 to 4*10^6); at 2*10^4 they gave 0.86-1.36x.
+    autocorrelation.
+
+    ``threads`` threads, the calling one among them, take whole replications
+    in turn; the report is bit-identical for every thread count, and
+    ``threads`` < 1 raises ``InputError``.  The default, None, is one thread
+    per available core, at most one per replication, from 10^5 updates per
+    replication up, and 1 below.  On 2 cores that lifted the benchmark's
+    Monte Carlo workload (10 replications of 2*10^5 updates) about 1.8x.
+    Each replication in flight holds 7-10 horizon-length float64 arrays at
+    its peak (10-16 MiB at 2*10^5 updates).
     """
     return _replications(config, horizon, n_reps, base_seed, threads)[0]
 
 
 def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: int,
-                  threads: int, keep_first: bool = False):
+                  threads: Optional[int], keep_first: bool = False):
     """``run_replications``, and replication 0's (records, decisions) if
     ``keep_first`` (None otherwise), so a dump reuses that trajectory."""
     if n_reps < 2:
         raise InputError(f"need at least 2 replications, got {n_reps}")
+    if threads is None:
+        threads = _default_threads(horizon)
+    elif threads < 1:
+        raise InputError(f"need at least 1 thread, got {threads}")
     children = np.random.SeedSequence(base_seed).spawn(n_reps)
+    results = [None] * n_reps
+    pending = iter(range(n_reps))  # shared; next() on it is atomic under the GIL
 
-    def replicate(i):
-        return _replicate(config, horizon, children[i], keep_first and i == 0)
+    def work():
+        for i in pending:
+            results[i] = _replicate(config, horizon, children[i], keep_first and i == 0)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(replicate, range(n_reps)))
+    # The calling thread works too: an idle caller would add a malloc arena.
+    helpers = min(threads, n_reps) - 1
+    if helpers:
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            futures = [pool.submit(work) for _ in range(helpers)]
+            work()
+        for future in futures:
+            future.result()
     else:
-        results = [replicate(i) for i in range(n_reps)]
+        work()
 
     means, kept, missed, counted, discarded, trajectories = zip(*results)
     means = np.array(means)

@@ -239,14 +239,14 @@ def test_simulate_dump_is_replication_zero(tmp_path):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_simulate_dump_reuses_replication_zero(tmp_path, monkeypatch, threads):
-    run_trajectory = sim.run_trajectory
+    lindley = sim._lindley  # the core every trajectory, kept or not, runs once
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return run_trajectory(*args)
+        return lindley(*args)
 
-    monkeypatch.setattr(sim, "run_trajectory", counting)
+    monkeypatch.setattr(sim, "_lindley", counting)
     dump = tmp_path / "trajectory.csv"
     argv = ["simulate", "--arrival", "det:period=2", "--mu", "1", "--decision", "sync:m0=2",
             "--horizon", "3000", "--reps", "3", "--seed", "5", "--threads", threads,
@@ -256,7 +256,7 @@ def test_simulate_dump_reuses_replication_zero(tmp_path, monkeypatch, threads):
     # the file a separate simulation of replication 0 writes
     seq = np.random.SeedSequence(5).spawn(3)[0]
     reference = tmp_path / "reference.csv"
-    sim.dump_trajectory_csv(*run_trajectory(calls[0][0], 3000, seq), str(reference))
+    sim.dump_trajectory_csv(*sim.run_trajectory(calls[0][0], 3000, seq), str(reference))
     assert dump.read_bytes() == reference.read_bytes()
 
 
@@ -278,6 +278,8 @@ _ANALYZE = ["analyze", "--mu", "1"]
         ["optimize-offset", "--lambda", "0", "--mu", "1"],
         ["optimize-offset", "--lambda", "nan", "--mu", "1"],
         ["optimize-offset", "--lambda", "1.5", "--mu", "1"],
+        ["simulate", "--mu", "1", "--arrival", "exp:rate=0.5", "--decision", "poisson:rate=1",
+         "--threads", "0"],
     ],
 )
 def test_input_errors_exit_2(argv, capsys):

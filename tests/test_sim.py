@@ -5,6 +5,8 @@ import csv
 import gzip
 import math
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,9 +134,9 @@ def test_tie_rule_matches_brute_force(trajectory):
     rec = records_from(arrival, departure)
     for skip in range(len(departure)):
         counted = windows[max(skip, 1) - 1:]
-        assert sim._missed(rec, dec, skip) == (counted.count(0), len(counted))
+        assert sim._missed(rec.departure, dec, skip) == (counted.count(0), len(counted))
     with pytest.raises(InsufficientDataError):
-        sim._missed(rec, dec, len(departure))
+        sim._missed(rec.departure, dec, len(departure))
 
 
 def test_offset_decisions_with_instant_service():
@@ -163,14 +165,14 @@ def test_mean_aud_matches_markovian_value():
 def test_missing_prob_markovian():
     cfg = poisson_cfg(ak.Exponential(1.0), nu=1.0)
     rec, dec = sim.run_trajectory(cfg, 1_000_000, seed=43)
-    missed, counted = sim._missed(rec, dec, skip=len(rec) // 10)
+    missed, counted = sim._missed(rec.departure, dec, skip=len(rec) // 10)
     assert missed / counted == pytest.approx(0.5, abs=0.005)
 
 
 def test_missing_prob_high_decision_rate():
     cfg = poisson_cfg(ak.Exponential(1.0), nu=100.0)
     rec, dec = sim.run_trajectory(cfg, 100_000, seed=44)
-    missed, counted = sim._missed(rec, dec, skip=10_000)
+    missed, counted = sim._missed(rec.departure, dec, skip=10_000)
     assert missed / counted < 0.02
 
 
@@ -178,7 +180,7 @@ def test_missing_prob_requires_data():
     cfg = poisson_cfg(ak.Exponential(1.0))
     rec, dec = sim.run_trajectory(cfg, 100, seed=1)
     with pytest.raises(InsufficientDataError):
-        sim._missed(rec, dec, skip=100)
+        sim._missed(rec.departure, dec, skip=100)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
@@ -283,6 +285,53 @@ def test_one_search_per_replication(monkeypatch, decision):
     cfg = ak.SystemConfig(ak.Deterministic(2.0), ak.ServiceModel(1.0), decision)
     sim.run_replications(cfg, horizon=5_000, n_reps=3, base_seed=8)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("decision", [ak.PoissonDecisions(0.7), ak.PeriodicSyncDecisions(2),
+                                      ak.PeriodicOffsetDecisions(0.5)])
+def test_report_independent_of_thread_count(decision):
+    # threads pull replication indices from one shared iterator; switching
+    # threads often would expose an index taken twice or never
+    cfg = ak.SystemConfig(ak.Deterministic(2.0), ak.ServiceModel(1.0), decision)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        default = sim.run_replications(cfg, horizon=100_000, n_reps=3, base_seed=12)
+        for threads in (1, 5):  # 5: more threads than replications
+            assert sim.run_replications(cfg, horizon=100_000, n_reps=3, base_seed=12,
+                                        threads=threads) == default
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_default_thread_rule():
+    assert sim._default_threads(sim._PARALLEL_HORIZON - 1) == 1
+    assert sim._default_threads(sim._PARALLEL_HORIZON) == len(os.sched_getaffinity(0))
+
+
+def test_thread_count_validated():
+    cfg = poisson_cfg(ak.Exponential(1.0))
+    for threads in (0, -1):
+        with pytest.raises(InputError):
+            sim.run_replications(cfg, horizon=1_000, n_reps=2, threads=threads)
+
+
+@pytest.mark.parametrize("config,bound_mib", [
+    (ak.SystemConfig(ak.Exponential(0.6), ak.ServiceModel(1.0), ak.PoissonDecisions(0.7)), 14),
+    (ak.SystemConfig(ak.Deterministic(1 / 0.6), ak.ServiceModel(1.0),
+                     ak.PeriodicSyncDecisions(2)), 19),
+], ids=["exp-poisson", "det-sync"])
+def test_replication_peak_memory(config, bound_mib):
+    # a replication that is not dumped never holds x, S, W, T or Y
+    seq = np.random.SeedSequence(3)
+    sim._replicate(config, 200_000, seq)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        sim._replicate(config, 200_000, seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 def test_ci_coverage_meta_trial():
