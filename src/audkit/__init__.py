@@ -46,7 +46,6 @@ from .queue_core import (
     missing_probability,
     rho1_deterministic,
     rho1_value,
-    short_interdeparture_prob_dm1d_sync,
     solve_rho1,
 )
 from .report import Cell, SweepRow, SweepSpec, run_sweep, serialize

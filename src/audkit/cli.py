@@ -6,10 +6,11 @@ as CSV), ``optimize-arrival`` (the AuD-minimizing arrival rate of a family,
 or of the limit family holding its infimum) and ``optimize-offset`` (the
 closed-form optimal decision offset), and ``sweep`` (grid evaluation driven
 by a JSON spec file).  Neither optimizer takes a tolerance or a budget.
-Exit codes: 0 success, 2 invalid input or an unstable system, 3 a runtime
-numerical or simulation failure.  The spec grammars and ``--family``
-choices in the help texts come from the family and discipline registries,
-``dist.FAMILIES`` and ``queue_core.DISCIPLINES``.
+Exit codes: 0 success, 2 invalid input, an unstable system or a path that
+cannot be read or written, 3 a runtime numerical or simulation failure.
+The spec grammars and ``--family`` choices in the help texts come from the
+family and discipline registries, ``dist.FAMILIES`` and
+``queue_core.DISCIPLINES``.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as err:
+    except (InputError, OSError) as err:  # OSError: an unreadable or unwritable path
         print(f"error: {err}", file=sys.stderr)
         return 2
     except AudKitError as err:

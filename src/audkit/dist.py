@@ -209,8 +209,8 @@ class ArrivalModel:
         s = _check_s(s)
         return (1.0 - self.laplace(s)) / s if s else self.mean()
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Draw one value (size=None) or a vector of values from the model."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw a vector of ``size`` values from the model."""
         raise NotImplementedError
 
 
@@ -245,10 +245,8 @@ class Exponential(ArrivalModel):
     def survival_laplace(self, s):
         return 1.0 / (self.rate + _check_s(s))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         u = rng.random(size)
-        if size is None:
-            return -np.log1p(-u) / self.rate
         np.negative(u, out=u)
         np.log1p(u, out=u)
         u /= -self.rate  # -log1p(-u) / rate, without a temporary
@@ -306,7 +304,7 @@ class Uniform(ArrivalModel):
             return self.beta * acc
         return self.beta * (u + math.expm1(-u)) / (u * u)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         u = rng.random(size)
         return self.beta * (1.0 - u)
 
@@ -361,7 +359,7 @@ class Lomax(ArrivalModel):
         z = self.beta * _check_s(s)
         return self.beta * _scaled_expint_pair(self.alpha, z)[0] if z else self.mean()
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         # Inverse CDF: x = beta * ((1-U)^(-1/alpha) - 1), exact and loop-free.
         u = rng.random(size)
         return self.beta * ((1.0 - u) ** (-1.0 / self.alpha) - 1.0)
@@ -432,10 +430,8 @@ class FoldedNormal(ArrivalModel):
         gauss = _SQRT_2_OVER_PI * sg * math.exp(-0.5 * z * z)
         return (a - sg * v) * t1 - (a + sg * v) * t2 + gauss
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         if self.sigma == 0.0:
-            if size is None:
-                return self.alpha
             return np.full(size, self.alpha)
         return np.abs(self.alpha + self.sigma * rng.standard_normal(size))
 
@@ -472,9 +468,7 @@ class Deterministic(ArrivalModel):
         s = _check_s(s)
         return -math.expm1(-s * self.period) / s if s else self.period
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.period
+    def sample(self, rng, size):
         return np.full(size, self.period)
 
 

@@ -46,7 +46,10 @@ __all__ = [
     "optimize_offset",
 ]
 
-# bounded scalar search over the load: absolute tolerance and iteration cap
+# bounded scalar search over the load: absolute tolerance and iteration cap.
+# The minimum is flat, so a change of eps in the objective moves its argmin
+# by about sqrt(eps), and the load is found only to that, not to _XATOL:
+# for exp at mu = 1 the load is 1.4e-8 off and c0 1.5e-16 off, relative.
 _XATOL = 1e-12
 _MAX_ITER = 500
 
@@ -92,10 +95,12 @@ def optimal_arrival(family: str, mu: float) -> OptimizationResult:
 
     A bounded scalar search (scipy's ``minimize_scalar``, Brent's method
     on an interval) over the load of ``FAMILIES[limit or family]`` at unit
-    service rate, to ``_XATOL`` in the load.  The optimum is rescaled to
-    ``mu``: the rate is multiplied by mu and c0 divided by it.  A search
-    that stops at ``_MAX_ITER`` iterations raises ConvergenceError with the
-    best load found.
+    service rate.  The minimum is flat, so the load is found only to about
+    sqrt(eps), not to ``_XATOL``: for exp at mu = 1 the optimal rate is
+    1.4e-8 off the root of dAuD/drho, relative, and ``c0`` 1.5e-16 off the
+    minimum.  The optimum is rescaled to ``mu``: the rate is multiplied by
+    mu and c0 divided by it.  A search that stops at ``_MAX_ITER``
+    iterations raises ConvergenceError with the best load found.
     """
     cls = FAMILIES.get(family)
     if cls is None:

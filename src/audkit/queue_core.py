@@ -23,9 +23,11 @@ calls them without building a system; each shares one private function of
 the scalars with its discipline class.
 
 Missing probability.  An update is never used exactly when no decision
-epoch falls between its departure and the next one; under periodic
-decisions, when two consecutive departures share a decision slot.  Each
-discipline's ``missing_probability`` is the exact law of that event.
+epoch falls in [its departure, the next departure): a decision at a
+departure epoch uses the update that just departed.  Under periodic
+decisions that is when two consecutive departures share a decision slot.
+Each discipline's ``missing_probability`` is the exact law of that event,
+and the simulator counts the same one, an update no decision used.
 
 Offset-periodic decisions.  With arrivals every P = 1/lambda and a decision
 a fixed delta after each arrival, FCFS service makes the decision miss
@@ -86,7 +88,6 @@ __all__ = [
     "average_aud_dm1m",
     "average_aud_dm1d_sync",
     "average_aud_dm1d_offset",
-    "short_interdeparture_prob_dm1d_sync",
     "derive",
     "mean_aud",
     "missing_probability",
@@ -367,27 +368,6 @@ def _offset_aud(lam: float, delta: float, rho1: float, u1: float) -> float:
     return delta + u1 / (lam * (1.0 - rho1))
 
 
-# --- short inter-departure probability -----------------------------------------
-
-
-def short_interdeparture_prob_dm1d_sync(lam: float, mu: float, m0: int) -> float:
-    """The paper's synchronous-decision expression (rho1 / (2 - rho1)) (1/w1 - w0).
-
-    It is P(Y < 1/nu), the probability that an inter-departure time is
-    shorter than one decision period, nu = m0 * lam; it is not the share of
-    unused updates, which ``PeriodicSyncDecisions.missing_probability``
-    gives.  The fixed point rho1 = exp(-mu (1 - rho1)/lam) makes
-    rho1/w1 = rho1^(1 - 1/m0), which stays finite where w1 underflows.
-    """
-    if not 0.0 < lam < mu:
-        raise StabilityError(lam / mu if mu > 0 else math.inf)
-    if not m0 >= 1:
-        raise InputError(f"m0 must be >= 1, got {m0}")
-    rho1 = rho1_deterministic(lam / mu)
-    value = (rho1 ** (1.0 - 1.0 / m0) - rho1 * math.exp(-mu / (m0 * lam))) / (2.0 - rho1)
-    return min(max(value, 0.0), 1.0)
-
-
 # --- per-system derived quantities -------------------------------------------
 
 
@@ -462,35 +442,19 @@ class PoissonDecisions(DecisionModel):
 
           mu (a q0 - nu rho1) / ((mu + nu)(a - nu)),  a = mu (1 - rho1),
 
-        with q0 = laplace(arrival, nu).  The expression has a removable
-        singularity at nu = a; near it the value is recovered by symmetric
-        perturbation in nu plus Richardson extrapolation, which works for
-        every arrival family.
+        with q0 = laplace(arrival, nu).  Numerator and denominator vanish at
+        nu = a; as laplace' = -weighted_first_moment and laplace(a) = rho1,
+        the limit there is mu (rho1 + a q1) / (mu + a), with q1 =
+        weighted_first_moment(arrival, a).  Within 1e-9 mu of a, where the
+        quotient cancels, that limit is returned.
         """
         d = config.derived
         mu, nu, rho1 = config.service.rate, self.rate, d.rho1
         a = mu * (1.0 - rho1)
-
-        def formula(nu_pt: float, q0: float) -> float:
-            return mu * (a * q0 - nu_pt * rho1) / ((mu + nu_pt) * (a - nu_pt))
-
-        def direct(nu_pt: float) -> float:
-            return formula(nu_pt, config.arrival.laplace(nu_pt))
-
         if abs(a - nu) < 1e-9 * mu:
-            # Sit exactly on the singular point and extrapolate h -> 0 from
-            # symmetric averages, which cancel the odd error terms.  h scales
-            # with a, so that a - h stays a valid (positive) rate as rho1 -> 1.
-            def sym(h: float) -> float:
-                return 0.5 * (direct(a + h) + direct(a - h))
-
-            h = 1e-3 * a
-            g1, g2, g3 = sym(h), sym(h / 2.0), sym(h / 4.0)
-            r1 = (4.0 * g2 - g1) / 3.0
-            r2 = (4.0 * g3 - g2) / 3.0
-            value = (16.0 * r2 - r1) / 15.0
+            value = mu * (rho1 + a * d.q1) / (mu + a)
         else:
-            value = formula(nu, d.q0)
+            value = mu * (a * d.q0 - nu * rho1) / ((mu + nu) * (a - nu))
         return min(max(value, 0.0), 1.0)
 
     def epochs(self, config, t_end, rng):

@@ -223,7 +223,7 @@ def serialize(
     ``destination`` is a path or a writable text file.  CSV floats use
     shortest round-trip formatting (17 significant digits suffice to
     reparse the exact double).  JSON output is one object per row under a
-    top-level schema version marker.
+    top-level schema version marker.  A failed open or write raises OSError.
     """
     if fmt not in ("csv", "json"):
         raise InputError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
@@ -235,8 +235,6 @@ def serialize(
             _write_csv(rows, fh, variable, columns)
         else:
             _write_json(rows, fh, variable, columns)
-    except OSError as err:
-        raise AudKitError(f"failed writing sweep to {destination}: {err}") from err
     finally:
         if own:
             fh.close()

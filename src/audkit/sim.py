@@ -79,6 +79,8 @@ class DecisionSamples:
     ``used_update`` is the 0-based index of the most recent departure at
     each decision epoch (ties go to the just-departed update), and
     ``age`` is the decision epoch minus that update's generation time.
+    An update that appears nowhere in ``used_update`` is missed; that one
+    rule gives both the ages and the missing-probability estimate.
     ``n_before_first_departure`` counts the discarded early decisions for
     which no update had been received yet.
     """
@@ -142,23 +144,18 @@ def run_trajectory(
 ) -> Tuple[UpdateRecords, DecisionSamples]:
     """Simulate ``horizon`` updates plus the decision stream over them.
 
-    ``seed`` may be an int, a SeedSequence, or a Generator; an int or
-    SeedSequence is fed to a Philox bit generator, so the full trajectory
-    is a pure function of (config, horizon, seed).
+    ``seed``, an int or a SeedSequence, is fed to a Philox bit generator,
+    so the full trajectory is a pure function of (config, horizon, seed).
     """
-    records, _, decisions = _trajectory(config, horizon, seed, keep=True)
-    return records, decisions
+    return _trajectory(config, horizon, seed, keep=True)
 
 
 def _trajectory(config: SystemConfig, horizon: int, seed, keep: bool):
-    """(records if ``keep`` else None, departures, decisions).  Without
-    ``keep`` the inter-arrival and service times are dropped as soon as the
-    departures exist, and the waiting, system and inter-departure columns
-    are never built."""
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.Generator(np.random.Philox(seed))
+    """(records if ``keep`` else None, decisions).  Without ``keep`` the
+    inter-arrival and service times are dropped as soon as the departures
+    exist, and the waiting, system and inter-departure columns are never
+    built."""
+    rng = np.random.Generator(np.random.Philox(seed))
     x, s, t, dep = _lindley(config, horizon, rng)
     records = None
     if keep:
@@ -168,7 +165,7 @@ def _trajectory(config: SystemConfig, horizon: int, seed, keep: bool):
         records = UpdateRecords(t, x, s, w, t_sys, dep, np.diff(dep, prepend=0.0))
     del x, s
     epochs = config.decision.epochs(config, float(dep[-1]), rng)
-    return records, dep, assign_decisions(t, dep, epochs)
+    return records, assign_decisions(t, dep, epochs)
 
 
 def _lindley(config: SystemConfig, horizon: int, rng: np.random.Generator):
@@ -188,40 +185,30 @@ def _lindley(config: SystemConfig, horizon: int, rng: np.random.Generator):
     return x, s, t, dep
 
 
-def _missed(dep: np.ndarray, decisions: DecisionSamples, skip: int) -> Tuple[int, int]:
-    """(missed updates, counted updates) after the warm-up, from the
-    departure epochs ``dep`` and the decisions made over them.
+def _missed(used_update: np.ndarray, n: int, skip: int) -> Tuple[int, int]:
+    """(missed updates, counted updates) of a trajectory of ``n`` updates,
+    from the update each decision used.
 
-    Update k counts as missed when no decision epoch lies in
-    (dep[k-1], dep[k]].  The first update has no predecessor
-    window and is never counted; ``skip`` additionally drops the warm-up
-    prefix.  The windows come from ``used_update``, without a second search:
-    the decisions in [dep[k-1], dep[k]) used update k-1, and one at a
-    departure epoch moves to the window that departure (the first of equal
-    ones) closes.
+    An update is missed when no decision used it.  That is the one tie rule
+    of ``assign_decisions``: update k serves the decisions in
+    [dep[k], dep[k+1]), so a decision exactly at a departure epoch uses the
+    update that just departed.  Updates max(skip, 1) - 1 to n - 2 are
+    counted; the horizon cuts off the last update's window.
     """
-    n = dep.shape[0]
     start = max(int(skip), 1)
     if start >= n:
         raise InsufficientDataError(
             f"no updates left after skipping {skip} of {n} for warm-up"
         )
-    used = decisions.used_update
-    window = np.bincount(used, minlength=n)[start - 1:-1]
-    tied = used[decisions.epoch == dep[used]]
-    if tied.shape[0]:
-        ties = np.bincount(tied, minlength=n)
-        for k in np.flatnonzero(dep[:-1] == dep[1:])[::-1]:
-            ties[k] = ties[k + 1]
-        window += np.diff(ties)[start - 1:]  # decisions in (dep[k-1], dep[k]]
-    return int(np.count_nonzero(window == 0)), int(window.shape[0])
+    unused = np.bincount(used_update, minlength=n)[start - 1:-1] == 0
+    return int(np.count_nonzero(unused)), int(unused.shape[0])
 
 
 def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
                keep: bool = False):
     """One replication: returns (mean AuD, kept decisions, missed, counted,
     discarded, and the trajectory (records, decisions) if ``keep`` else None)."""
-    records, dep, decisions = _trajectory(config, horizon, seq, keep)
+    records, decisions = _trajectory(config, horizon, seq, keep)
     n_warm = horizon // 10
     early = int(np.count_nonzero(decisions.used_update < n_warm))  # before dep[n_warm]
     ages = decisions.age[early:]
@@ -229,7 +216,7 @@ def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
         raise InsufficientDataError(
             "no decision epochs after the warm-up window; increase the horizon"
         )
-    missed, counted = _missed(dep, decisions, n_warm)
+    missed, counted = _missed(decisions.used_update, horizon, n_warm)
     discarded = decisions.n_before_first_departure + early
     return (
         float(ages.mean()),

@@ -322,3 +322,101 @@ def test_simulate_insufficient_data_exits_3(capsys):
             "poisson:rate=0.001", "--horizon", "20", "--reps", "2"]
     assert cli.main(argv) == 3
     assert "no decision epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "simulate"])
+def test_unwritable_path_exits_2(tmp_path, capsys, command):
+    missing = tmp_path / "no-such-dir"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_sweep_spec([0.5])))
+    argv = {
+        "analyze": _ANALYZE + ["--arrival", "exp:rate=0.5", "--decision", "poisson:rate=1",
+                               "--json", "--out", str(missing / "x.json")],
+        "sweep": ["sweep", "--spec", str(spec), "--out", str(missing / "x.csv")],
+        "simulate": ["simulate", "--arrival", "exp:rate=0.5", "--mu", "1", "--decision",
+                     "poisson:rate=1", "--horizon", "200", "--reps", "2",
+                     "--dump", str(missing / "d.csv")],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no-such-dir" in err
+    assert "Traceback" not in err
+
+
+def _g12(v):
+    return f"{v:.12g}"
+
+
+def _g6(v):
+    return f"{v:.6g}"
+
+
+# per subcommand: (label, the --json value it prints, its text format)
+_ANALYZE_LINES = [
+    ("rho", lambda p: p["derived"]["rho"], _g12),
+    ("rho1", lambda p: p["derived"]["rho1"], _g12),
+    ("mean_system_time", lambda p: p["derived"]["mean_system_time"], _g12),
+    ("mean_interdeparture", lambda p: p["derived"]["mean_y"], _g12),
+    ("second_moment_y", lambda p: p["derived"]["second_moment_y"], _g12),
+    ("cross_ty", lambda p: p["derived"]["cross_ty"], _g12),
+    ("mean_aud", lambda p: p["mean_aud"], _g12),
+    ("missing_probability", lambda p: p["missing_probability"], _g12),
+]
+_SIMULATE_LINES = [
+    ("mean_aud", lambda p: p["report"]["mean_aud"], _g12),
+    ("aud_std_error", lambda p: p["report"]["aud_std_error"], _g6),
+    ("ci95", lambda p: p["report"]["ci95"], lambda v: f"[{v[0]:.12g}, {v[1]:.12g}]"),
+    ("p_mis", lambda p: p["report"]["p_mis_hat"], _g12),
+    ("p_mis_std_error", lambda p: p["report"]["p_mis_std_error"], _g6),
+    ("updates_used", lambda p: p["report"]["n_updates"], str),
+    ("decisions_used", lambda p: p["report"]["n_decisions"], str),
+    ("updates_discarded", lambda p: p["report"]["updates_discarded"], str),
+    ("decisions_discarded", lambda p: p["report"]["decisions_discarded"], str),
+    ("horizon", lambda p: p["report"]["horizon"], str),
+    ("replications", lambda p: p["report"]["n_replications"], str),
+    ("seed", lambda p: p["report"]["seed"], str),
+]
+_OPTIMIZE_ARRIVAL_LINES = [
+    ("family", lambda p: p["family"], str),
+    ("limit", lambda p: p["limit"], lambda v: v or "none (optimum attained)"),
+    ("kappa_opt", lambda p: p["kappa"], lambda v: "[" + ", ".join(f"{k:.10g}" for k in v) + "]"),
+    ("min_aud (c0)", lambda p: p["c0"], _g12),
+    ("lambda_opt", lambda p: p["lambda_opt"], lambda v: f"{v:.10g}"),
+    ("inner_evaluations", lambda p: p["inner_evaluations"], str),
+]
+_OPTIMIZE_OFFSET_LINES = [
+    ("delta_opt", lambda p: p["delta_opt"], _g12),
+    ("u1_opt", lambda p: p["u1_opt"], _g12),
+    ("iterations", lambda p: p["iterations"], str),
+    ("aud_at_delta_opt", lambda p: p["aud_at_delta_opt"], _g12),
+    ("aud_poisson_decisions", lambda p: p["aud_poisson_decisions"], _g12),
+    ("aud_sync_m0_1", lambda p: p["aud_sync_m0_1"], _g12),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (_ANALYZE + ["--arrival", "exp:rate=0.5", "--decision", "poisson:rate=0.7"],
+         _ANALYZE_LINES),
+        (_ANALYZE + ["--arrival", "det:period=2", "--decision", "sync:m0=2"], _ANALYZE_LINES),
+        (_ANALYZE + ["--arrival", "det:period=2", "--decision", "offset:delta=0.5"],
+         _ANALYZE_LINES),
+        (["simulate", "--arrival", "exp:rate=0.5", "--mu", "1", "--decision",
+          "poisson:rate=0.7", "--horizon", "2000", "--reps", "3", "--seed", "4"],
+         _SIMULATE_LINES),
+        (["optimize-arrival", "--family", "lomax", "--mu", "2"], _OPTIMIZE_ARRIVAL_LINES),
+        (["optimize-arrival", "--family", "uniform", "--mu", "2"], _OPTIMIZE_ARRIVAL_LINES),
+        (["optimize-offset", "--lambda", "0.6", "--mu", "1"], _OPTIMIZE_OFFSET_LINES),
+    ],
+    ids=["analyze-poisson", "analyze-sync", "analyze-offset", "simulate",
+         "optimize-arrival-limit", "optimize-arrival", "optimize-offset"],
+)
+def test_text_output_matches_json(tmp_path, capsys, argv, expected):
+    payload = run_json(tmp_path, argv)
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # each line is the label padded to 22 columns, a space, then the value
+    assert [(line[:22].rstrip(), line[23:]) for line in lines] == [
+        (label, fmt(value(payload))) for label, value, fmt in expected
+    ]

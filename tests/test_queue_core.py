@@ -16,6 +16,7 @@ from audkit import queue_core as qc
 from audkit.errors import ConvergenceError, InputError, StabilityError
 
 import mp_oracle
+from paper_sync_expression import short_interdeparture_prob_dm1d_sync
 
 # frozen reference constants (30-digit evaluation of the closed forms)
 RHO1_HALF = 0.20318786997997995       # fixed point at offered load 1/2
@@ -297,8 +298,18 @@ def test_missing_prob_mm1m_exact():
     )
 
 
+@pytest.mark.parametrize("load", [0.3, 0.5, 0.95, 0.9999])
+def test_missing_prob_exact_at_the_singular_point(load):
+    # at nu = a = mu (1 - rho1) the limit mu (rho1 + a q1)/(mu + a) is
+    # lam/mu for exp arrivals
+    arrival = ak.Exponential(load)
+    a = 1.0 - qc.rho1_value(arrival, 1.0)
+    p = pmis_poisson(arrival, 1.0, a)
+    assert abs(p - load) <= 4 * EPS * load
+
+
 def test_missing_prob_near_singularity_continuous():
-    # values just off the singular point agree with the extrapolated value on it
+    # values just off the singular point agree with the limit on it
     model = ak.Uniform(2.0)
     a = 2.0 * (1.0 - qc.rho1_value(model, 2.0))
     on = pmis_poisson(model, 2.0, a)
@@ -321,17 +332,17 @@ def test_missing_prob_in_unit_interval(family, nu):
 
 
 def test_missing_prob_dm1d_sync():
-    # the paper's sync expression, kept as short_interdeparture_prob_dm1d_sync
-    assert qc.short_interdeparture_prob_dm1d_sync(1.0, 2.0, 1) == pytest.approx(
+    # the paper's sync expression, kept in tests/paper_sync_expression.py
+    assert short_interdeparture_prob_dm1d_sync(1.0, 2.0, 1) == pytest.approx(
         PMIS_SYNC_1_2_1, rel=1e-12
     )
-    values = [qc.short_interdeparture_prob_dm1d_sync(1.0, 2.0, m0) for m0 in range(1, 11)]
+    values = [short_interdeparture_prob_dm1d_sync(1.0, 2.0, m0) for m0 in range(1, 11)]
     for a, b in zip(values, values[1:]):
         assert b < a
     for v in values:
         assert 0.0 <= v <= 1.0
     # w1 = exp(-1000) underflows; this used to divide by it
-    assert qc.short_interdeparture_prob_dm1d_sync(1e-3, 1.0, 1) == pytest.approx(0.5, rel=1e-12)
+    assert short_interdeparture_prob_dm1d_sync(1e-3, 1.0, 1) == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 3.0])

@@ -19,6 +19,7 @@ from audkit import sim
 from audkit.errors import InputError, InsufficientDataError
 
 from dump_oracle import dump_bytes
+from paper_sync_expression import short_interdeparture_prob_dm1d_sync
 
 SVC2 = ak.ServiceModel(2.0)
 
@@ -95,14 +96,6 @@ def test_decision_assignment_ties_and_skips():
     assert out.age == pytest.approx([0.5, 1.4, 0.5, 0.6])
 
 
-def records_from(arrival, departure):
-    """UpdateRecords of a hand-built trajectory in which no update waits."""
-    system = departure - arrival
-    return sim.UpdateRecords(arrival, np.diff(arrival, prepend=0.0), system,
-                             np.zeros_like(system), system, departure,
-                             np.diff(departure, prepend=0.0))
-
-
 @st.composite
 def tied_trajectories(draw):
     """Departures on a half-unit grid, some equal, and ascending decision
@@ -128,15 +121,22 @@ def test_tie_rule_matches_brute_force(trajectory):
     assert dec.n_before_first_departure == latest.count(None)
     assert dec.used_update.tolist() == [k for _, k in used]
     assert dec.age.tolist() == [tau - arrival[k] for tau, k in used]
-    # per update, the epochs in (dep[k-1], dep[k]]
-    windows = [sum(departure[k - 1] < tau <= departure[k] for tau in epochs)
-               for k in range(1, len(departure))]
-    rec = records_from(arrival, departure)
-    for skip in range(len(departure)):
-        counted = windows[max(skip, 1) - 1:]
-        assert sim._missed(rec.departure, dec, skip) == (counted.count(0), len(counted))
+    # update k is missed iff no epoch's latest departure at or before it is k
+    n = len(departure)
+    for skip in range(n):
+        counted = range(max(skip, 1) - 1, n - 1)
+        missed = sum(k not in latest for k in counted)
+        assert sim._missed(dec.used_update, n, skip) == (missed, len(counted))
     with pytest.raises(InsufficientDataError):
-        sim._missed(rec.departure, dec, len(departure))
+        sim._missed(dec.used_update, n, n)
+
+
+def test_decision_at_a_departure_uses_that_update():
+    # both decisions use update 1, so updates 0 and 2 are never used
+    departure = np.array([1.0, 2.0, 3.0, 4.0])
+    dec = sim.assign_decisions(departure - 0.5, departure, np.array([2.0, 2.5]))
+    assert dec.used_update.tolist() == [1, 1]
+    assert sim._missed(dec.used_update, 4, 0) == (2, 3)
 
 
 def test_offset_decisions_with_instant_service():
@@ -165,14 +165,14 @@ def test_mean_aud_matches_markovian_value():
 def test_missing_prob_markovian():
     cfg = poisson_cfg(ak.Exponential(1.0), nu=1.0)
     rec, dec = sim.run_trajectory(cfg, 1_000_000, seed=43)
-    missed, counted = sim._missed(rec.departure, dec, skip=len(rec) // 10)
+    missed, counted = sim._missed(dec.used_update, len(rec), skip=len(rec) // 10)
     assert missed / counted == pytest.approx(0.5, abs=0.005)
 
 
 def test_missing_prob_high_decision_rate():
     cfg = poisson_cfg(ak.Exponential(1.0), nu=100.0)
     rec, dec = sim.run_trajectory(cfg, 100_000, seed=44)
-    missed, counted = sim._missed(rec.departure, dec, skip=10_000)
+    missed, counted = sim._missed(dec.used_update, len(rec), skip=10_000)
     assert missed / counted < 0.02
 
 
@@ -180,7 +180,7 @@ def test_missing_prob_requires_data():
     cfg = poisson_cfg(ak.Exponential(1.0))
     rec, dec = sim.run_trajectory(cfg, 100, seed=1)
     with pytest.raises(InsufficientDataError):
-        sim._missed(rec.departure, dec, skip=100)
+        sim._missed(dec.used_update, len(rec), skip=100)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
@@ -231,7 +231,7 @@ def test_sync_short_interdeparture_matches_formula():
         y = rec.interdeparture[len(rec) // 10:]
         short = np.count_nonzero(y < 1.0 / cfg.decision_rate) / y.shape[0]
         assert short == pytest.approx(
-            qc.short_interdeparture_prob_dm1d_sync(1.0, 2.0, m0), rel=0.01
+            short_interdeparture_prob_dm1d_sync(1.0, 2.0, m0), rel=0.01
         )
 
 
