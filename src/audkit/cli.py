@@ -6,8 +6,11 @@ as CSV), ``optimize-arrival`` (the AuD-minimizing arrival rate of a family,
 or of the limit family holding its infimum) and ``optimize-offset`` (the
 closed-form optimal decision offset), and ``sweep`` (grid evaluation driven
 by a JSON spec file).  Neither optimizer takes a tolerance or a budget.
-Exit codes: 0 success, 2 invalid input, an unstable system or a path that
-cannot be read or written, 3 a runtime numerical or simulation failure.
+Each subcommand returns its JSON payload and its text rendering, and
+``_emit`` is the one writer of both.
+Exit codes: 0 success, 2 invalid input, an unstable system, a result that
+is not finite at the given time scale, or a path that cannot be read or
+written, 3 a runtime numerical or simulation failure.
 The spec grammars and ``--family`` choices in the help texts come from the
 family and discipline registries, ``dist.FAMILIES`` and
 ``queue_core.DISCIPLINES``.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Optional
 
@@ -34,26 +38,50 @@ from .queue_core import (
     parse_decision,
 )
 
-def _emit(payload: dict, lines, args) -> None:
+def _first_non_finite(value, name: str = "") -> Optional[str]:
+    """Dotted name of the first NaN or infinity in a JSON-ready ``value``, or None."""
+    if isinstance(value, dict):
+        children = ((f"{name}.{k}" if name else k, v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        children = ((f"{name}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return name if isinstance(value, float) and not math.isfinite(value) else None
+    return next(filter(None, (_first_non_finite(v, n) for n, v in children)), None)
+
+
+def _emit(payload: dict, text: Optional[str], args) -> None:
+    """The only writer: ``payload`` as JSON under --json, else ``text``, to
+    --out or stdout.  A non-finite number in ``payload`` is an input error in
+    either mode, since no JSON parser reads NaN or Infinity."""
+    field = _first_non_finite(payload)
+    if field is not None:
+        raise InputError(f"{field} is not finite at this time scale; "
+                         "rescale the input rates and times")
     if args.json:
         text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = "".join(f"{k:<22} {v}\n" for k, v in lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _build_config(args) -> SystemConfig:
-    arrival = parse_arrival(args.arrival)
-    decision = parse_decision(args.decision)
-    return SystemConfig(arrival, ServiceModel(rate=args.mu), decision)
+def _text(lines) -> str:
+    return "".join(f"{k:<22} {v}\n" for k, v in lines)
 
 
-def _cmd_analyze(args) -> int:
-    config = _build_config(args)
+def _build_config(fields) -> SystemConfig:
+    """The system named by the ``arrival``, ``mu`` and ``decision`` entries
+    of a mapping: the parsed options, or a sweep spec's template."""
+    return SystemConfig(
+        parse_arrival(fields["arrival"]),
+        ServiceModel(rate=float(fields["mu"])),
+        parse_decision(fields["decision"]),
+    )
+
+
+def _cmd_analyze(args) -> tuple:
+    config = _build_config(vars(args))
     derived = queue_core.derive(config)
     aud = queue_core.mean_aud(config)
     pmis = queue_core.missing_probability(config)
@@ -64,7 +92,7 @@ def _cmd_analyze(args) -> int:
         "mean_aud": aud,
         "missing_probability": pmis,
     }
-    lines = [
+    return payload, _text([
         ("rho", f"{derived.rho:.12g}"),
         ("rho1", f"{derived.rho1:.12g}"),
         ("mean_system_time", f"{derived.mean_system_time:.12g}"),
@@ -73,13 +101,11 @@ def _cmd_analyze(args) -> int:
         ("cross_ty", f"{derived.cross_ty:.12g}"),
         ("mean_aud", f"{aud:.12g}"),
         ("missing_probability", f"{pmis:.12g}"),
-    ]
-    _emit(payload, lines, args)
-    return 0
+    ])
 
 
-def _cmd_simulate(args) -> int:
-    config = _build_config(args)
+def _cmd_simulate(args) -> tuple:
+    config = _build_config(vars(args))
     rep, first = sim._replications(
         config, args.horizon, args.reps, args.seed, args.threads,
         keep_first=bool(args.dump),
@@ -87,7 +113,7 @@ def _cmd_simulate(args) -> int:
     if args.dump:
         sim.dump_trajectory_csv(*first, args.dump)
     payload = {"command": "simulate", "report": rep.to_dict()}
-    lines = [
+    return payload, _text([
         ("mean_aud", f"{rep.mean_aud:.12g}"),
         ("aud_std_error", f"{rep.aud_std_error:.6g}"),
         ("ci95", f"[{rep.ci95[0]:.12g}, {rep.ci95[1]:.12g}]"),
@@ -100,12 +126,10 @@ def _cmd_simulate(args) -> int:
         ("horizon", rep.horizon),
         ("replications", rep.n_replications),
         ("seed", rep.seed),
-    ]
-    _emit(payload, lines, args)
-    return 0
+    ])
 
 
-def _cmd_optimize_arrival(args) -> int:
+def _cmd_optimize_arrival(args) -> tuple:
     res = optimal_arrival(args.family, args.mu)
     payload = {
         "command": "optimize-arrival",
@@ -117,19 +141,17 @@ def _cmd_optimize_arrival(args) -> int:
         "lambda_opt": res.arrival_rate(),
         "inner_evaluations": res.inner_evaluations,
     }
-    lines = [
+    return payload, _text([
         ("family", res.family),
         ("limit", res.limit or "none (optimum attained)"),
         ("kappa_opt", "[" + ", ".join(f"{v:.10g}" for v in res.kappa) + "]"),
         ("min_aud (c0)", f"{res.c0:.12g}"),
         ("lambda_opt", f"{res.arrival_rate():.10g}"),
         ("inner_evaluations", res.inner_evaluations),
-    ]
-    _emit(payload, lines, args)
-    return 0
+    ])
 
 
-def _cmd_optimize_offset(args) -> int:
+def _cmd_optimize_offset(args) -> tuple:
     lam, mu = args.lam, args.mu
     res = optimize_offset(lam, mu)
     aud_star = average_aud_dm1d_offset(lam, mu, res.delta)
@@ -146,32 +168,25 @@ def _cmd_optimize_offset(args) -> int:
         "aud_poisson_decisions": aud_poisson,
         "aud_sync_m0_1": aud_sync,
     }
-    lines = [
+    return payload, _text([
         ("delta_opt", f"{res.delta:.12g}"),
         ("u1_opt", f"{res.u1:.12g}"),
         ("iterations", res.iterations),
         ("aud_at_delta_opt", f"{aud_star:.12g}"),
         ("aud_poisson_decisions", f"{aud_poisson:.12g}"),
         ("aud_sync_m0_1", f"{aud_sync:.12g}"),
-    ]
-    _emit(payload, lines, args)
-    return 0
+    ])
 
 
 def _load_sweep_spec(path: str) -> report.SweepSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        template = SystemConfig(
-            parse_arrival(raw["template"]["arrival"]),
-            ServiceModel(rate=float(raw["template"]["mu"])),
-            parse_decision(raw["template"]["decision"]),
-        )
         budget = {k: int(raw[k]) for k in ("horizon", "replications", "base_seed") if k in raw}
         return report.SweepSpec(
             variable=raw["variable"],
             grid=tuple(float(v) for v in raw["grid"]),
-            template=template,
+            template=_build_config(raw["template"]),
             evaluations=tuple(raw["evaluations"]),
             **budget,
         )
@@ -179,12 +194,12 @@ def _load_sweep_spec(path: str) -> report.SweepSpec:
         raise InputError(f"bad sweep spec {path}: {err}") from None
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     spec = _load_sweep_spec(args.spec)
     rows = report.run_sweep(spec)
-    report.serialize(rows, "json" if args.json else "csv", args.out or sys.stdout,
-                     variable=spec.variable, columns=spec.columns())
-    return 0
+    render = functools.partial(report.serialize, rows, variable=spec.variable,
+                               columns=spec.columns())
+    return render("json"), (None if args.json else render("csv"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,21 +215,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit JSON instead of text (CSV for sweep)")
         sp.add_argument("--out", help="write output to this path instead of stdout")
 
+    def add_system(sp):
+        sp.add_argument("--arrival", required=True, help=f"arrival spec: {ARRIVAL_GRAMMAR}")
+        sp.add_argument("--mu", type=float, required=True, help="service rate")
+        sp.add_argument("--decision", required=True, help=f"decision spec: {DECISION_GRAMMAR}")
+
     sp = sub.add_parser("analyze", help="closed-form quantities for one system")
-    sp.add_argument("--arrival", required=True, help=f"arrival spec: {ARRIVAL_GRAMMAR}")
-    sp.add_argument("--mu", type=float, required=True, help="service rate")
-    sp.add_argument("--decision", required=True, help=f"decision spec: {DECISION_GRAMMAR}")
+    add_system(sp)
     add_common(sp)
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimate for one system")
-    sp.add_argument("--arrival", required=True, help=f"arrival spec: {ARRIVAL_GRAMMAR}")
-    sp.add_argument("--mu", type=float, required=True, help="service rate")
-    sp.add_argument("--decision", required=True, help=f"decision spec: {DECISION_GRAMMAR}")
+    add_system(sp)
     sp.add_argument("--horizon", type=int, default=1_000_000, help="updates per replication")
     sp.add_argument("--reps", type=int, default=5, help="number of replications")
     sp.add_argument("--seed", type=int, default=0, help="base seed")
-    sp.add_argument("--dump", help="write the per-update/per-decision CSV here")
+    sp.add_argument("--dump", help="write the per-update/per-decision CSV here, "
+                                   "gzip-compressed when the path ends in .gz")
     sp.add_argument("--threads", type=int,
                     help="worker threads (default: one per available core, at most one "
                          "per replication, from --horizon 1e5 up; 1 below)")
@@ -250,7 +267,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(*args.func(args), args)
+        return 0
     except (InputError, OSError) as err:  # OSError: an unreadable or unwritable path
         print(f"error: {err}", file=sys.stderr)
         return 2

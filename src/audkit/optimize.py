@@ -37,7 +37,12 @@ from scipy import optimize as sp_optimize
 
 from .dist import FAMILIES, ArrivalModel, _positive
 from .errors import ConvergenceError, InputError
-from .queue_core import average_aud_from_moments, departure_moments, rho1_deterministic
+from .queue_core import (
+    _stable_load,
+    average_aud_from_moments,
+    departure_moments,
+    rho1_deterministic,
+)
 
 __all__ = [
     "OptimizationResult",
@@ -139,9 +144,7 @@ def optimize_offset(lam: float, mu: float) -> OffsetResult:
     The derivative 1 - u1/rho vanishes at u1 = rho, which lies inside
     (rho1, 1), so delta* = ln(1/rho) / (mu (1 - rho1)) in (0, 1/lam).
     """
-    if not 0.0 < lam < mu < math.inf:
-        raise InputError(f"requires 0 < lam < mu < inf, got lam={lam}, mu={mu}")
-    rho = lam / mu
+    rho = _stable_load(lam, mu)
     rho1 = rho1_deterministic(rho)
     u1 = rho
     delta = -math.log(u1) / (mu * (1.0 - rho1))

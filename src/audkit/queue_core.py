@@ -313,19 +313,28 @@ def average_aud_from_moments(mean_y: float, second_moment_y: float, cross_ty: fl
     return (second_moment_y + 2.0 * cross_ty) / (2.0 * mean_y)
 
 
+def _stable_load(lam: float, mu: float) -> float:
+    """rho = lam/mu for the scalar laws.  InputError unless both rates are
+    finite and > 0 and rho is representable, StabilityError unless lam < mu."""
+    if not (0.0 < lam < math.inf and 0.0 < mu < math.inf):
+        raise InputError(f"rates must be finite and > 0, got lam={lam}, mu={mu}")
+    if not lam < mu:
+        raise StabilityError(lam / mu)
+    rho = lam / mu
+    if rho == 0.0:
+        raise InputError(f"load lam/mu underflows to 0, got lam={lam}, mu={mu}")
+    return rho
+
+
 def average_aud_mm1m(lam: float, mu: float) -> float:
     """Mean AuD of the fully Markovian system: (1/mu)(1 + 1/rho + rho^2/(1-rho))."""
-    if not 0.0 < lam < mu:
-        raise StabilityError(lam / mu if mu > 0 else math.inf)
-    rho = lam / mu
+    rho = _stable_load(lam, mu)
     return (1.0 + 1.0 / rho + rho * rho / (1.0 - rho)) / mu
 
 
 def average_aud_dm1m(lam: float, mu: float) -> float:
     """Mean AuD with periodic arrivals and Poisson decisions: 1/(2 lam) + E[T]."""
-    if not 0.0 < lam < mu:
-        raise StabilityError(lam / mu if mu > 0 else math.inf)
-    rho1 = rho1_deterministic(lam / mu)
+    rho1 = rho1_deterministic(_stable_load(lam, mu))
     return 1.0 / (2.0 * lam) + 1.0 / (mu * (1.0 - rho1))
 
 
@@ -334,12 +343,11 @@ def average_aud_dm1d_sync(lam: float, mu: float, m0: int) -> float:
 
     Decision rate nu = m0 * lam:  (1 + m0)/(2 nu) + w1 / (nu (1 - w1)).
     Strictly decreasing in m0 and converging to the Poisson-decision value.
+    m0 follows ``PeriodicSyncDecisions``' rule: an integer >= 1.
     """
-    if not 0.0 < lam < mu:
-        raise StabilityError(lam / mu if mu > 0 else math.inf)
-    if not m0 >= 1:
-        raise InputError(f"m0 must be >= 1, got {m0}")
-    return _sync_aud(m0, m0 * lam, mu * (1.0 - rho1_deterministic(lam / mu)))
+    rho1 = rho1_deterministic(_stable_load(lam, mu))
+    m0 = PeriodicSyncDecisions(m0).m0
+    return _sync_aud(m0, m0 * lam, mu * (1.0 - rho1))
 
 
 def _sync_aud(m0: int, nu: float, a: float) -> float:
@@ -355,11 +363,10 @@ def average_aud_dm1d_offset(lam: float, mu: float, delta: float) -> float:
     delta + u1 / (lam (1 - rho1)), u1 = exp(-mu (1 - rho1) delta); the
     decision rate equals the arrival rate and delta must lie in (0, 1/lam).
     """
-    if not 0.0 < lam < mu:
-        raise StabilityError(lam / mu if mu > 0 else math.inf)
+    rho = _stable_load(lam, mu)
     if not 0.0 < delta < 1.0 / lam:
         raise InputError(f"offset must lie in (0, {1.0 / lam:.6g}), got {delta}")
-    rho1 = rho1_deterministic(lam / mu)
+    rho1 = rho1_deterministic(rho)
     return _offset_aud(lam, delta, rho1, math.exp(-mu * (1.0 - rho1) * delta))
 
 

@@ -1,10 +1,11 @@
-"""Parameter sweeps over update-and-decide systems, with CSV/JSON output.
+"""Parameter sweeps over update-and-decide systems, rendered as CSV or JSON.
 
 A sweep walks one variable over a strictly increasing grid, builds a
 system configuration per point from a fixed template, and evaluates any
 mix of analytic formulas, Monte Carlo estimates, and optimizer runs.
-Per-cell failures (an unstable point, an optimizer that does not apply)
-are flagged in the row status instead of aborting the sweep, and
+Per-cell failures (an unstable point, an optimizer that does not apply, a
+value that is not finite) are flagged in the cell status instead of
+aborting the sweep, and
 analytic columns are pure functions of the grid point: a different base
 seed perturbs only the stochastic columns.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -181,7 +182,15 @@ def _evaluate_point(
             code = type(err).__name__
             for col, _ in _COLUMNS[ev]:
                 cells.setdefault(col, Cell(status=code))
-    return cells
+    return {name: _finite(cell) for name, cell in cells.items()}
+
+
+def _finite(cell: Cell) -> Cell:
+    """``cell``, or a null ``non-finite`` cell if its value or standard error
+    is NaN or infinite: no JSON parser reads those."""
+    if cell.value is None or (math.isfinite(cell.value) and math.isfinite(cell.std_error)):
+        return cell
+    return Cell(status="non-finite")
 
 
 def run_sweep(spec: SweepSpec) -> List[SweepRow]:
@@ -213,35 +222,26 @@ def _fmt(v: Optional[float]) -> str:
 def serialize(
     rows: Sequence[SweepRow],
     fmt: str,
-    destination,
     variable: str = "grid",
     *,
     columns: Sequence[Tuple[str, bool]],
-) -> None:
-    """Write sweep rows as CSV or JSON.
+):
+    """Render sweep rows: CSV text for ``"csv"``, the JSON document as a dict
+    for ``"json"``.
 
-    ``destination`` is a path or a writable text file.  CSV floats use
-    shortest round-trip formatting (17 significant digits suffice to
-    reparse the exact double).  JSON output is one object per row under a
-    top-level schema version marker.  A failed open or write raises OSError.
+    CSV floats use shortest round-trip formatting (17 significant digits
+    suffice to reparse the exact double), with one row per grid point.  The
+    JSON document is one object per row under a top-level schema version
+    marker.
     """
-    if fmt not in ("csv", "json"):
+    if fmt == "json":
+        doc_rows = [{"grid": row.grid_value,
+                     "cells": {n: dict(vars(c)) for n, c in row.cells.items()}} for row in rows]
+        return {"schema_version": SCHEMA_VERSION, "variable": variable, "rows": doc_rows}
+    if fmt != "csv":
         raise InputError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
-
-    own = isinstance(destination, (str, bytes))
-    fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
-        if fmt == "csv":
-            _write_csv(rows, fh, variable, columns)
-        else:
-            _write_json(rows, fh, variable, columns)
-    finally:
-        if own:
-            fh.close()
-
-
-def _write_csv(rows, fh, variable, columns) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     header = [variable]
     for name, has_se in columns:
         header.append(name)
@@ -249,37 +249,13 @@ def _write_csv(rows, fh, variable, columns) -> None:
             header.append(name + "_se")
         header.append(name + "_status")
     writer.writerow(header)
-    if not columns:
-        return  # header-only table: nothing was evaluated
     for row in rows:
         out = [_fmt(row.grid_value)]
         for name, has_se in columns:
-            cell = row.cells.get(name, Cell(status="missing"))
+            cell = row.cells[name]
             out.append(_fmt(cell.value))
             if has_se:
                 out.append(_fmt(cell.std_error if cell.value is not None else None))
             out.append(cell.status)
         writer.writerow(out)
-
-
-def _write_json(rows, fh, variable, columns) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "variable": variable,
-        "rows": [
-            {
-                "grid": row.grid_value,
-                "cells": {
-                    name: {
-                        "value": cell.value,
-                        "std_error": cell.std_error,
-                        "status": cell.status,
-                    }
-                    for name, cell in row.cells.items()
-                },
-            }
-            for row in rows
-        ],
-    }
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
+    return buf.getvalue()

@@ -28,6 +28,7 @@ when every column was built.
 from __future__ import annotations
 
 import gzip
+import io
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -326,34 +327,27 @@ def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: in
     ), trajectories[0]
 
 
-_GZIP_THRESHOLD = 100 * 1024 * 1024
 _DUMP_BLOCK = 4096
 
 
 def dump_trajectory_csv(
     records: UpdateRecords, decisions: DecisionSamples, path: str
 ) -> str:
-    """Write the per-update and per-decision tables to one CSV file.
+    """Write the per-update and per-decision tables to one CSV file; return ``path``.
 
     Two header rows delimit the tables, and every value is written with
     ``repr``, which round-trips the double.  Rows are written in blocks, so
-    the file is never held in memory.  When the file exceeds 100 MB it is
-    gzip-compressed to ``path + '.gz'`` and the plain file removed; the
-    actual path written is returned.
+    the file is never held in memory.  A path ending in ``.gz`` is streamed
+    through gzip with a zero header timestamp, so the trajectory and the
+    path fix the bytes.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    raw = gzip.GzipFile(path, "wb", mtime=0) if path.endswith(".gz") else open(path, "wb")
+    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         _write_table(fh, "k,t_k,X_k,S_k,W_k,T_k,t_dep_k,Y_k",
                      [getattr(records, f) for f in records.__dataclass_fields__])
         _write_table(fh, "j,tau_j,used_update,aud",
                      [decisions.epoch, decisions.used_update + 1, decisions.age])
-    if os.path.getsize(path) <= _GZIP_THRESHOLD:
-        return path
-    out = path + ".gz"
-    with open(path, "rb") as src, gzip.open(out, "wb") as dst:
-        while chunk := src.read(1 << 20):
-            dst.write(chunk)
-    os.remove(path)
-    return out
+    return path
 
 
 def _write_table(fh, header: str, columns) -> None:

@@ -17,6 +17,15 @@ CLI_SCHEMA = json.loads(
 )
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def read_json(path):
+    """The JSON document at ``path``; NaN and Infinity tokens fail the test."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 @pytest.mark.parametrize(
     "arrival,rho",
     [
@@ -31,7 +40,7 @@ def test_analyze_json_near_critical(tmp_path, arrival, rho):
          "--json", "--out", str(out)]
     )
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = read_json(out)
     jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
     assert payload["derived"]["rho"] == pytest.approx(rho, rel=1e-12)
 
@@ -71,7 +80,7 @@ def analyze_json(tmp_path, arrival, decision):
     code = cli.main(["analyze", "--arrival", arrival, "--mu", "1", "--decision", decision,
                      "--json", "--out", str(out)])
     assert code == 0
-    return json.loads(out.read_text())
+    return read_json(out)
 
 
 def test_analyze_sync_at_huge_m0(tmp_path):
@@ -111,6 +120,26 @@ def test_analyze_rejects_an_unrepresentable_second_moment(capsys, arrival):
     assert "Traceback" not in err
 
 
+_EXTREME = ["analyze", "--arrival", "uniform:beta=1e-300", "--mu", "1e301",
+            "--decision", "poisson:rate=1"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_a_non_finite_result_exits_2_naming_the_field(tmp_path, capsys, mode):
+    # the missing probability evaluates to NaN here; it was printed with exit 0
+    out = tmp_path / "out"
+    assert cli.main(_EXTREME + mode + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: missing_probability is not finite at this "
+                                       "time scale; rescale the input rates and times\n")
+    assert not out.exists()
+
+
+def test_first_non_finite_names_nested_fields():
+    payload = {"a": 1.0, "b": {"c": [0.0, math.inf]}, "d": math.nan, "e": None}
+    assert cli._first_non_finite(payload) == "b.c[1]"
+    assert cli._first_non_finite({"a": 1, "b": "nan", "c": [None, 2.0]}) is None
+
+
 SWEEP_SCHEMA = json.loads(
     (Path(audkit.__file__).parent / "schemas" / "sweep.schema.json").read_text()
 )
@@ -120,7 +149,7 @@ def run_json(tmp_path, argv):
     out = tmp_path / "out.json"
     code = cli.main(argv + ["--json", "--out", str(out)])
     assert code == 0
-    return json.loads(out.read_text())
+    return read_json(out)
 
 
 def test_optimize_arrival_json(tmp_path):
@@ -160,11 +189,16 @@ def test_optimize_arrival_unknown_family_exits_2():
     assert cli.main(["optimize-arrival", "--family", "weibull", "--mu", "1"]) == 2
 
 
-def test_optimize_offset_at_subnormal_load(tmp_path):
+def test_optimize_offset_at_subnormal_load(capsys):
     # exp(-1/rho) underflows to 0 and 1/rho overflows: the Lambert W argument was inf * 0
-    payload = run_json(tmp_path, ["optimize-offset", "--lambda", "1e-320", "--mu", "1"])
-    jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
-    assert payload["delta_opt"] == pytest.approx(-math.log(1e-320), rel=1e-14)
+    assert audkit.optimize_offset(1e-320, 1.0).delta == pytest.approx(-math.log(1e-320),
+                                                                       rel=1e-14)
+    # the mean AuD under Poisson decisions, 1/(2 lam) + E[T], overflows at this load
+    assert cli.main(["optimize-offset", "--lambda", "1e-320", "--mu", "1", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: aud_poisson_decisions is not finite at this time scale; "
+                   "rescale the input rates and times\n")
 
 
 @pytest.mark.parametrize("lam", ["0.5", "inf"])

@@ -265,6 +265,46 @@ def test_average_aud_dm1d_offset():
         qc.average_aud_dm1d_offset(1.0, 2.0, 0.0)
 
 
+_SCALAR_LAWS = {
+    "mm1m": qc.average_aud_mm1m,
+    "dm1m": qc.average_aud_dm1m,
+    "dm1d_sync": lambda lam, mu: qc.average_aud_dm1d_sync(lam, mu, 1),
+    "dm1d_offset": lambda lam, mu: qc.average_aud_dm1d_offset(lam, mu, 0.5),
+    "optimize_offset": ak.optimize_offset,
+}
+
+
+@pytest.mark.parametrize("law", sorted(_SCALAR_LAWS))
+@pytest.mark.parametrize("lam,mu", [(0.5, math.inf), (math.inf, math.inf), (0.0, 1.0),
+                                    (-0.5, 1.0), (math.nan, 1.0), (0.5, 0.0), (0.5, math.nan)])
+def test_scalar_laws_reject_bad_rates(law, lam, mu):
+    # mm1m divided by zero at mu = inf; the others called rho = 0 unstable
+    with pytest.raises(InputError, match=r"finite and > 0, got lam=.*, mu=") as err:
+        _SCALAR_LAWS[law](lam, mu)
+    assert not isinstance(err.value, StabilityError)
+
+
+@pytest.mark.parametrize("law", sorted(_SCALAR_LAWS))
+@pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (1.5, 1.0)])
+def test_scalar_laws_reject_unstable_load(law, lam, mu):
+    with pytest.raises(StabilityError):
+        _SCALAR_LAWS[law](lam, mu)
+
+
+@pytest.mark.parametrize("law", sorted(_SCALAR_LAWS))
+def test_scalar_laws_reject_an_underflowing_load(law):
+    with pytest.raises(InputError, match="underflows"):
+        _SCALAR_LAWS[law](1e-320, 1e10)
+
+
+@pytest.mark.parametrize("m0", [math.inf, 1.5, 0, -1])
+def test_average_aud_dm1d_sync_takes_the_discipline_m0_rule(m0):
+    # m0 = inf returned nan and m0 = 1.5 returned 2.37
+    with pytest.raises(InputError, match="decision multiplier m0"):
+        qc.average_aud_dm1d_sync(0.5, 1.0, m0)
+    assert qc.average_aud_dm1d_sync(0.5, 1.0, 2.0) == qc.average_aud_dm1d_sync(0.5, 1.0, 2)
+
+
 def test_offset_curve_convex_on_grid():
     lam, mu = 1.0, 2.0
     deltas = np.linspace(0.0, 1.0 / lam, 52)[1:-1]

@@ -197,12 +197,10 @@ def _small_rows():
     return spec, report.run_sweep(spec)
 
 
-def test_serialize_csv_round_trip(tmp_path):
+def test_serialize_csv_round_trip():
     spec, rows = _small_rows()
-    path = str(tmp_path / "sweep.csv")
-    report.serialize(rows, "csv", path, variable="m0", columns=spec.columns())
-    with open(path, newline="") as fh:
-        parsed = list(csv.reader(fh))
+    text = report.serialize(rows, "csv", "m0", columns=spec.columns())
+    parsed = list(csv.reader(io.StringIO(text, newline="")))
     assert parsed[0] == [
         "m0",
         "aud_analytic", "aud_analytic_status",
@@ -215,20 +213,19 @@ def test_serialize_csv_round_trip(tmp_path):
         assert raw[2] == "ok"
 
 
-def test_serialize_empty_evaluations_header_only(tmp_path):
+def test_serialize_empty_evaluations_writes_grid_rows():
+    # one row per grid point, as the JSON document has
     spec = report.SweepSpec("m0", (1.0, 2.0), SYNC_TEMPLATE, ())
     rows = report.run_sweep(spec)
-    buf = io.StringIO()
-    report.serialize(rows, "csv", buf, variable="m0", columns=spec.columns())
-    lines = buf.getvalue().strip().splitlines()
-    assert lines == ["m0"]
+    text = report.serialize(rows, "csv", "m0", columns=spec.columns())
+    assert text.splitlines() == ["m0", "1.0", "2.0"]
+    doc = report.serialize(rows, "json", "m0", columns=spec.columns())
+    assert [row["grid"] for row in doc["rows"]] == [1.0, 2.0]
 
 
-def test_serialize_json_validates_against_schema(tmp_path):
+def test_serialize_json_validates_against_schema():
     spec, rows = _small_rows()
-    buf = io.StringIO()
-    report.serialize(rows, "json", buf, variable="m0", columns=spec.columns())
-    doc = json.loads(buf.getvalue())
+    doc = report.serialize(rows, "json", "m0", columns=spec.columns())
     assert doc["schema_version"] == "aud-kit/1"
     jsonschema.validate(doc, load_schema("sweep.schema.json"))
     assert len(doc["rows"]) == 3
@@ -240,7 +237,30 @@ def test_serialize_json_validates_against_schema(tmp_path):
 def test_serialize_rejects_unknown_format():
     _, rows = _small_rows()
     with pytest.raises(InputError):
-        report.serialize(rows, "xml", io.StringIO(), columns=())
+        report.serialize(rows, "xml", columns=())
+
+
+def test_sweep_flags_non_finite_cells():
+    # the missing probability of this system evaluates to NaN at this time scale
+    template = ak.SystemConfig(ak.Uniform(1e-300), ak.ServiceModel(1e301), ak.PoissonDecisions(1.0))
+    spec = report.SweepSpec("mu", (1e301,), template, ("analytic-pmis",))
+    (row,) = report.run_sweep(spec)
+    assert row.cells["pmis_analytic"] == report.Cell(status="non-finite")
+    doc = report.serialize([row], "json", "mu", columns=spec.columns())
+    jsonschema.validate(doc, load_schema("sweep.schema.json"))
+    assert report.serialize([row], "csv", "mu", columns=spec.columns()).splitlines()[1] == (
+        "1e+301,,non-finite"
+    )
+
+
+def test_the_two_sweep_schemas_agree():
+    # cli.schema.json carries a hand copy of sweep.schema.json under $defs
+    standalone = load_schema("sweep.schema.json")
+    copy = load_schema("cli.schema.json")["$defs"]["sweep"]
+    drop = ("$schema", "title")
+    assert {k: v for k, v in copy.items() if k not in drop} == {
+        k: v for k, v in standalone.items() if k not in drop
+    }
 
 
 @pytest.mark.parametrize("arrival", [ak.Deterministic(1.0), ak.Uniform(2.0), ak.Exponential(1.0)])

@@ -404,15 +404,16 @@ def test_dump_matches_row_writer(tmp_path, n_updates, n_decisions):
         assert fh.read() == dump_bytes(records, decisions)
 
 
-def test_dump_gzips_past_threshold(tmp_path, monkeypatch):
+def test_dump_gzips_exactly_when_path_ends_in_gz(tmp_path):
     rec, dec = sim.run_trajectory(poisson_cfg(ak.Exponential(1.0)), 500, seed=77)
     expected = dump_bytes(rec, dec)
-    path = str(tmp_path / "trajectory.csv")
-    monkeypatch.setattr(sim, "_GZIP_THRESHOLD", len(expected))
-    assert sim.dump_trajectory_csv(rec, dec, path) == path  # at the threshold: plain
-    monkeypatch.setattr(sim, "_GZIP_THRESHOLD", len(expected) - 1)
-    written = sim.dump_trajectory_csv(rec, dec, path)
-    assert written == path + ".gz"
-    assert not os.path.exists(path)
-    with gzip.open(written, "rb") as fh:
+    plain = str(tmp_path / "trajectory.csv")
+    assert sim.dump_trajectory_csv(rec, dec, plain) == plain
+    with open(plain, "rb") as fh:
         assert fh.read() == expected
+    packed = plain + ".gz"
+    assert sim.dump_trajectory_csv(rec, dec, packed) == packed
+    with gzip.open(packed, "rb") as fh:
+        assert fh.read() == expected
+    with open(packed, "rb") as fh:
+        assert fh.read(8)[4:] == bytes(4)  # no timestamp in the gzip header
