@@ -38,6 +38,7 @@ from .queue_core import (
     parse_decision,
 )
 
+
 def _first_non_finite(value, name: str = "") -> Optional[str]:
     """Dotted name of the first NaN or infinity in a JSON-ready ``value``, or None."""
     if isinstance(value, dict):
@@ -154,28 +155,15 @@ def _cmd_optimize_arrival(args) -> tuple:
 def _cmd_optimize_offset(args) -> tuple:
     lam, mu = args.lam, args.mu
     res = optimize_offset(lam, mu)
-    aud_star = average_aud_dm1d_offset(lam, mu, res.delta)
-    aud_poisson = average_aud_dm1m(lam, mu)
-    aud_sync = average_aud_dm1d_sync(lam, mu, 1)
-    payload = {
-        "command": "optimize-offset",
-        "lambda": lam,
-        "mu": mu,
+    results = {
         "delta_opt": res.delta,
-        "u1_opt": res.u1,
         "iterations": res.iterations,
-        "aud_at_delta_opt": aud_star,
-        "aud_poisson_decisions": aud_poisson,
-        "aud_sync_m0_1": aud_sync,
+        "aud_at_delta_opt": average_aud_dm1d_offset(lam, mu, res.delta),
+        "aud_poisson_decisions": average_aud_dm1m(lam, mu),
+        "aud_sync_m0_1": average_aud_dm1d_sync(lam, mu, 1),
     }
-    return payload, _text([
-        ("delta_opt", f"{res.delta:.12g}"),
-        ("u1_opt", f"{res.u1:.12g}"),
-        ("iterations", res.iterations),
-        ("aud_at_delta_opt", f"{aud_star:.12g}"),
-        ("aud_poisson_decisions", f"{aud_poisson:.12g}"),
-        ("aud_sync_m0_1", f"{aud_sync:.12g}"),
-    ])
+    text = _text((k, f"{v:.12g}" if isinstance(v, float) else v) for k, v in results.items())
+    return {"command": "optimize-offset", "lambda": lam, "mu": mu, **results}, text
 
 
 def _load_sweep_spec(path: str) -> report.SweepSpec:
@@ -197,9 +185,8 @@ def _load_sweep_spec(path: str) -> report.SweepSpec:
 def _cmd_sweep(args) -> tuple:
     spec = _load_sweep_spec(args.spec)
     rows = report.run_sweep(spec)
-    render = functools.partial(report.serialize, rows, variable=spec.variable,
-                               columns=spec.columns())
-    return render("json"), (None if args.json else render("csv"))
+    return (report.serialize(rows, "json", spec.variable),
+            None if args.json else report.serialize(rows, "csv", spec.variable))
 
 
 def build_parser() -> argparse.ArgumentParser:

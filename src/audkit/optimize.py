@@ -85,13 +85,12 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class OffsetResult:
-    """Optimal decision offset and u1 = exp(-mu (1 - rho1) delta) at it.
+    """Optimal decision offset.
 
     ``iterations`` is 0: the optimum is closed form.
     """
 
     delta: float
-    u1: float
     iterations: int
 
 
@@ -146,6 +145,4 @@ def optimize_offset(lam: float, mu: float) -> OffsetResult:
     """
     rho = _stable_load(lam, mu)
     rho1 = rho1_deterministic(rho)
-    u1 = rho
-    delta = -math.log(u1) / (mu * (1.0 - rho1))
-    return OffsetResult(delta=delta, u1=u1, iterations=0)
+    return OffsetResult(delta=-math.log(rho) / (mu * (1.0 - rho1)), iterations=0)

@@ -5,9 +5,8 @@ system configuration per point from a fixed template, and evaluates any
 mix of analytic formulas, Monte Carlo estimates, and optimizer runs.
 Per-cell failures (an unstable point, an optimizer that does not apply, a
 value that is not finite) are flagged in the cell status instead of
-aborting the sweep, and
-analytic columns are pure functions of the grid point: a different base
-seed perturbs only the stochastic columns.
+aborting the sweep.  Analytic columns are pure functions of the grid
+point: a different base seed perturbs only the stochastic columns.
 """
 
 from __future__ import annotations
@@ -38,18 +37,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "aud-kit/1"
-
-# evaluation -> ordered (column, carries standard error) pairs
-_COLUMNS: Dict[str, Tuple[Tuple[str, bool], ...]] = {
-    "analytic-aud": (("aud_analytic", False),),
-    "analytic-pmis": (("pmis_analytic", False),),
-    "mc-aud": (("aud_mc", True),),
-    "mc-pmis": (("pmis_mc", True),),
-    "optimal-arrival": (("aud_opt", False), ("lambda_opt", False)),
-    "optimal-offset": (("delta_opt", False), ("aud_at_delta_opt", False)),
-}
-
-EVALUATIONS = tuple(_COLUMNS)
 
 # sweep variable -> the decision discipline whose parameter it sets
 _DECISION_VARIABLES = {cls.variable: cls for cls in DISCIPLINES.values()}
@@ -98,11 +85,10 @@ class SweepSpec:
         bad = [e for e in self.evaluations if e not in EVALUATIONS]
         if bad:
             raise InputError(f"unknown evaluations {bad}; expected subset of {EVALUATIONS}")
+        if len(set(self.evaluations)) < len(self.evaluations):
+            raise InputError(f"repeated evaluation in {list(self.evaluations)}")
         if self.horizon < 10 or self.replications < 2:
             raise InputError("MC budget needs horizon >= 10 and replications >= 2")
-
-    def columns(self) -> Tuple[Tuple[str, bool], ...]:
-        return tuple(col for ev in self.evaluations for col in _COLUMNS[ev])
 
 
 def _apply_variable(spec: SweepSpec, value: float) -> SystemConfig:
@@ -126,63 +112,79 @@ def _apply_variable(spec: SweepSpec, value: float) -> SystemConfig:
     return dataclasses.replace(t, arrival=dataclasses.replace(t.arrival, **{param: value}))
 
 
+@dataclass
+class _Point:
+    """One grid point: its system, and the work its evaluations share."""
+
+    spec: SweepSpec
+    config: SystemConfig
+    seed: int
+    optima: Dict[Tuple[str, float], OptimizationResult]  # arrival optima per (family, mu)
+    _mc: object = field(default=None, init=False)  # the report, or the error running it
+
+    def mc(self) -> sim.SimulationReport:
+        """The Monte Carlo report, run at most once: a failure is kept and raised again."""
+        if self._mc is None:
+            try:
+                self._mc = sim.run_replications(self.config, horizon=self.spec.horizon,
+                                                n_reps=self.spec.replications, base_seed=self.seed)
+            except AudKitError as err:
+                self._mc = err
+        if isinstance(self._mc, AudKitError):
+            raise self._mc
+        return self._mc
+
+    def optimum(self) -> OptimizationResult:
+        key = (self.config.arrival.tag, self.config.service.rate)
+        if key not in self.optima:
+            self.optima[key] = optimal_arrival(*key)
+        return self.optima[key]
+
+
+def _optimal_offset(p: _Point) -> Tuple[Cell, Cell]:
+    if not isinstance(p.config.arrival, Deterministic):
+        return (Cell(status="requires-deterministic-arrivals"),) * 2
+    lam, mu = p.config.arrival_rate, p.config.service.rate
+    delta = optimize_offset(lam, mu).delta
+    return Cell(delta), Cell(queue_core.average_aud_dm1d_offset(lam, mu, delta))
+
+
+# evaluation -> its ordered (column, carries standard error) pairs, and the
+# function giving the cells of those columns at one grid point
+_TABLE = {
+    "analytic-aud": ((("aud_analytic", False),),
+                     lambda p: (Cell(queue_core.mean_aud(p.config)),)),
+    "analytic-pmis": ((("pmis_analytic", False),),
+                      lambda p: (Cell(queue_core.missing_probability(p.config)),)),
+    "mc-aud": ((("aud_mc", True),),
+               lambda p: (Cell(p.mc().mean_aud, p.mc().aud_std_error),)),
+    "mc-pmis": ((("pmis_mc", True),),
+                lambda p: (Cell(p.mc().p_mis_hat, p.mc().p_mis_std_error),)),
+    "optimal-arrival": ((("aud_opt", False), ("lambda_opt", False)),
+                        lambda p: (Cell(p.optimum().c0), Cell(p.optimum().arrival_rate()))),
+    "optimal-offset": ((("delta_opt", False), ("aud_at_delta_opt", False)), _optimal_offset),
+}
+
+EVALUATIONS = tuple(_TABLE)
+_HAS_SE = {col: se for columns, _ in _TABLE.values() for col, se in columns}
+
+
 def _flag_all(evaluations: Sequence[str], status: str) -> Dict[str, Cell]:
-    return {col: Cell(status=status) for ev in evaluations for col, _ in _COLUMNS[ev]}
+    return {col: Cell(status=status) for ev in evaluations for col, _ in _TABLE[ev][0]}
 
 
-def _evaluate_point(
-    spec: SweepSpec,
-    config: SystemConfig,
-    seed: int,
-    optima: Dict[Tuple[str, float], OptimizationResult],
-) -> Dict[str, Cell]:
-    """Cells of one grid point; ``optima`` caches arrival optima per (family, mu)."""
+def _evaluate_point(point: _Point) -> Dict[str, Cell]:
+    """Cells of one grid point; an evaluation fills all its columns or flags them all."""
     cells: Dict[str, Cell] = {}
-    report = None
-    for ev in spec.evaluations:
+    for ev in point.spec.evaluations:
+        columns, evaluate = _TABLE[ev]
         try:
-            if ev == "analytic-aud":
-                cells["aud_analytic"] = Cell(value=queue_core.mean_aud(config))
-            elif ev == "analytic-pmis":
-                cells["pmis_analytic"] = Cell(value=queue_core.missing_probability(config))
-            elif ev in ("mc-aud", "mc-pmis"):
-                if report is None:
-                    report = sim.run_replications(
-                        config,
-                        horizon=spec.horizon,
-                        n_reps=spec.replications,
-                        base_seed=seed,
-                    )
-                if ev == "mc-aud":
-                    cells["aud_mc"] = Cell(report.mean_aud, report.aud_std_error)
-                else:
-                    cells["pmis_mc"] = Cell(report.p_mis_hat, report.p_mis_std_error)
-            elif ev == "optimal-arrival":
-                key = (config.arrival.tag, config.service.rate)
-                res = optima.get(key)
-                if res is None:
-                    res = optima[key] = optimal_arrival(*key)
-                cells["aud_opt"] = Cell(value=res.c0)
-                cells["lambda_opt"] = Cell(value=res.arrival_rate())
-            elif ev == "optimal-offset":
-                if not isinstance(config.arrival, Deterministic):
-                    cells.update(_flag_all([ev], "requires-deterministic-arrivals"))
-                else:
-                    lam = config.arrival_rate
-                    mu = config.service.rate
-                    res = optimize_offset(lam, mu)
-                    cells["delta_opt"] = Cell(value=res.delta)
-                    cells["aud_at_delta_opt"] = Cell(
-                        value=queue_core.average_aud_dm1d_offset(lam, mu, res.delta)
-                    )
+            cells.update(zip((col for col, _ in columns), map(_finite, evaluate(point))))
         except StabilityError:
-            for col, _ in _COLUMNS[ev]:
-                cells[col] = Cell(status="infeasible")
+            cells.update(_flag_all([ev], "infeasible"))
         except AudKitError as err:
-            code = type(err).__name__
-            for col, _ in _COLUMNS[ev]:
-                cells.setdefault(col, Cell(status=code))
-    return {name: _finite(cell) for name, cell in cells.items()}
+            cells.update(_flag_all([ev], type(err).__name__))
+    return cells
 
 
 def _finite(cell: Cell) -> Cell:
@@ -204,12 +206,12 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         try:
             config = _apply_variable(spec, value)
         except StabilityError:
-            rows.append(SweepRow(value, _flag_all(spec.evaluations, "infeasible")))
-            continue
+            cells = _flag_all(spec.evaluations, "infeasible")
         except InputError as err:
-            rows.append(SweepRow(value, _flag_all(spec.evaluations, f"invalid: {err}")))
-            continue
-        rows.append(SweepRow(value, _evaluate_point(spec, config, int(seed), optima)))
+            cells = _flag_all(spec.evaluations, f"invalid: {err}")
+        else:
+            cells = _evaluate_point(_Point(spec, config, int(seed), optima))
+        rows.append(SweepRow(value, cells))
     return rows
 
 
@@ -219,20 +221,16 @@ def _fmt(v: Optional[float]) -> str:
     return repr(float(v))
 
 
-def serialize(
-    rows: Sequence[SweepRow],
-    fmt: str,
-    variable: str = "grid",
-    *,
-    columns: Sequence[Tuple[str, bool]],
-):
+def serialize(rows: Sequence[SweepRow], fmt: str, variable: str = "grid"):
     """Render sweep rows: CSV text for ``"csv"``, the JSON document as a dict
     for ``"json"``.
 
-    CSV floats use shortest round-trip formatting (17 significant digits
-    suffice to reparse the exact double), with one row per grid point.  The
-    JSON document is one object per row under a top-level schema version
-    marker.
+    The CSV header is the sweep variable, then, for each cell of the first
+    row (every row has the same cells), its column, its ``_se`` column if
+    the evaluation table flags one, and its ``_status`` column.  CSV floats
+    use shortest round-trip formatting (17 significant digits suffice to
+    reparse the exact double), with one row per grid point.  The JSON
+    document is one object per row under a top-level schema version marker.
     """
     if fmt == "json":
         doc_rows = [{"grid": row.grid_value,
@@ -240,21 +238,22 @@ def serialize(
         return {"schema_version": SCHEMA_VERSION, "variable": variable, "rows": doc_rows}
     if fmt != "csv":
         raise InputError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+    names = list(rows[0].cells) if rows else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = [variable]
-    for name, has_se in columns:
+    for name in names:
         header.append(name)
-        if has_se:
+        if _HAS_SE[name]:
             header.append(name + "_se")
         header.append(name + "_status")
     writer.writerow(header)
     for row in rows:
         out = [_fmt(row.grid_value)]
-        for name, has_se in columns:
+        for name in names:
             cell = row.cells[name]
             out.append(_fmt(cell.value))
-            if has_se:
+            if _HAS_SE[name]:
                 out.append(_fmt(cell.std_error if cell.value is not None else None))
             out.append(cell.status)
         writer.writerow(out)

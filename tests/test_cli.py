@@ -338,8 +338,9 @@ def _sweep_spec(grid):
         json.dumps(_sweep_spec([0.5, math.inf])),
         json.dumps(_sweep_spec([0.5, math.nan, 1.0])),
         json.dumps(dict(_sweep_spec([0.5]), template={"arrival": "exp:rate=0.5", "mu": 1.0})),
+        json.dumps(dict(_sweep_spec([0.5]), evaluations=["analytic-aud", "analytic-aud"])),
     ],
-    ids=["missing", "malformed", "inf-grid", "nan-grid", "no-decision"],
+    ids=["missing", "malformed", "inf-grid", "nan-grid", "no-decision", "repeated-evaluation"],
 )
 def test_sweep_input_errors_exit_2(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
@@ -420,7 +421,6 @@ _OPTIMIZE_ARRIVAL_LINES = [
 ]
 _OPTIMIZE_OFFSET_LINES = [
     ("delta_opt", lambda p: p["delta_opt"], _g12),
-    ("u1_opt", lambda p: p["u1_opt"], _g12),
     ("iterations", lambda p: p["iterations"], str),
     ("aud_at_delta_opt", lambda p: p["aud_at_delta_opt"], _g12),
     ("aud_poisson_decisions", lambda p: p["aud_poisson_decisions"], _g12),

@@ -413,7 +413,19 @@ def test_system_config_validation():
         ak.PeriodicSyncDecisions(0)
     cfg = ak.SystemConfig(ak.Deterministic(1.0), svc, ak.PeriodicSyncDecisions(3))
     assert cfg.rho == 0.5
-    assert cfg.decision_rate == 3.0
+
+
+@pytest.mark.parametrize(
+    "decision,rate",
+    [(ak.PoissonDecisions(0.7), 0.7), (ak.PeriodicSyncDecisions(3), 3.75),
+     (ak.PeriodicOffsetDecisions(0.25), 1.25)],
+    ids=["poisson", "sync", "offset"],
+)
+def test_decision_rate_per_discipline(decision, rate):
+    # lam = 1/0.8 = 1.25: Poisson decisions keep their own rate, sync decisions
+    # come m0 per arrival and offset decisions one per arrival
+    cfg = ak.SystemConfig(ak.Deterministic(0.8), ak.ServiceModel(2.0), decision)
+    assert cfg.decision_rate == rate
 
 
 def test_derive_field_presence():

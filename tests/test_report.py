@@ -10,8 +10,8 @@ import pytest
 
 import audkit as ak
 from audkit import queue_core as qc
-from audkit import report
-from audkit.errors import InputError
+from audkit import report, sim
+from audkit.errors import InputError, StabilityError
 
 SVC2 = ak.ServiceModel(2.0)
 
@@ -42,6 +42,12 @@ def test_sweep_spec_validation():
         report.SweepSpec("nu", (1.0,), POISSON_TEMPLATE, ("aud",))
     with pytest.raises(InputError):
         report.SweepSpec("nu", (1.0,), POISSON_TEMPLATE, ("analytic-aud",), replications=1)
+
+
+def test_sweep_spec_rejects_repeated_evaluation():
+    # one cell per column: a repeated evaluation would name its columns twice
+    with pytest.raises(InputError, match="repeated evaluation"):
+        report.SweepSpec("nu", (1.0,), POISSON_TEMPLATE, ("analytic-aud", "analytic-aud"))
 
 
 @pytest.mark.parametrize("grid", [(0.5, math.inf), (0.5, math.nan, 1.0), (-math.inf, 1.0)])
@@ -199,7 +205,7 @@ def _small_rows():
 
 def test_serialize_csv_round_trip():
     spec, rows = _small_rows()
-    text = report.serialize(rows, "csv", "m0", columns=spec.columns())
+    text = report.serialize(rows, "csv", "m0")
     parsed = list(csv.reader(io.StringIO(text, newline="")))
     assert parsed[0] == [
         "m0",
@@ -217,15 +223,15 @@ def test_serialize_empty_evaluations_writes_grid_rows():
     # one row per grid point, as the JSON document has
     spec = report.SweepSpec("m0", (1.0, 2.0), SYNC_TEMPLATE, ())
     rows = report.run_sweep(spec)
-    text = report.serialize(rows, "csv", "m0", columns=spec.columns())
+    text = report.serialize(rows, "csv", "m0")
     assert text.splitlines() == ["m0", "1.0", "2.0"]
-    doc = report.serialize(rows, "json", "m0", columns=spec.columns())
+    doc = report.serialize(rows, "json", "m0")
     assert [row["grid"] for row in doc["rows"]] == [1.0, 2.0]
 
 
 def test_serialize_json_validates_against_schema():
     spec, rows = _small_rows()
-    doc = report.serialize(rows, "json", "m0", columns=spec.columns())
+    doc = report.serialize(rows, "json", "m0")
     assert doc["schema_version"] == "aud-kit/1"
     jsonschema.validate(doc, load_schema("sweep.schema.json"))
     assert len(doc["rows"]) == 3
@@ -237,7 +243,7 @@ def test_serialize_json_validates_against_schema():
 def test_serialize_rejects_unknown_format():
     _, rows = _small_rows()
     with pytest.raises(InputError):
-        report.serialize(rows, "xml", columns=())
+        report.serialize(rows, "xml")
 
 
 def test_sweep_flags_non_finite_cells():
@@ -246,9 +252,9 @@ def test_sweep_flags_non_finite_cells():
     spec = report.SweepSpec("mu", (1e301,), template, ("analytic-pmis",))
     (row,) = report.run_sweep(spec)
     assert row.cells["pmis_analytic"] == report.Cell(status="non-finite")
-    doc = report.serialize([row], "json", "mu", columns=spec.columns())
+    doc = report.serialize([row], "json", "mu")
     jsonschema.validate(doc, load_schema("sweep.schema.json"))
-    assert report.serialize([row], "csv", "mu", columns=spec.columns()).splitlines()[1] == (
+    assert report.serialize([row], "csv", "mu").splitlines()[1] == (
         "1e+301,,non-finite"
     )
 
@@ -270,3 +276,70 @@ def test_lambda_sweep_flags_non_positive_rates(arrival):
     for row in rows[:2]:
         assert row.cells["aud_analytic"].status == f"invalid: arrival rate must be > 0, got {row.grid_value}"
     assert rows[2].cells["aud_analytic"].status == "ok"
+
+
+# --- per-cell statuses --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "variable,template,status",
+    [
+        ("m0", POISSON_TEMPLATE,
+         "invalid: m0 sweeps require a synchronous periodic decision template"),
+        ("arrival.rate", ak.SystemConfig(ak.Lomax(3.0, 2.0), SVC2, ak.PoissonDecisions(1.0)),
+         "invalid: arrival model has no parameter 'rate'"),
+        ("lambda", ak.SystemConfig(ak.Lomax(3.0, 2.0), SVC2, ak.PoissonDecisions(1.0)),
+         "invalid: cannot sweep lambda for a Lomax arrival; sweep arrival.<param> instead"),
+    ],
+    ids=["m0-of-poisson", "lomax-rate", "lambda-of-lomax"],
+)
+def test_sweep_flags_variables_the_template_lacks(variable, template, status):
+    (row,) = report.run_sweep(
+        report.SweepSpec(variable, (1.0,), template, ("analytic-aud", "optimal-arrival"))
+    )
+    assert row.cells == {name: report.Cell(status=status)
+                         for name in ("aud_analytic", "aud_opt", "lambda_opt")}
+
+
+@pytest.fixture
+def replication_calls(monkeypatch):
+    """The configs ``sim.run_replications`` is called with during the test."""
+    run = sim.run_replications
+    calls = []
+
+    def counting(config, **budget):
+        calls.append(config)
+        return run(config, **budget)
+
+    monkeypatch.setattr(sim, "run_replications", counting)
+    return calls
+
+
+def test_mc_cells_flag_a_replication_without_data(replication_calls):
+    # the failed report is not run again for the second Monte Carlo column
+    template = ak.SystemConfig(ak.Exponential(0.5), ak.ServiceModel(1.0), ak.PoissonDecisions(1.0))
+    spec = report.SweepSpec("nu", (0.001,), template, ("mc-aud", "mc-pmis"),
+                            horizon=10, replications=2, base_seed=1)
+    (row,) = report.run_sweep(spec)
+    assert row.cells == {"aud_mc": report.Cell(status="InsufficientDataError"),
+                         "pmis_mc": report.Cell(status="InsufficientDataError")}
+    assert len(replication_calls) == 1
+
+
+def test_mc_columns_share_one_report_per_point(replication_calls):
+    spec = report.SweepSpec("nu", (0.5, 1.0), POISSON_TEMPLATE, ("mc-aud", "mc-pmis"),
+                            horizon=1_000, replications=2)
+    rows = report.run_sweep(spec)
+    assert len(replication_calls) == 2
+    assert all(cell.status == "ok" for row in rows for cell in row.cells.values())
+
+
+def test_an_unstable_evaluation_flags_all_its_columns(monkeypatch):
+    def unstable(family, mu):
+        raise StabilityError(1.5)
+
+    monkeypatch.setattr(report, "optimal_arrival", unstable)
+    spec = report.SweepSpec("mu", (2.0,), POISSON_TEMPLATE, ("analytic-aud", "optimal-arrival"))
+    (row,) = report.run_sweep(spec)
+    assert row.cells["aud_analytic"].status == "ok"
+    assert row.cells["aud_opt"] == row.cells["lambda_opt"] == report.Cell(status="infeasible")

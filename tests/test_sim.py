@@ -416,4 +416,6 @@ def test_dump_gzips_exactly_when_path_ends_in_gz(tmp_path):
     with gzip.open(packed, "rb") as fh:
         assert fh.read() == expected
     with open(packed, "rb") as fh:
-        assert fh.read(8)[4:] == bytes(4)  # no timestamp in the gzip header
+        header = fh.read(10)
+    assert header[4:8] == bytes(4)  # no timestamp in the gzip header
+    assert header[8] == 0  # XFL: level 6; level 9 writes 2 and level 1 writes 4
