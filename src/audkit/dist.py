@@ -11,8 +11,11 @@ integrals that the queueing formulas consume,
                              = (1 - laplace(s)) / s,
 
 and seedable random sampling.  ``survival_laplace`` keeps the digits that
-1 - laplace(s) cancels as s -> 0.  Model objects are immutable and hashable,
-so results keyed on them can be cached and shared across threads.
+1 - laplace(s) cancels as s -> 0.  ``newton_terms(s, survival)`` returns, in
+one evaluation, what a step of the rho1 Newton solve needs at s: laplace(s),
+or survival_laplace(s) if ``survival``, and weighted_first_moment(s), each
+bit for bit what its own method returns.  Model objects are immutable and
+hashable, so results keyed on them can be cached and shared across threads.
 
 Every transform is a closed form.  The Lomax transforms are generalized
 exponential integrals E_p(z), evaluated by a continued fraction or, for
@@ -77,6 +80,17 @@ _LNGAMMA_1M = tuple(float(zeta(k) / k) for k in range(53, 1, -1))
 # (-1)^k/(k+2)!, k = 15..0: (u + expm1(-u))/u^2 = sum_k (-u)^k/(k+2)!, to
 # 1e-17 relative for u <= 1/2.
 _UNIFORM_SURVIVAL = tuple((-1.0) ** k / math.factorial(k + 2) for k in range(15, -1, -1))
+# (-1)^k (k-1)/k!, k = 19..2: (1 - e^-u (1 + u))/u^2 = sum_k (-1)^k (k-1) u^(k-2)/k!,
+# to 1e-20 relative for u <= 1/2, where the direct form cancels.
+_UNIFORM_W1 = tuple((-1.0) ** k * (k - 1) / math.factorial(k) for k in range(19, 1, -1))
+
+
+def _horner(coefs: tuple, x: float) -> float:
+    """The polynomial with coefficients ``coefs``, highest power first, at x."""
+    acc = 0.0
+    for coef in coefs:
+        acc = acc * x + coef
+    return acc
 
 
 def _norm_cdf(z: float) -> float:
@@ -129,9 +143,7 @@ def _scaled_expint_pair(p: float, z: float) -> tuple[float, float]:
     # digits like 1/e).  The upward recurrence to E_p scales errors by z/q < 2.
     n = round(p)
     e = p - n
-    lg = 0.0  # (ln Gamma(1-e) - euler_gamma e) / e^2
-    for coef in _LNGAMMA_1M:
-        lg = lg * e + coef
+    lg = _horner(_LNGAMMA_1M, e)  # (ln Gamma(1-e) - euler_gamma e) / e^2
     w = math.log(z) + np.euler_gamma + e * lg
     e_q = -w if e == 0.0 else -math.expm1(e * w) / e
     t = 1.0
@@ -167,9 +179,12 @@ class ArrivalModel:
     (set by ``spec_registry``) lists its parameters in constructor order,
     and ``limit`` is None for a one-parameter family.  Each family gives
     ``mean``, ``second_moment``, ``laplace``, ``weighted_first_moment``,
-    ``survival_laplace`` and ``sample``; the base ``survival_laplace`` is
-    (1 - laplace(s))/s, which cancels as s -> 0, and a family with a form
-    that does not overrides it.  A two-parameter family is not fixed by its
+    ``survival_laplace``, ``newton_terms`` and ``sample``; the base
+    ``survival_laplace`` is (1 - laplace(s))/s, which cancels as s -> 0, and
+    a family with a form that does not overrides it.  The base
+    ``newton_terms`` calls the two transforms it returns; a family whose
+    transforms share work at s (one E_p pair, two Gaussian tails, one exp)
+    overrides it.  A two-parameter family is not fixed by its
     rate, so its ``with_rate`` raises; its ``limit`` names the
     one-parameter family on its boundary (folded normal at sigma -> 0 is
     ``det``, Lomax at shape -> infinity is ``exp``), whose mean AuD is at
@@ -209,6 +224,12 @@ class ArrivalModel:
         s = _check_s(s)
         return (1.0 - self.laplace(s)) / s if s else self.mean()
 
+    def newton_terms(self, s: float, survival: bool) -> tuple[float, float]:
+        """(survival_laplace(s) if ``survival`` else laplace(s),
+        weighted_first_moment(s)), bit for bit, for one rho1 Newton step."""
+        head = self.survival_laplace(s) if survival else self.laplace(s)
+        return head, self.weighted_first_moment(s)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw a vector of ``size`` values from the model."""
         raise NotImplementedError
@@ -245,6 +266,10 @@ class Exponential(ArrivalModel):
     def survival_laplace(self, s):
         return 1.0 / (self.rate + _check_s(s))
 
+    def newton_terms(self, s, survival):
+        d = self.rate + _check_s(s)
+        return (1.0 / d if survival else self.rate / d), self.rate / d**2
+
     def sample(self, rng, size):
         u = rng.random(size)
         np.negative(u, out=u)
@@ -275,33 +300,39 @@ class Uniform(ArrivalModel):
 
     def laplace(self, s):
         s = _check_s(s)
-        if s == 0.0:
-            return 1.0
-        # (1 - exp(-s*beta)) / (s*beta); expm1 keeps the removable
-        # singularity at s -> 0 stable.
-        z = s * self.beta
-        return -math.expm1(-z) / z
+        return self._laplace_at(self.beta * s) if s else 1.0
 
     def weighted_first_moment(self, s):
         s = _check_s(s)
-        if s == 0.0:
-            return self.mean()
-        z = s * self.beta
-        if z < 1e-3:
-            # 1 - exp(-z)(1+z) = sum_{k>=2} (-1)^k z^k (k-1)/k!; the direct
-            # form loses ~z^-2 digits of cancellation for tiny z.
-            g = z**2 / 2 - z**3 / 3 + z**4 / 8 - z**5 / 30 + z**6 / 144
-        else:
-            g = 1.0 - math.exp(-z) * (1.0 + z)
-        return g / (self.beta * s * s)
+        return self._w1_at(s, self.beta * s)
 
     def survival_laplace(self, s):
-        u = self.beta * _check_s(s)
+        return self._survival_at(self.beta * _check_s(s))
+
+    def newton_terms(self, s, survival):
+        s = _check_s(s)
+        u = self.beta * s
+        if survival:
+            head = self._survival_at(u)
+        else:
+            head = self._laplace_at(u) if s else 1.0
+        return head, self._w1_at(s, u)
+
+    # The transforms at u = beta s, each a function of u apart from a scale.
+
+    @staticmethod
+    def _laplace_at(u):
+        # (1 - exp(-u))/u; expm1 keeps the removable singularity at u -> 0 stable
+        return -math.expm1(-u) / u
+
+    def _w1_at(self, s, u):
         if u < 0.5:
-            acc = 0.0
-            for coef in _UNIFORM_SURVIVAL:
-                acc = acc * u + coef
-            return self.beta * acc
+            return self.beta * _horner(_UNIFORM_W1, u)
+        return (1.0 - math.exp(-u) * (1.0 + u)) / (self.beta * s * s)
+
+    def _survival_at(self, u):
+        if u < 0.5:
+            return self.beta * _horner(_UNIFORM_SURVIVAL, u)
         return self.beta * (u + math.expm1(-u)) / (u * u)
 
     def sample(self, rng, size):
@@ -359,6 +390,15 @@ class Lomax(ArrivalModel):
         z = self.beta * _check_s(s)
         return self.beta * _scaled_expint_pair(self.alpha, z)[0] if z else self.mean()
 
+    def newton_terms(self, s, survival):
+        # one E_p pair: laplace alpha (f - df), phi beta f, W1 alpha beta df
+        z = self.beta * _check_s(s)
+        if z == 0.0:
+            return (self.mean() if survival else 1.0), self.mean()
+        f, df = _scaled_expint_pair(self.alpha, z)
+        head = self.beta * f if survival else self.alpha * (f - df)
+        return head, self.alpha * self.beta * df
+
     def sample(self, rng, size):
         # Inverse CDF: x = beta * ((1-U)^(-1/alpha) - 1), exact and loop-free.
         u = rng.random(size)
@@ -399,36 +439,55 @@ class FoldedNormal(ArrivalModel):
         # products, not powers: past ~1.3e154 they round to inf instead of raising
         return self.alpha * self.alpha + self.sigma * self.sigma
 
+    def _tails(self, s):
+        """(t1, t2, v) at s >= 0 for sigma > 0: the scaled Gaussian-tail terms
+        of the MGF at -s, e^{q - a s} P(N > v - a/sigma) and
+        e^{q + a s} P(N > v + a/sigma), q = v^2/2, v = sigma s.  The shared
+        factor exp(-alpha^2/(2 sigma^2)) makes the sigma -> 0 limit exact."""
+        a, sg = self.alpha, self.sigma
+        z, v = a / sg, sg * s  # v, not sigma^2, so that no square can overflow
+        quad_term = 0.5 * v * v
+        t1 = _exp_times_gauss_tail(quad_term - a * s, v - z)
+        t2 = _exp_times_gauss_tail(quad_term + a * s, v + z)
+        return t1, t2, v
+
+    def _wfm_from(self, t1, t2, v):
+        # Derivative of the MGF at -s: the Gaussian-density terms collapse to
+        # a single exp(-alpha^2/(2 sigma^2)) factor.
+        a, sg = self.alpha, self.sigma
+        z = a / sg
+        gauss = _SQRT_2_OVER_PI * sg * math.exp(-0.5 * z * z)
+        return (a - sg * v) * t1 - (a + sg * v) * t2 + gauss
+
     def laplace(self, s):
-        # MGF of |N(alpha, sigma^2)| evaluated at -s.  Each of the two
-        # Gaussian-tail terms is computed in scaled form; the shared factor
-        # exp(-alpha^2/(2 sigma^2)) makes the sigma -> 0 limit exact.
+        # MGF of |N(alpha, sigma^2)| evaluated at -s
         s = _check_s(s)
         if s == 0.0:
             return 1.0
         if self.sigma == 0.0:
             return math.exp(-s * self.alpha)
-        a, sg = self.alpha, self.sigma
-        z, v = a / sg, sg * s  # v, not sigma^2, so that no square can overflow
-        quad_term = 0.5 * v * v
-        t1 = _exp_times_gauss_tail(quad_term - a * s, v - z)
-        t2 = _exp_times_gauss_tail(quad_term + a * s, v + z)
+        t1, t2, _ = self._tails(s)
         return min(t1 + t2, 1.0)  # roundoff can poke one ulp above 1 near s=0
 
     def weighted_first_moment(self, s):
-        # Derivative of the MGF at -s; the two tail terms reuse laplace()'s
-        # building blocks and the Gaussian-density terms collapse to a single
-        # exp(-alpha^2/(2 sigma^2)) factor.
         s = _check_s(s)
         if self.sigma == 0.0:
             return self.alpha * math.exp(-s * self.alpha)
-        a, sg = self.alpha, self.sigma
-        z, v = a / sg, sg * s  # v, not sigma^2, so that no square can overflow
-        quad_term = 0.5 * v * v
-        t1 = _exp_times_gauss_tail(quad_term - a * s, v - z)
-        t2 = _exp_times_gauss_tail(quad_term + a * s, v + z)
-        gauss = _SQRT_2_OVER_PI * sg * math.exp(-0.5 * z * z)
-        return (a - sg * v) * t1 - (a + sg * v) * t2 + gauss
+        return self._wfm_from(*self._tails(s))
+
+    def newton_terms(self, s, survival):
+        # laplace and W1 share their two Gaussian tails
+        s = _check_s(s)
+        if self.sigma == 0.0:
+            lap = math.exp(-s * self.alpha)
+            w1 = self.alpha * lap
+        else:
+            t1, t2, v = self._tails(s)
+            lap = min(t1 + t2, 1.0) if s else 1.0
+            w1 = self._wfm_from(t1, t2, v)
+        if survival:
+            return ((1.0 - lap) / s if s else self.mean()), w1
+        return lap, w1
 
     def sample(self, rng, size):
         if self.sigma == 0.0:
@@ -467,6 +526,13 @@ class Deterministic(ArrivalModel):
     def survival_laplace(self, s):
         s = _check_s(s)
         return -math.expm1(-s * self.period) / s if s else self.period
+
+    def newton_terms(self, s, survival):
+        s = _check_s(s)
+        x = -s * self.period
+        e = math.exp(x)
+        head = (-math.expm1(x) / s if s else self.period) if survival else e
+        return head, self.period * e
 
     def sample(self, rng, size):
         return np.full(size, self.period)

@@ -167,7 +167,7 @@ class SystemConfig:
         arrival, mu = self.arrival, self.service.rate
         rho1 = rho1_value(arrival, mu)
         a = mu * (1.0 - rho1)
-        q1 = arrival.weighted_first_moment(a)
+        q1 = _rho1_cached(arrival, mu).w1  # weighted_first_moment(a), from the solve
         moments = _moments_at(arrival, mu, rho1, q1)
         if not math.isfinite(moments.second_moment):
             raise InputError("second_moment_y is not finite at this time scale; "
@@ -192,11 +192,13 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class Rho1Solution:
-    """Fixed point of the embedded chain, its Newton step count and |g| there."""
+    """Fixed point of the embedded chain, its Newton step count, |g| there,
+    and w1 = weighted_first_moment(mu (1.0 - value)): q1, bit for bit."""
 
     value: float
     iterations: int
     residual: float
+    w1: float
 
 
 def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Solution:
@@ -217,6 +219,12 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
     |g| <= ``_RHO1_TOL`` (1e-12).  Otherwise, and after ``max_iter`` steps,
     ConvergenceError carries the best iterate.  Instability is rejected up
     front.
+
+    A step evaluates the arrival once, ``arrival.newton_terms(z, r >= 1/2)``:
+    g's transform and weighted_first_moment at the same z = mu (1.0 - r).
+    The accepted step's z is the mu (1.0 - rho1) of every closed form, so
+    its weighted_first_moment is q1, bit for bit, and the solution carries
+    it as ``w1``.
     """
     rho = 1.0 / (mu * arrival.mean())
     if not rho < 1.0:
@@ -227,14 +235,13 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
     while True:
         s = 1.0 - r
         z = mu * s
-        if r < 0.5:
-            g = arrival.laplace(z) - r
-        else:
-            g = s - z * arrival.survival_laplace(z)
-        r_next = r + g / (1.0 - mu * arrival.weighted_first_moment(z)) if g > 0.0 else r
+        survival = r >= 0.5
+        head, w1 = arrival.newton_terms(z, survival)
+        g = s - z * head if survival else head - r
+        r_next = r + g / (1.0 - mu * w1) if g > 0.0 else r
         if not r < r_next < 1.0 or steps >= max_iter:
             if abs(g) <= _RHO1_TOL:
-                return Rho1Solution(r, steps, abs(g))
+                return Rho1Solution(r, steps, abs(g), w1)
             raise ConvergenceError(
                 f"rho1 Newton iteration stalled at r={r!r} after {steps} "
                 f"steps (max_iter={max_iter})",
@@ -246,14 +253,14 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
 
 
 @lru_cache(maxsize=16384)
-def _rho1_cached(arrival: ArrivalModel, mu: float) -> float:
-    return solve_rho1(arrival, mu).value
+def _rho1_cached(arrival: ArrivalModel, mu: float) -> Rho1Solution:
+    return solve_rho1(arrival, mu)
 
 
 def rho1_value(arrival: ArrivalModel, mu: float) -> float:
     """rho1 of ``arrival`` at service rate ``mu``: ``solve_rho1``, cached on
     (arrival, mu), since sweeps hit the same system a lot."""
-    return _rho1_cached(arrival, mu)
+    return _rho1_cached(arrival, mu).value
 
 
 def rho1_deterministic(rho: float) -> float:
@@ -284,10 +291,10 @@ def departure_moments(arrival: ArrivalModel, mu: float) -> DepartureMoments:
     E[Y]   = E[X]
     E[Y^2] = E[X^2] - 2 rho1 E[X] / (mu (1-rho1)) + 2 / (mu^2 (1-rho1))
     E[TY]  = (E[X] - 1/mu + q1) / (mu (1-rho1)),
-             q1 = weighted_first_moment(arrival, mu (1-rho1))
+             q1 = weighted_first_moment(arrival, mu (1-rho1)), from the solve
     """
     rho1 = rho1_value(arrival, mu)
-    return _moments_at(arrival, mu, rho1, arrival.weighted_first_moment(mu * (1.0 - rho1)))
+    return _moments_at(arrival, mu, rho1, _rho1_cached(arrival, mu).w1)
 
 
 def _moments_at(arrival: ArrivalModel, mu: float, rho1: float, q1: float) -> DepartureMoments:

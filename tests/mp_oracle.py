@@ -1,4 +1,5 @@
-"""The embedded-chain root s = 1 - rho1 at 40 digits, the oracle for the rho1 solve.
+"""The embedded-chain root s = 1 - rho1 at 40 digits, the oracle for the rho1 solve,
+and the weighted first moment W1(z) = int_0^inf x f(x) e^{-z x} dx of each family.
 
 With s = 1 - rho1, the fixed point rho1 = L(mu s) is the root in (0, 1) of
 
@@ -20,8 +21,26 @@ from ``audkit.dist``:
                          L(z) = e^{q - a z} Phi(a/sigma - sigma z)
                               + e^{q + a z} Phi(-a/sigma - sigma z),  q = (sigma z)^2 / 2
 
-phi is evaluated with ``_GUARD`` extra digits, which absorb the
-cancellation in the uniform and folded-normal forms at small z, and the
+W1 is written from each density f, with u = beta z where a scale beta
+enters:
+
+    exp(lam)             lam e^{-lam x}              lam / (lam + z)^2
+    uniform(beta)        1/beta on (0, beta)         (1 - e^{-u} (1 + u)) / (beta z^2)
+    lomax(alpha, beta)   alpha beta^alpha            alpha beta e^u (E_alpha(u) - E_{alpha+1}(u))
+                         / (x + beta)^(alpha+1)
+    det(P)               point mass at P             P e^{-z P}
+    fnorm(a, sigma)      |N(a, sigma^2)|             -L'(z) = (a - sigma^2 z) T1 - (a + sigma^2 z) T2
+                                                     + sigma sqrt(2/pi) e^{-a^2/(2 sigma^2)},
+                         T1, T2 the two terms of L(z) above, each Phi(x) = erfc(-x/sqrt 2)/2
+                         (the Gaussian-density terms of L' meet in one e^{-a^2/(2 sigma^2)}).
+
+The Lomax form follows from x = beta (t - 1), as its survival transform
+does.  At z = 0, where the uniform form is 0/0, ``weighted_first_moment``
+returns E[X].
+
+Both are evaluated with ``_GUARD`` extra digits, which absorb the
+cancellation in the uniform and folded-normal forms at small z (and in the
+folded-normal W1 at large sigma z), and the
 inputs enter at their exact binary values.  The bracket's lower end starts
 at (1 - rho)/2 and halves until h > 0 there, so it never reaches the
 removable root at s = 0, where a 40-digit h has no correct sign left.
@@ -68,6 +87,54 @@ _PHI = {
     "det": _phi_det,
     "fnorm": _phi_fnorm,
 }
+
+
+def _w1_exp(z, lam):
+    return lam / (lam + z) ** 2
+
+
+def _w1_uniform(z, beta):
+    u = beta * z
+    return (1 - mpmath.exp(-u) * (1 + u)) / (beta * z * z)
+
+
+def _w1_lomax(z, alpha, beta):
+    u = beta * z
+    return alpha * beta * mpmath.exp(u) * (mpmath.expint(alpha, u) - mpmath.expint(alpha + 1, u))
+
+
+def _w1_det(z, period):
+    return period * mpmath.exp(-z * period)
+
+
+def _ncdf(x):
+    return mpmath.erfc(-x / mpmath.sqrt(2)) / 2
+
+
+def _w1_fnorm(z, a, sigma):
+    q = (sigma * z) ** 2 / 2
+    t1 = mpmath.exp(q - a * z) * _ncdf(a / sigma - sigma * z)
+    t2 = mpmath.exp(q + a * z) * _ncdf(-a / sigma - sigma * z)
+    gauss = sigma * mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-(a / sigma) ** 2 / 2)
+    return (a - sigma * sigma * z) * t1 - (a + sigma * sigma * z) * t2 + gauss
+
+
+_W1 = {
+    "exp": _w1_exp,
+    "uniform": _w1_uniform,
+    "lomax": _w1_lomax,
+    "det": _w1_det,
+    "fnorm": _w1_fnorm,
+}
+
+
+def weighted_first_moment(arrival, z) -> mpf:
+    """W1(z) of ``arrival``, to about 40 digits; E[X] at z = 0."""
+    with mp.workdps(DPS + _GUARD):
+        params = _params(arrival)
+        if z == 0:
+            return _mean(arrival.tag, params)
+        return _W1[arrival.tag](mpf(z), *params)
 
 
 def survival_laplace(arrival, z) -> mpf:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import audkit as ak
+from audkit import dist
 from audkit.errors import ConvergenceError, InputError
 
 import mp_oracle
@@ -198,6 +199,69 @@ def test_survival_laplace_matches_oracle(model):
         err = float(abs(model.survival_laplace(s) - exact) / exact)
         cancelled = 1.0 / min(1.0, s * model.mean()) if isinstance(model, ak.FoldedNormal) else 1.0
         assert err <= 4 * 2.0**-52 * cancelled, s
+
+
+# every family, with both Lomax branches (beta s < 1 by series, >= 1 or shape
+# >= 20 by continued fraction) and the folded normal's point mass
+NEWTON_MODELS = ALL_MODELS + [ak.FoldedNormal(1.5, 0.0)]
+
+
+@pytest.mark.parametrize("model", NEWTON_MODELS)
+def test_newton_terms_are_the_transforms_bit_for_bit(model):
+    for s in [0.0] + S_GRID + [10.0]:
+        assert model.newton_terms(s, False) == (model.laplace(s), model.weighted_first_moment(s))
+        assert model.newton_terms(s, True) == (
+            model.survival_laplace(s), model.weighted_first_moment(s))
+
+
+def test_newton_terms_reach_both_lomax_branches():
+    small, large = ak.Lomax(3.0, 2.0), ak.Lomax(50.0, 100.0)
+    assert 0.0 < small.beta * S_GRID[2] < 1.0 <= small.beta * S_GRID[4]
+    assert large.alpha >= dist._CF_MIN_ORDER
+    assert small in NEWTON_MODELS and large in NEWTON_MODELS
+
+
+def test_newton_terms_rejects_negative_argument():
+    for model in NEWTON_MODELS:
+        for survival in (False, True):
+            with pytest.raises(InputError):
+                model.newton_terms(-1e-9, survival)
+
+
+# ulps of W1 against the 40-digit oracle, each a little above the worst
+# measured on S_GRID; the folded normal's (a - sigma v) t1 - (a + sigma v) t2
+# + gauss cancels as v = sigma s grows, past this bound from about v = 8
+W1_ULPS = {"exp": 2, "uniform": 8, "lomax": 10, "fnorm": 16, "det": 1}
+W1_CANCELS = "fnorm W1 cancels at large sigma s (FOUND line in CHANGES.md)"
+
+
+def _w1_ulps(model, s):
+    exact = mp_oracle.weighted_first_moment(model, s)
+    return float(abs(model.weighted_first_moment(s) - exact) / exact) / 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "model", [m for m in ALL_MODELS if not (isinstance(m, ak.Lomax) and m.alpha > 1e3)]
+)
+@pytest.mark.parametrize("s", [0.0] + S_GRID)
+def test_weighted_first_moment_matches_oracle(model, s, request):
+    if isinstance(model, ak.FoldedNormal) and model.sigma * s >= 8.0:
+        request.applymarker(pytest.mark.xfail(strict=True, reason=W1_CANCELS))
+    assert _w1_ulps(model, s) <= W1_ULPS[model.tag]
+
+
+@pytest.mark.xfail(strict=True, reason=W1_CANCELS)
+@pytest.mark.parametrize("sigma", [1.0, 10.0])  # 46 and 4.9e6 ulps off
+def test_fnorm_weighted_first_moment_at_large_sigma_s(sigma):
+    assert _w1_ulps(ak.FoldedNormal(1.0, sigma), 10.0) <= W1_ULPS["fnorm"]
+
+
+def test_uniform_weighted_first_moment_keeps_its_digits():
+    # the series below beta s = 1/2 and the direct form above it; the
+    # direct form alone was 1.7e-10 relative off at beta s = 1e-3
+    model = ak.Uniform(1.0)
+    for u in np.geomspace(1e-12, 5.0, 60):
+        assert _w1_ulps(model, float(u)) <= W1_ULPS["uniform"], u
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

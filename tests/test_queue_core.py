@@ -145,6 +145,44 @@ def test_rho1_climb_stops_at_the_rounding_floor():
     assert qc.solve_rho1(arrival, 180.84764121419923).iterations <= 30
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES_AT_LOAD))
+@pytest.mark.parametrize("rho", [0.05, 0.3, 0.5, 0.8, 0.9999])
+def test_q1_from_the_solve_is_the_transform_at_the_root(family, rho):
+    # the accepted Newton step's z is the mu (1.0 - rho1) that the closed
+    # forms use, so the solve's weighted first moment is q1 bit for bit
+    mu = 1.7
+    arrival = FAMILIES_AT_LOAD[family](rho, mu)
+    config = qc.SystemConfig(arrival, ak.ServiceModel(mu), ak.PoissonDecisions(0.9))
+    d = config.derived
+    q1 = arrival.weighted_first_moment(mu * (1.0 - d.rho1))
+    assert d.q1 == q1
+    assert qc.solve_rho1(arrival, mu).w1 == q1
+    assert qc.departure_moments(arrival, mu) == qc._moments_at(arrival, mu, d.rho1, q1)
+
+
+def test_lomax_analyze_evaluates_few_expint_pairs(monkeypatch):
+    # one E_p pair per Newton step and one for q0 = laplace(nu); evaluating
+    # laplace and W1 apart, and W1 again at the root, took 15 on these draws
+    from audkit import dist
+
+    pair = dist._scaled_expint_pair
+    calls = []
+    monkeypatch.setattr(dist, "_scaled_expint_pair",
+                        lambda p, z: calls.append(z) or pair(p, z))
+    qc._rho1_cached.cache_clear()
+    rng = np.random.default_rng(29)
+    n = 200
+    for _ in range(n):
+        rho, mu = rng.uniform(0.05, 0.95), math.exp(rng.uniform(-0.7, 0.7))
+        alpha = rng.uniform(2.5, 6.0)
+        arrival = ak.Lomax(alpha, (alpha - 1.0) / (rho * mu))
+        decision = ak.PoissonDecisions(mu * math.exp(rng.uniform(-1.6, 0.7)))
+        config = qc.SystemConfig(arrival, ak.ServiceModel(mu), decision)
+        qc.mean_aud(config)
+        qc.missing_probability(config)
+    assert len(calls) / n <= 9.0
+
+
 def test_periodic_rho1_keeps_the_paper_inequality_near_critical_load():
     # result 3, 1 - rho1 > 2 rho ln(1/rho), failed at 332 of these loads
     # while rho1 came from Lambert W
