@@ -318,7 +318,7 @@ class Uniform(ArrivalModel):
             head = self._laplace_at(u) if s else 1.0
         return head, self._w1_at(s, u)
 
-    # The transforms at u = beta s, each a function of u apart from a scale.
+    # Each transform at u = beta s, shared by its method and newton_terms.
 
     @staticmethod
     def _laplace_at(u):

@@ -193,7 +193,8 @@ class SystemConfig:
 @dataclass(frozen=True)
 class Rho1Solution:
     """Fixed point of the embedded chain, its Newton step count, |g| there,
-    and w1 = weighted_first_moment(mu (1.0 - value)): q1, bit for bit."""
+    and w1 = weighted_first_moment(mu (1.0 - value)): q1, bit for bit (not
+    the sync discipline's ``DerivedQuantities.w1``)."""
 
     value: float
     iterations: int

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import audkit as ak
-from audkit import dist
 from audkit.errors import ConvergenceError, InputError
 
 import mp_oracle
@@ -201,8 +200,9 @@ def test_survival_laplace_matches_oracle(model):
         assert err <= 4 * 2.0**-52 * cancelled, s
 
 
-# every family, with both Lomax branches (beta s < 1 by series, >= 1 or shape
-# >= 20 by continued fraction) and the folded normal's point mass
+# every family and the folded normal's point mass; Lomax(3, 2) takes the
+# series (beta s < 1) and the continued fraction (beta s >= 1) over S_GRID,
+# Lomax(50, 100) the continued fraction by its shape (>= _CF_MIN_ORDER)
 NEWTON_MODELS = ALL_MODELS + [ak.FoldedNormal(1.5, 0.0)]
 
 
@@ -214,25 +214,11 @@ def test_newton_terms_are_the_transforms_bit_for_bit(model):
             model.survival_laplace(s), model.weighted_first_moment(s))
 
 
-def test_newton_terms_reach_both_lomax_branches():
-    small, large = ak.Lomax(3.0, 2.0), ak.Lomax(50.0, 100.0)
-    assert 0.0 < small.beta * S_GRID[2] < 1.0 <= small.beta * S_GRID[4]
-    assert large.alpha >= dist._CF_MIN_ORDER
-    assert small in NEWTON_MODELS and large in NEWTON_MODELS
-
-
-def test_newton_terms_rejects_negative_argument():
-    for model in NEWTON_MODELS:
-        for survival in (False, True):
-            with pytest.raises(InputError):
-                model.newton_terms(-1e-9, survival)
-
-
 # ulps of W1 against the 40-digit oracle, each a little above the worst
 # measured on S_GRID; the folded normal's (a - sigma v) t1 - (a + sigma v) t2
 # + gauss cancels as v = sigma s grows, past this bound from about v = 8
 W1_ULPS = {"exp": 2, "uniform": 8, "lomax": 10, "fnorm": 16, "det": 1}
-W1_CANCELS = "fnorm W1 cancels at large sigma s (FOUND line in CHANGES.md)"
+W1_CANCELS = "fnorm W1 cancels at large sigma s (ROADMAP item 14)"
 
 
 def _w1_ulps(model, s):
@@ -316,6 +302,9 @@ def test_transform_rejects_negative_argument():
             model.laplace(-0.1)
         with pytest.raises(InputError):
             model.weighted_first_moment(-1e-9)
+        for survival in (False, True):
+            with pytest.raises(InputError):
+                model.newton_terms(-1e-9, survival)
 
 
 # --- sampling -----------------------------------------------------------------
