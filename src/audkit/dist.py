@@ -11,10 +11,11 @@ integrals that the queueing formulas consume,
                              = (1 - laplace(s)) / s,
 
 and seedable random sampling.  ``survival_laplace`` keeps the digits that
-1 - laplace(s) cancels as s -> 0.  ``newton_terms(s, survival)`` returns, in
-one evaluation, what a step of the rho1 Newton solve needs at s: laplace(s),
-or survival_laplace(s) if ``survival``, and weighted_first_moment(s), each
-bit for bit what its own method returns.  Model objects are immutable and
+1 - laplace(s) cancels as s -> 0.  ``newton_terms(s, survival)`` returns what
+a step of the rho1 Newton solve needs at s: laplace(s), or
+survival_laplace(s) if ``survival``, and weighted_first_moment(s), each bit
+for bit what its own method returns (Lomax and the folded normal form both
+from shared work).  Model objects are immutable and
 hashable, so results keyed on them can be cached and shared across threads.
 
 Every transform is a closed form.  The Lomax transforms are generalized
@@ -183,8 +184,8 @@ class ArrivalModel:
     ``survival_laplace`` is (1 - laplace(s))/s, which cancels as s -> 0, and
     a family with a form that does not overrides it.  The base
     ``newton_terms`` calls the two transforms it returns; a family whose
-    transforms share work at s (one E_p pair, two Gaussian tails, one exp)
-    overrides it.  A two-parameter family is not fixed by its
+    transforms share costly work at s (Lomax one E_p pair, the folded normal
+    two Gaussian tails) overrides it.  A two-parameter family is not fixed by its
     rate, so its ``with_rate`` raises; its ``limit`` names the
     one-parameter family on its boundary (folded normal at sigma -> 0 is
     ``det``, Lomax at shape -> infinity is ``exp``), whose mean AuD is at
@@ -266,10 +267,6 @@ class Exponential(ArrivalModel):
     def survival_laplace(self, s):
         return 1.0 / (self.rate + _check_s(s))
 
-    def newton_terms(self, s, survival):
-        d = self.rate + _check_s(s)
-        return (1.0 / d if survival else self.rate / d), self.rate / d**2
-
     def sample(self, rng, size):
         u = rng.random(size)
         np.negative(u, out=u)
@@ -300,37 +297,23 @@ class Uniform(ArrivalModel):
 
     def laplace(self, s):
         s = _check_s(s)
-        return self._laplace_at(self.beta * s) if s else 1.0
+        if s == 0.0:
+            return 1.0
+        # (1 - exp(-s*beta)) / (s*beta); expm1 keeps the removable
+        # singularity at s -> 0 stable.
+        z = s * self.beta
+        return -math.expm1(-z) / z
 
     def weighted_first_moment(self, s):
         s = _check_s(s)
-        return self._w1_at(s, self.beta * s)
-
-    def survival_laplace(self, s):
-        return self._survival_at(self.beta * _check_s(s))
-
-    def newton_terms(self, s, survival):
-        s = _check_s(s)
         u = self.beta * s
-        if survival:
-            head = self._survival_at(u)
-        else:
-            head = self._laplace_at(u) if s else 1.0
-        return head, self._w1_at(s, u)
-
-    # Each transform at u = beta s, shared by its method and newton_terms.
-
-    @staticmethod
-    def _laplace_at(u):
-        # (1 - exp(-u))/u; expm1 keeps the removable singularity at u -> 0 stable
-        return -math.expm1(-u) / u
-
-    def _w1_at(self, s, u):
         if u < 0.5:
+            # 1 - exp(-u)(1+u) cancels for small u; the series does not
             return self.beta * _horner(_UNIFORM_W1, u)
         return (1.0 - math.exp(-u) * (1.0 + u)) / (self.beta * s * s)
 
-    def _survival_at(self, u):
+    def survival_laplace(self, s):
+        u = self.beta * _check_s(s)
         if u < 0.5:
             return self.beta * _horner(_UNIFORM_SURVIVAL, u)
         return self.beta * (u + math.expm1(-u)) / (u * u)
@@ -526,13 +509,6 @@ class Deterministic(ArrivalModel):
     def survival_laplace(self, s):
         s = _check_s(s)
         return -math.expm1(-s * self.period) / s if s else self.period
-
-    def newton_terms(self, s, survival):
-        s = _check_s(s)
-        x = -s * self.period
-        e = math.exp(x)
-        head = (-math.expm1(x) / s if s else self.period) if survival else e
-        return head, self.period * e
 
     def sample(self, rng, size):
         return np.full(size, self.period)

@@ -167,7 +167,7 @@ class SystemConfig:
         arrival, mu = self.arrival, self.service.rate
         rho1 = rho1_value(arrival, mu)
         a = mu * (1.0 - rho1)
-        q1 = _rho1_cached(arrival, mu).w1  # weighted_first_moment(a), from the solve
+        q1 = _rho1_cached(arrival, mu).q1  # weighted_first_moment(a), from the solve
         moments = _moments_at(arrival, mu, rho1, q1)
         if not math.isfinite(moments.second_moment):
             raise InputError("second_moment_y is not finite at this time scale; "
@@ -193,13 +193,12 @@ class SystemConfig:
 @dataclass(frozen=True)
 class Rho1Solution:
     """Fixed point of the embedded chain, its Newton step count, |g| there,
-    and w1 = weighted_first_moment(mu (1.0 - value)): q1, bit for bit (not
-    the sync discipline's ``DerivedQuantities.w1``)."""
+    and q1 = weighted_first_moment(mu (1.0 - value)), bit for bit."""
 
     value: float
     iterations: int
     residual: float
-    w1: float
+    q1: float
 
 
 def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Solution:
@@ -225,7 +224,7 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
     g's transform and weighted_first_moment at the same z = mu (1.0 - r).
     The accepted step's z is the mu (1.0 - rho1) of every closed form, so
     its weighted_first_moment is q1, bit for bit, and the solution carries
-    it as ``w1``.
+    it as ``q1``.
     """
     rho = 1.0 / (mu * arrival.mean())
     if not rho < 1.0:
@@ -242,7 +241,7 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
         r_next = r + g / (1.0 - mu * w1) if g > 0.0 else r
         if not r < r_next < 1.0 or steps >= max_iter:
             if abs(g) <= _RHO1_TOL:
-                return Rho1Solution(r, steps, abs(g), w1)
+                return Rho1Solution(r, steps, abs(g), q1=w1)
             raise ConvergenceError(
                 f"rho1 Newton iteration stalled at r={r!r} after {steps} "
                 f"steps (max_iter={max_iter})",
@@ -295,7 +294,7 @@ def departure_moments(arrival: ArrivalModel, mu: float) -> DepartureMoments:
              q1 = weighted_first_moment(arrival, mu (1-rho1)), from the solve
     """
     rho1 = rho1_value(arrival, mu)
-    return _moments_at(arrival, mu, rho1, _rho1_cached(arrival, mu).w1)
+    return _moments_at(arrival, mu, rho1, _rho1_cached(arrival, mu).q1)
 
 
 def _moments_at(arrival: ArrivalModel, mu: float, rho1: float, q1: float) -> DepartureMoments:

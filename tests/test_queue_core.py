@@ -156,7 +156,7 @@ def test_q1_from_the_solve_is_the_transform_at_the_root(family, rho):
     d = config.derived
     q1 = arrival.weighted_first_moment(mu * (1.0 - d.rho1))
     assert d.q1 == q1
-    assert qc.solve_rho1(arrival, mu).w1 == q1
+    assert qc.solve_rho1(arrival, mu).q1 == q1
     assert qc.departure_moments(arrival, mu) == (d.mean_y, d.second_moment_y, d.cross_ty)
 
 
