@@ -166,11 +166,21 @@ def _cmd_optimize_offset(args) -> tuple:
     return {"command": "optimize-offset", "lambda": lam, "mu": mu, **results}, text
 
 
+def _integral(key: str, value) -> int:
+    """A sweep budget value as an int; a fraction or a non-number is an error."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"sweep spec {key} must be an integral number, got {value!r}")
+
+
 def _load_sweep_spec(path: str) -> report.SweepSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        budget = {k: int(raw[k]) for k in ("horizon", "replications", "base_seed") if k in raw}
+        budget = {k: _integral(k, raw[k]) for k in ("horizon", "replications", "base_seed")
+                  if k in raw}
         return report.SweepSpec(
             variable=raw["variable"],
             grid=tuple(float(v) for v in raw["grid"]),

@@ -11,12 +11,13 @@ integrals that the queueing formulas consume,
                              = (1 - laplace(s)) / s,
 
 and seedable random sampling.  ``survival_laplace`` keeps the digits that
-1 - laplace(s) cancels as s -> 0.  ``newton_terms(s, survival)`` returns what
-a step of the rho1 Newton solve needs at s: laplace(s), or
-survival_laplace(s) if ``survival``, and weighted_first_moment(s), each bit
-for bit what its own method returns (Lomax and the folded normal form both
-from shared work).  Model objects are immutable and
-hashable, so results keyed on them can be cached and shared across threads.
+1 - laplace(s) cancels as s -> 0 (except for the folded normal, which has no
+such form).  A family writes its transforms once, in
+``newton_terms(s, survival)``: laplace(s), or survival_laplace(s) if
+``survival``, and weighted_first_moment(s), which is what a step of the rho1
+Newton solve needs at s.  The three named transforms are components of it.
+Model objects are immutable and hashable, so results keyed on them can be
+cached and shared across threads.
 
 Every transform is a closed form.  The Lomax transforms are generalized
 exponential integrals E_p(z), evaluated by a continued fraction or, for
@@ -179,18 +180,17 @@ class ArrivalModel:
     Class attributes: ``tag`` names the family in spec strings, ``keys``
     (set by ``spec_registry``) lists its parameters in constructor order,
     and ``limit`` is None for a one-parameter family.  Each family gives
-    ``mean``, ``second_moment``, ``laplace``, ``weighted_first_moment``,
-    ``survival_laplace``, ``newton_terms`` and ``sample``; the base
-    ``survival_laplace`` is (1 - laplace(s))/s, which cancels as s -> 0, and
-    a family with a form that does not overrides it.  The base
-    ``newton_terms`` calls the two transforms it returns; a family whose
-    transforms share costly work at s (Lomax one E_p pair, the folded normal
-    two Gaussian tails) overrides it.  A two-parameter family is not fixed by its
-    rate, so its ``with_rate`` raises; its ``limit`` names the
-    one-parameter family on its boundary (folded normal at sigma -> 0 is
-    ``det``, Lomax at shape -> infinity is ``exp``), whose mean AuD is at
-    most its own at every arrival rate.  The arrival optimizer searches
-    that family instead.
+    ``mean``, ``second_moment``, ``newton_terms`` and ``sample``.
+    ``newton_terms`` is the family's one description of its transforms at
+    s, so that they share their work there (Lomax one E_p pair, the folded
+    normal two Gaussian tails); ``laplace``, ``weighted_first_moment`` and
+    ``survival_laplace`` are defined here and return its components.
+
+    A two-parameter family is not fixed by its rate, so its ``with_rate``
+    raises; its ``limit`` names the one-parameter family on its boundary
+    (folded normal at sigma -> 0 is ``det``, Lomax at shape -> infinity is
+    ``exp``), whose mean AuD is at most its own at every arrival rate.  The
+    arrival optimizer searches that family instead.
     """
 
     limit: Optional[str] = None
@@ -214,22 +214,20 @@ class ArrivalModel:
 
     def laplace(self, s: float) -> float:
         """int_0^inf f(x) exp(-s x) dx for s >= 0; equals 1 at s = 0."""
-        raise NotImplementedError
+        return self.newton_terms(s, False)[0]
 
     def weighted_first_moment(self, s: float) -> float:
         """int_0^inf x f(x) exp(-s x) dx for s >= 0; equals mean() at s = 0."""
-        raise NotImplementedError
+        return self.newton_terms(s, False)[1]
 
     def survival_laplace(self, s: float) -> float:
         """int_0^inf (1 - F(x)) exp(-s x) dx = (1 - laplace(s))/s; mean() at s = 0."""
-        s = _check_s(s)
-        return (1.0 - self.laplace(s)) / s if s else self.mean()
+        return self.newton_terms(s, True)[0]
 
     def newton_terms(self, s: float, survival: bool) -> tuple[float, float]:
         """(survival_laplace(s) if ``survival`` else laplace(s),
         weighted_first_moment(s)), bit for bit, for one rho1 Newton step."""
-        head = self.survival_laplace(s) if survival else self.laplace(s)
-        return head, self.weighted_first_moment(s)
+        raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw a vector of ``size`` values from the model."""
@@ -256,16 +254,9 @@ class Exponential(ArrivalModel):
     def second_moment(self):
         return 2.0 / self.rate**2
 
-    def laplace(self, s):
-        s = _check_s(s)
-        return self.rate / (self.rate + s)
-
-    def weighted_first_moment(self, s):
-        s = _check_s(s)
-        return self.rate / (self.rate + s) ** 2
-
-    def survival_laplace(self, s):
-        return 1.0 / (self.rate + _check_s(s))
+    def newton_terms(self, s, survival):
+        d = self.rate + _check_s(s)
+        return (1.0 / d if survival else self.rate / d), self.rate / d**2
 
     def sample(self, rng, size):
         u = rng.random(size)
@@ -295,28 +286,20 @@ class Uniform(ArrivalModel):
     def second_moment(self):
         return self.beta**2 / 3.0
 
-    def laplace(self, s):
-        s = _check_s(s)
-        if s == 0.0:
-            return 1.0
-        # (1 - exp(-s*beta)) / (s*beta); expm1 keeps the removable
-        # singularity at s -> 0 stable.
-        z = s * self.beta
-        return -math.expm1(-z) / z
-
-    def weighted_first_moment(self, s):
+    def newton_terms(self, s, survival):
         s = _check_s(s)
         u = self.beta * s
-        if u < 0.5:
-            # 1 - exp(-u)(1+u) cancels for small u; the series does not
-            return self.beta * _horner(_UNIFORM_W1, u)
-        return (1.0 - math.exp(-u) * (1.0 + u)) / (self.beta * s * s)
-
-    def survival_laplace(self, s):
-        u = self.beta * _check_s(s)
-        if u < 0.5:
-            return self.beta * _horner(_UNIFORM_SURVIVAL, u)
-        return self.beta * (u + math.expm1(-u)) / (u * u)
+        small = u < 0.5  # where the direct survival and W1 forms cancel; the series do not
+        if not survival:
+            # (1 - exp(-u)) / u; expm1 keeps the removable singularity at u -> 0 stable
+            head = -math.expm1(-u) / u if u else 1.0
+        elif small:
+            head = self.beta * _horner(_UNIFORM_SURVIVAL, u)
+        else:
+            head = self.beta * (u + math.expm1(-u)) / (u * u)
+        if small:
+            return head, self.beta * _horner(_UNIFORM_W1, u)
+        return head, (1.0 - math.exp(-u) * (1.0 + u)) / (self.beta * s * s)
 
     def sample(self, rng, size):
         u = rng.random(size)
@@ -352,29 +335,11 @@ class Lomax(ArrivalModel):
         # grouped to avoid beta**2 overflow at extreme shapes
         return 2.0 * (self.beta / (self.alpha - 1.0)) * (self.beta / (self.alpha - 2.0))
 
-    def laplace(self, s):
-        # alpha e^z E_{alpha+1}(z) at z = beta s (A&S 5.1.4 after x = beta (t-1))
-        z = self.beta * _check_s(s)
-        if z == 0.0:
-            return 1.0
-        f, df = _scaled_expint_pair(self.alpha, z)
-        return self.alpha * (f - df)
-
-    def weighted_first_moment(self, s):
-        # alpha beta e^z [E_alpha(z) - E_{alpha+1}(z)] at z = beta s
-        z = self.beta * _check_s(s)
-        if z == 0.0:
-            return self.mean()
-        _, df = _scaled_expint_pair(self.alpha, z)
-        return self.alpha * self.beta * df
-
-    def survival_laplace(self, s):
-        # beta e^z E_alpha(z) at z = beta s, from 1 - F(x) = (beta/(x+beta))^alpha
-        z = self.beta * _check_s(s)
-        return self.beta * _scaled_expint_pair(self.alpha, z)[0] if z else self.mean()
-
     def newton_terms(self, s, survival):
-        # one E_p pair: laplace alpha (f - df), phi beta f, W1 alpha beta df
+        # At z = beta s (A&S 5.1.4 after x = beta (t-1)), from one E_p pair
+        # f = e^z E_alpha(z), df = e^z [E_alpha(z) - E_{alpha+1}(z)]:
+        # laplace alpha e^z E_{alpha+1}(z) = alpha (f - df), survival_laplace
+        # beta f from 1 - F(x) = (beta/(x+beta))^alpha, and W1 alpha beta df.
         z = self.beta * _check_s(s)
         if z == 0.0:
             return (self.mean() if survival else 1.0), self.mean()
@@ -422,53 +387,29 @@ class FoldedNormal(ArrivalModel):
         # products, not powers: past ~1.3e154 they round to inf instead of raising
         return self.alpha * self.alpha + self.sigma * self.sigma
 
-    def _tails(self, s):
-        """(t1, t2, v) at s >= 0 for sigma > 0: the scaled Gaussian-tail terms
-        of the MGF at -s, e^{q - a s} P(N > v - a/sigma) and
-        e^{q + a s} P(N > v + a/sigma), q = v^2/2, v = sigma s.  The shared
-        factor exp(-alpha^2/(2 sigma^2)) makes the sigma -> 0 limit exact."""
-        a, sg = self.alpha, self.sigma
-        z, v = a / sg, sg * s  # v, not sigma^2, so that no square can overflow
-        quad_term = 0.5 * v * v
-        t1 = _exp_times_gauss_tail(quad_term - a * s, v - z)
-        t2 = _exp_times_gauss_tail(quad_term + a * s, v + z)
-        return t1, t2, v
-
-    def _wfm_from(self, t1, t2, v):
-        # Derivative of the MGF at -s: the Gaussian-density terms collapse to
-        # a single exp(-alpha^2/(2 sigma^2)) factor.
-        a, sg = self.alpha, self.sigma
-        z = a / sg
-        gauss = _SQRT_2_OVER_PI * sg * math.exp(-0.5 * z * z)
-        return (a - sg * v) * t1 - (a + sg * v) * t2 + gauss
-
-    def laplace(self, s):
-        # MGF of |N(alpha, sigma^2)| evaluated at -s
-        s = _check_s(s)
-        if s == 0.0:
-            return 1.0
-        if self.sigma == 0.0:
-            return math.exp(-s * self.alpha)
-        t1, t2, _ = self._tails(s)
-        return min(t1 + t2, 1.0)  # roundoff can poke one ulp above 1 near s=0
-
-    def weighted_first_moment(self, s):
-        s = _check_s(s)
-        if self.sigma == 0.0:
-            return self.alpha * math.exp(-s * self.alpha)
-        return self._wfm_from(*self._tails(s))
-
     def newton_terms(self, s, survival):
-        # laplace and W1 share their two Gaussian tails
+        # laplace is the MGF of |N(alpha, sigma^2)| at -s, and W1 minus its
+        # derivative there; both are made of the same two Gaussian tails
         s = _check_s(s)
-        if self.sigma == 0.0:
-            lap = math.exp(-s * self.alpha)
-            w1 = self.alpha * lap
+        a, sg = self.alpha, self.sigma
+        if sg == 0.0:
+            lap = math.exp(-s * a)
+            w1 = a * lap
         else:
-            t1, t2, v = self._tails(s)
-            lap = min(t1 + t2, 1.0) if s else 1.0
-            w1 = self._wfm_from(t1, t2, v)
+            # t1 = e^{q - a s} P(N > v - a/sigma), t2 = e^{q + a s} P(N > v + a/sigma),
+            # q = v^2/2; their shared factor exp(-alpha^2/(2 sigma^2)) makes the
+            # sigma -> 0 limit exact
+            z, v = a / sg, sg * s  # v, not sigma^2, so that no square can overflow
+            quad_term = 0.5 * v * v
+            t1 = _exp_times_gauss_tail(quad_term - a * s, v - z)
+            t2 = _exp_times_gauss_tail(quad_term + a * s, v + z)
+            lap = min(t1 + t2, 1.0) if s else 1.0  # roundoff can poke one ulp above 1 near s=0
+            # the derivative's Gaussian-density terms collapse to one
+            # exp(-alpha^2/(2 sigma^2)) factor
+            gauss = _SQRT_2_OVER_PI * sg * math.exp(-0.5 * z * z)
+            w1 = (a - sg * v) * t1 - (a + sg * v) * t2 + gauss
         if survival:
+            # (1 - laplace(s))/s, which cancels as s -> 0: this family has no other form
             return ((1.0 - lap) / s if s else self.mean()), w1
         return lap, w1
 
@@ -498,17 +439,11 @@ class Deterministic(ArrivalModel):
     def second_moment(self):
         return self.period * self.period  # inf, not OverflowError, past ~1.3e154
 
-    def laplace(self, s):
+    def newton_terms(self, s, survival):
         s = _check_s(s)
-        return math.exp(-s * self.period)
-
-    def weighted_first_moment(self, s):
-        s = _check_s(s)
-        return self.period * math.exp(-s * self.period)
-
-    def survival_laplace(self, s):
-        s = _check_s(s)
-        return -math.expm1(-s * self.period) / s if s else self.period
+        lap = math.exp(-s * self.period)
+        head = (-math.expm1(-s * self.period) / s if s else self.period) if survival else lap
+        return head, self.period * lap
 
     def sample(self, rng, size):
         return np.full(size, self.period)

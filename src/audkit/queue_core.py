@@ -18,9 +18,9 @@ its discipline-specific knowledge; everything else dispatches through it.
 A ``SystemConfig`` computes its ``DerivedQuantities`` once, as its
 ``derived`` property, and every discipline's mean AuD and missing
 probability read it.  The periodic mean-AuD closed forms
-(``average_aud_dm1*``) also take (lambda, mu), so the offset optimizer
-calls them without building a system; each shares one private function of
-the scalars with its discipline class.
+(``average_aud_dm1*``) also take (lambda, mu), so ``optimize-offset`` and
+the sweep's ``optimal-offset`` cells call them without building a system;
+each shares one private function of the scalars with its discipline class.
 
 Missing probability.  An update is never used exactly when no decision
 epoch falls in [its departure, the next departure): a decision at a
@@ -212,9 +212,10 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
     same function without the cancellation of laplace(z) against r, so
     near rho = 1 the relative error of s = 1 - rho1 stays at the
     eps/(1 - rho) that rounding the inputs costs.  (Written with the
-    rounded z in both factors, the base-class (1 - laplace(z))/z gives back
-    laplace(z) - r; s (1 - mu survival_laplace(z)) would round above zero
-    at the root and let the climb creep by ulps.)  The climb runs until
+    rounded z in both factors, the folded normal's survival_laplace,
+    (1 - laplace(z))/z, gives back laplace(z) - r;
+    s (1 - mu survival_laplace(z)) would round above zero at the root and
+    let the climb creep by ulps.)  The climb runs until
     rounding stops it (g <= 0, or r no longer moves) and is accepted if then
     |g| <= ``_RHO1_TOL`` (1e-12).  Otherwise, and after ``max_iter`` steps,
     ConvergenceError carries the best iterate.  Instability is rejected up

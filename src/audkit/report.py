@@ -89,6 +89,8 @@ class SweepSpec:
             raise InputError(f"repeated evaluation in {list(self.evaluations)}")
         if self.horizon < 10 or self.replications < 2:
             raise InputError("MC budget needs horizon >= 10 and replications >= 2")
+        if not self.base_seed >= 0:
+            raise InputError(f"sweep base_seed must be >= 0, got {self.base_seed}")
 
 
 def _apply_variable(spec: SweepSpec, value: float) -> SystemConfig:

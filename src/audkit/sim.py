@@ -147,8 +147,16 @@ def run_trajectory(
 
     ``seed``, an int or a SeedSequence, is fed to a Philox bit generator,
     so the full trajectory is a pure function of (config, horizon, seed).
+    A negative int seed raises ``InputError``.
     """
+    _check_seed(seed)
     return _trajectory(config, horizon, seed, keep=True)
+
+
+def _check_seed(seed) -> None:
+    """Rejects a negative int seed, which numpy refuses with a ValueError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
 
 
 def _trajectory(config: SystemConfig, horizon: int, seed, keep: bool):
@@ -280,6 +288,7 @@ def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: in
     ``keep_first`` (None otherwise), so a dump reuses that trajectory."""
     if n_reps < 2:
         raise InputError(f"need at least 2 replications, got {n_reps}")
+    _check_seed(base_seed)
     if threads is None:
         threads = _default_threads(horizon)
     elif threads < 1:

@@ -1,5 +1,6 @@
 """The embedded-chain root s = 1 - rho1 at 40 digits, the oracle for the rho1 solve,
-and the weighted first moment W1(z) = int_0^inf x f(x) e^{-z x} dx of each family.
+and the weighted first moment W1(z) = int_0^inf x f(x) e^{-z x} dx and the
+Laplace transform L(z) = 1 - z phi(z) of each family.
 
 With s = 1 - rho1, the fixed point rho1 = L(mu s) is the root in (0, 1) of
 
@@ -135,6 +136,17 @@ def weighted_first_moment(arrival, z) -> mpf:
         if z == 0:
             return _mean(arrival.tag, params)
         return _W1[arrival.tag](mpf(z), *params)
+
+
+def laplace(arrival, z) -> mpf:
+    """L(z) = 1 - z phi(z) of ``arrival``, to about 40 digits; 1 at z = 0.
+
+    The working precision's guard digits absorb the cancellation of
+    1 - z phi(z) as z phi(z) -> 1 at large z."""
+    with mp.workdps(DPS + _GUARD):
+        if z == 0:
+            return mpf(1)
+        return 1 - mpf(z) * _PHI[arrival.tag](mpf(z), *_params(arrival))
 
 
 def survival_laplace(arrival, z) -> mpf:

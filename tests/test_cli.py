@@ -47,19 +47,19 @@ def test_analyze_json_near_critical(tmp_path, arrival, rho):
 
 def test_analyze_evaluates_each_transform_once(tmp_path, monkeypatch):
     # derive, mean_aud and missing_probability share one DerivedQuantities,
-    # and q1 comes with rho1 from the cached solve: q0 is left to evaluate
+    # and q1 comes with rho1 from the cached solve: q0 = laplace(nu) is left
+    # to evaluate, and every transform is an evaluation of newton_terms
     audkit.rho1_value(audkit.Lomax(3.5, 3.0), 1.0)  # warm the rho1 cache
     calls = []
-    for name in ("laplace", "weighted_first_moment", "survival_laplace", "newton_terms"):
-        original = getattr(audkit.Lomax, name)
-        monkeypatch.setattr(audkit.Lomax, name,
-                            lambda self, *a, _f=original, _n=name: calls.append(_n) or _f(self, *a))
+    original = audkit.Lomax.newton_terms
+    monkeypatch.setattr(audkit.Lomax, "newton_terms",
+                        lambda self, *a: calls.append(a) or original(self, *a))
     code = cli.main(
         ["analyze", "--arrival", "lomax:alpha=3.5,beta=3", "--mu", "1",
          "--decision", "poisson:rate=0.5", "--out", str(tmp_path / "analyze.txt")]
     )
     assert code == 0
-    assert calls == ["laplace"]
+    assert calls == [(0.5, False)]
 
 
 @pytest.mark.parametrize("decision", ["poisson:rate=0.5", "sync:m0=2", "offset:delta=0.5"])
@@ -315,6 +315,8 @@ _ANALYZE = ["analyze", "--mu", "1"]
         ["optimize-offset", "--lambda", "1.5", "--mu", "1"],
         ["simulate", "--mu", "1", "--arrival", "exp:rate=0.5", "--decision", "poisson:rate=1",
          "--threads", "0"],
+        ["simulate", "--mu", "1", "--arrival", "exp:rate=0.5", "--decision", "poisson:rate=1",
+         "--horizon", "200", "--reps", "2", "--seed", "-1"],
     ],
 )
 def test_input_errors_exit_2(argv, capsys):
@@ -340,8 +342,10 @@ def _sweep_spec(grid):
         json.dumps(_sweep_spec([0.5, math.nan, 1.0])),
         json.dumps(dict(_sweep_spec([0.5]), template={"arrival": "exp:rate=0.5", "mu": 1.0})),
         json.dumps(dict(_sweep_spec([0.5]), evaluations=["analytic-aud", "analytic-aud"])),
+        json.dumps(dict(_sweep_spec([0.5]), base_seed=-1)),
     ],
-    ids=["missing", "malformed", "inf-grid", "nan-grid", "no-decision", "repeated-evaluation"],
+    ids=["missing", "malformed", "inf-grid", "nan-grid", "no-decision", "repeated-evaluation",
+         "negative-seed"],
 )
 def test_sweep_input_errors_exit_2(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
@@ -349,8 +353,31 @@ def test_sweep_input_errors_exit_2(tmp_path, capsys, text):
         spec.write_text(text)
     out = tmp_path / "out.csv"
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("horizon", 2000.9), ("replications", 2.7), ("base_seed", True),
+     ("base_seed", "3"), ("horizon", None)],
+)
+def test_sweep_budget_must_be_integral(tmp_path, capsys, key, value):
+    # int() would run 2000 updates for 2000.9, and 1 replication for true
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(_sweep_spec([0.5]), **{key: value})))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_sweep_budget_takes_integral_floats(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(_sweep_spec([0.5]), horizon=2000.0, replications=2,
+                                    base_seed=7.0)))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 0
+    assert cli._load_sweep_spec(str(spec)).horizon == 2000
 
 
 def test_simulate_insufficient_data_exits_3(capsys):

@@ -148,6 +148,8 @@ def test_laplace_examples():
     assert ak.Deterministic(0.5).laplace(2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
     for model in ALL_MODELS:
         assert model.laplace(0.0) == 1.0
+    # beta s underflows to 0 for s > 0; (1 - e^-u)/u divided by zero there
+    assert ak.Uniform(0.5).laplace(5e-324) == 1.0
 
 
 def test_weighted_first_moment_examples():
@@ -200,10 +202,34 @@ def test_survival_laplace_matches_oracle(model):
         assert err <= 4 * 2.0**-52 * cancelled, s
 
 
+# ulps of laplace, the survival=False head of newton_terms that q0 reads,
+# against the 40-digit oracle; each a little above the worst measured on
+# S_GRID (exp 0.77, uniform 0.53, lomax 0.86, fnorm 3.1, det 0.37)
+LAPLACE_ULPS = {"exp": 1, "uniform": 1, "lomax": 1, "fnorm": 4, "det": 1}
+
+
+@pytest.mark.parametrize(
+    "model", [m for m in ALL_MODELS if not (isinstance(m, ak.Lomax) and m.alpha > 1e3)]
+)
+def test_laplace_matches_oracle(model):
+    for s in [0.0] + S_GRID:
+        exact = mp_oracle.laplace(model, s)
+        err = float(abs(model.laplace(s) - exact) / exact)
+        assert err <= LAPLACE_ULPS[model.tag] * 2.0**-52, s
+
+
 # every family and the folded normal's point mass; Lomax(3, 2) takes the
 # series (beta s < 1) and the continued fraction (beta s >= 1) over S_GRID,
 # Lomax(50, 100) the continued fraction by its shape (>= _CF_MIN_ORDER)
 NEWTON_MODELS = ALL_MODELS + [ak.FoldedNormal(1.5, 0.0)]
+
+
+def test_each_family_writes_its_transforms_once():
+    # laplace, weighted_first_moment and survival_laplace are ArrivalModel's,
+    # returning components of the family's newton_terms
+    transforms = {"laplace", "weighted_first_moment", "survival_laplace", "newton_terms"}
+    for cls in ak.dist.FAMILIES.values():
+        assert transforms & set(vars(cls)) == {"newton_terms"}, cls.__name__
 
 
 @pytest.mark.parametrize("model", NEWTON_MODELS)

@@ -42,6 +42,8 @@ def test_sweep_spec_validation():
         report.SweepSpec("nu", (1.0,), POISSON_TEMPLATE, ("aud",))
     with pytest.raises(InputError):
         report.SweepSpec("nu", (1.0,), POISSON_TEMPLATE, ("analytic-aud",), replications=1)
+    with pytest.raises(InputError, match="base_seed"):
+        report.SweepSpec("nu", (1.0,), POISSON_TEMPLATE, ("analytic-aud",), base_seed=-1)
 
 
 def test_sweep_spec_rejects_repeated_evaluation():

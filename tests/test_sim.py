@@ -152,6 +152,15 @@ def test_horizon_validated():
         sim.run_trajectory(poisson_cfg(ak.Exponential(1.0)), 0, seed=1)
 
 
+def test_negative_seed_rejected():
+    # numpy would refuse it with a ValueError traceback
+    cfg = poisson_cfg(ak.Exponential(1.0))
+    with pytest.raises(InputError, match="seed"):
+        sim.run_trajectory(cfg, 100, seed=-1)
+    with pytest.raises(InputError, match="seed"):
+        sim.run_replications(cfg, horizon=100, n_reps=2, base_seed=-1)
+
+
 # --- estimators against closed forms ----------------------------------------------
 
 
