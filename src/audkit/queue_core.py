@@ -65,7 +65,7 @@ from .dist import (
     spec_grammar,
     spec_registry,
 )
-from .errors import ConvergenceError, InputError, StabilityError
+from .errors import ConvergenceError, InputError, InsufficientDataError, StabilityError
 
 __all__ = [
     "PoissonDecisions",
@@ -116,11 +116,55 @@ class DecisionModel:
         epochs(config, t_end, rng)  all decision epochs in (0, t_end], increasing
 
     ``derive_extras`` runs once per system, inside ``SystemConfig.derived``,
-    and ``mean_aud`` and ``missing_probability`` read that object.
+    and ``mean_aud`` and ``missing_probability`` read that object.  The
+    simulator estimates each replication through ``replication_sums``, which
+    samples ``epochs`` unless a discipline sums its decisions without them.
     """
 
     def check(self, arrival: ArrivalModel) -> None:
         pass
+
+    def replication_sums(self, config, t, dep, warm, rng, decisions=None):
+        """One replication's (mean AuD, decisions kept, updates missed,
+        updates counted, decisions discarded) from its arrival and departure
+        epochs ``t`` and ``dep``, after a warm-up of ``warm`` updates.
+
+        Decisions before dep[warm] are discarded; updates max(warm, 1) - 1
+        to len(dep) - 2 are counted, as in ``sim._missed``.  Raises
+        ``InsufficientDataError`` when no decision or no counted update is
+        left.  This is the sampled path: ``epochs`` drawn from ``rng`` and
+        matched by ``sim.assign_decisions`` (or ``decisions``, that match,
+        if given), then ``sim._missed``.
+        """
+        from . import sim  # sim imports this module
+
+        if decisions is None:
+            decisions = sim._decisions(config, t, dep, rng)
+        used, ages = decisions.used_update, decisions.age
+        skipped = decisions.n_before_first_departure
+        del decisions  # and with it the epochs, unless a dump keeps them
+        early = int(np.count_nonzero(used < warm))  # before dep[warm]
+        ages = ages[early:]
+        _require_decisions(ages.shape[0])
+        missed, counted = sim._missed(used, dep.shape[0], warm)
+        return float(ages.mean()), int(ages.shape[0]), missed, counted, skipped + early
+
+
+def _require_decisions(kept: int) -> None:
+    if kept == 0:
+        raise InsufficientDataError(
+            "no decision epochs after the warm-up window; increase the horizon"
+        )
+
+
+def _first_counted(n: int, warm: int) -> int:
+    """max(warm, 1): of ``n`` updates, those from this one's predecessor to
+    n - 2 are counted for misses, as the horizon cuts off the last update's
+    window.  Raises ``InsufficientDataError`` when that leaves none."""
+    start = max(int(warm), 1)
+    if start >= n:
+        raise InsufficientDataError(f"no updates left after skipping {warm} of {n} for warm-up")
+    return start
 
 
 @dataclass(frozen=True)
@@ -492,11 +536,70 @@ class PoissonDecisions(DecisionModel):
 
 
 class _PeriodicDecisions(DecisionModel):
-    """The arrival check shared by the periodic disciplines."""
+    """Decisions on a fixed grid tau_j, j = first, first + 1, ...
+
+    Each subclass states its grid once: ``_tau`` turns a float array of
+    indices j into tau_j in place, rounded as ``epochs`` returns them,
+    ``_index`` is its inverse before rounding (the real j at which
+    tau_j = x), and ``_step`` is the spacing.  ``epochs`` and
+    ``replication_sums`` both read the grid from these, and from ``first``.
+    """
 
     def check(self, arrival):
         if not isinstance(arrival, Deterministic):
             raise InputError("periodic decision disciplines require deterministic arrivals")
+
+    def epochs(self, config, t_end, rng):
+        j = np.arange(self.first, self._end(config, t_end), dtype=np.float64)
+        return self._tau(config, j)
+
+    def _end(self, config, t_end):
+        """One past the last grid index ``epochs`` returns up to ``t_end``."""
+        return int(np.floor(self._index(config, t_end))) + 1
+
+    def _ceil(self, config, x):
+        """C(x), the first grid index j with tau_j >= x, per element of
+        ``x`` > 0, exact against the rounded tau_j: the ceiling of
+        ``_index`` with one correction up and one down, which is all the
+        rounding of the index and of tau_j can need below j = 2^50."""
+        c = self._index(config, x)
+        np.ceil(c, out=c)
+        c += self._tau(config, c.copy()) < x
+        c -= self._tau(config, c - 1.0) >= x
+        return c
+
+    def replication_sums(self, config, t, dep, warm, rng, decisions=None):
+        """The sums of the sampled path by grid arithmetic, without an epoch.
+
+        Update k serves the decisions in [dep[k], dep[k+1]), so a decision
+        at a departure epoch uses the update that just departed, and the
+        last update those from dep[-1] to the last epoch.  That is
+        C(dep[k+1]) - C(dep[k]) of them, with C capped at one past the last
+        index of ``epochs``, which can stop a grid point short of dep[-1],
+        and their ages, tau_C(dep[k]) - t[k] and on in steps of
+        ``_step``, sum to count (first age) + count (count - 1) step / 2.
+        Memory and time do not grow with the decision rate.  ``rng`` and
+        ``decisions`` are not read.
+        """
+        n = dep.shape[0]
+        end = self._end(config, float(dep[-1]))
+        lo = max(warm, 1) - 1  # the first update counted for misses
+        c = self._ceil(config, dep[lo:])
+        np.minimum(c, end, out=c)
+        count = np.diff(c, append=end)  # decisions update lo + i serves
+        skip = warm - lo
+        kept = int(end - c[skip])
+        _require_decisions(kept)
+        counted = n - _first_counted(n, warm)
+        missed = int(np.count_nonzero(count[:-1] == 0))
+        discarded = int(c[skip]) - self.first
+        count = count[skip:]
+        age = self._tau(config, c[skip:])  # the first age of each kept window
+        age -= t[warm:]
+        age *= count
+        pairs = count * (count - 1.0)
+        total = float(age.sum()) + 0.5 * self._step(config) * float(pairs.sum())
+        return total / kept, kept, missed, counted, discarded
 
 
 @dataclass(frozen=True)
@@ -541,12 +644,18 @@ class PeriodicSyncDecisions(_PeriodicDecisions):
         ratio = d.w1 * math.expm1(-mu * d.rho1 / nu) / math.expm1(-mu * (1.0 - d.rho1) / nu)
         return max(d.rho1 - (1.0 - d.rho1) * ratio, 0.0)
 
-    def epochs(self, config, t_end, rng):
-        nu = config.decision_rate
-        n = int(np.floor(t_end * nu))
-        tau = np.arange(1, n + 1, dtype=np.float64)
-        tau /= nu
-        return tau
+    # tau_j = j / nu, j >= 1
+    first = 1
+
+    def _tau(self, config, j):
+        j /= config.decision_rate
+        return j
+
+    def _index(self, config, x):
+        return x * config.decision_rate
+
+    def _step(self, config):
+        return 1.0 / config.decision_rate
 
 
 @dataclass(frozen=True)
@@ -587,15 +696,20 @@ class PeriodicOffsetDecisions(_PeriodicDecisions):
         one_minus_u1 = -math.expm1(-config.service.rate * (1.0 - d.rho1) * self.delta)
         return d.u0 * one_minus_u1 + d.rho0 * d.u1
 
-    def epochs(self, config, t_end, rng):
-        # One decision delta after every arrival epoch of the periodic grid
-        # (including the epoch at t = 0).
-        period = config.arrival.period
-        n = int(np.floor((t_end - self.delta) / period))
-        tau = np.arange(0, n + 1, dtype=np.float64)
-        tau *= period
-        tau += self.delta
-        return tau
+    # tau_j = j P + delta, j >= 0: one decision delta after every arrival
+    # epoch of the periodic grid, the one at t = 0 included
+    first = 0
+
+    def _tau(self, config, j):
+        j *= config.arrival.period
+        j += self.delta
+        return j
+
+    def _index(self, config, x):
+        return (x - self.delta) / config.arrival.period
+
+    def _step(self, config):
+        return config.arrival.period
 
 
 DISCIPLINES = spec_registry(PoissonDecisions, PeriodicSyncDecisions, PeriodicOffsetDecisions)

@@ -18,11 +18,17 @@ counter-based Philox generator, so streams are independent by construction
 and a report is bit-identical for a given base seed regardless of how many
 worker threads execute it.  By default replications of 10^5 updates or more
 run on every available core, which lifted the benchmark's Monte Carlo
-workload about 1.8x on 2 cores.  A replication that is not dumped keeps only
-the arrival and departure epochs and its decisions: 7-10 horizon-length
-float64 arrays at its peak (10.4 MiB for exp arrivals with Poisson decisions,
-15.6 MiB for periodic ones with m0 = 2, at 2*10^5 updates), against 14-18
-when every column was built.
+workload about 1.8x on 2 cores.
+
+Each decision discipline estimates a replication from its arrival and
+departure epochs (``replication_sums``).  Poisson decisions are sampled and
+matched to the updates, so their cost grows with the decision rate.
+Periodic ones are summed per update window by grid arithmetic, with no
+decision epoch drawn: their cost does not depend on m0.  A replication that
+is not dumped peaks at max(5, 2 + 3 nu/lambda) horizon-length float64 arrays:
+five in the Lindley scan (7.6 MiB at 2*10^5 updates), and under Poisson
+decisions the arrival and departure epochs plus three 8-byte arrays per
+decision (8.4 MiB for exp arrivals at load 0.6 and nu = 0.7).
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError
-from .queue_core import SystemConfig
+from .errors import InputError
+from .queue_core import SystemConfig, _first_counted
 
 __all__ = [
     "UpdateRecords",
@@ -150,7 +156,8 @@ def run_trajectory(
     A negative int seed raises ``InputError``.
     """
     _check_seed(seed)
-    return _trajectory(config, horizon, seed, keep=True)
+    records, t, dep, rng = _trajectory(config, horizon, seed, keep=True)
+    return records, _decisions(config, t, dep, rng)
 
 
 def _check_seed(seed) -> None:
@@ -160,10 +167,10 @@ def _check_seed(seed) -> None:
 
 
 def _trajectory(config: SystemConfig, horizon: int, seed, keep: bool):
-    """(records if ``keep`` else None, decisions).  Without ``keep`` the
-    inter-arrival and service times are dropped as soon as the departures
-    exist, and the waiting, system and inter-departure columns are never
-    built."""
+    """(records if ``keep`` else None, arrival epochs, departure epochs, and
+    the generator, for the decisions).  Without ``keep`` the inter-arrival
+    and service times are dropped as soon as the departures exist, and the
+    waiting, system and inter-departure columns are never built."""
     rng = np.random.Generator(np.random.Philox(seed))
     x, s, t, dep = _lindley(config, horizon, rng)
     records = None
@@ -172,9 +179,14 @@ def _trajectory(config: SystemConfig, horizon: int, seed, keep: bool):
         w = t_sys - s
         np.maximum(w, 0.0, out=w)  # clip roundoff at the idle-server boundary
         records = UpdateRecords(t, x, s, w, t_sys, dep, np.diff(dep, prepend=0.0))
-    del x, s
-    epochs = config.decision.epochs(config, float(dep[-1]), rng)
-    return records, assign_decisions(t, dep, epochs)
+    return records, t, dep, rng
+
+
+def _decisions(config: SystemConfig, t: np.ndarray, dep: np.ndarray,
+               rng: np.random.Generator) -> DecisionSamples:
+    """The decision epochs over (0, dep[-1]], drawn from ``rng``, and their
+    match to the updates."""
+    return assign_decisions(t, dep, config.decision.epochs(config, float(dep[-1]), rng))
 
 
 def _lindley(config: SystemConfig, horizon: int, rng: np.random.Generator):
@@ -204,11 +216,7 @@ def _missed(used_update: np.ndarray, n: int, skip: int) -> Tuple[int, int]:
     update that just departed.  Updates max(skip, 1) - 1 to n - 2 are
     counted; the horizon cuts off the last update's window.
     """
-    start = max(int(skip), 1)
-    if start >= n:
-        raise InsufficientDataError(
-            f"no updates left after skipping {skip} of {n} for warm-up"
-        )
+    start = _first_counted(n, skip)
     unused = np.bincount(used_update, minlength=n)[start - 1:-1] == 0
     return int(np.count_nonzero(unused)), int(unused.shape[0])
 
@@ -216,25 +224,15 @@ def _missed(used_update: np.ndarray, n: int, skip: int) -> Tuple[int, int]:
 def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
                keep: bool = False):
     """One replication: returns (mean AuD, kept decisions, missed, counted,
-    discarded, and the trajectory (records, decisions) if ``keep`` else None)."""
-    records, decisions = _trajectory(config, horizon, seq, keep)
-    n_warm = horizon // 10
-    early = int(np.count_nonzero(decisions.used_update < n_warm))  # before dep[n_warm]
-    ages = decisions.age[early:]
-    if ages.shape[0] == 0:
-        raise InsufficientDataError(
-            "no decision epochs after the warm-up window; increase the horizon"
-        )
-    missed, counted = _missed(decisions.used_update, horizon, n_warm)
-    discarded = decisions.n_before_first_departure + early
-    return (
-        float(ages.mean()),
-        int(ages.shape[0]),
-        missed,
-        counted,
-        discarded,
-        (records, decisions) if keep else None,
-    )
+    discarded, and the trajectory (records, decisions) if ``keep`` else None).
+
+    The estimates come from the discipline's ``replication_sums``, the same
+    with and without ``keep``: a kept trajectory draws its decisions once,
+    and a discipline that needs no epochs ignores them."""
+    records, t, dep, rng = _trajectory(config, horizon, seq, keep)
+    decisions = _decisions(config, t, dep, rng) if keep else None
+    sums = config.decision.replication_sums(config, t, dep, horizon // 10, rng, decisions)
+    return (*sums, (records, decisions) if keep else None)
 
 
 # From this many updates per replication on, replications run on every core
@@ -276,8 +274,9 @@ def run_replications(
     per available core, at most one per replication, from 10^5 updates per
     replication up, and 1 below.  On 2 cores that lifted the benchmark's
     Monte Carlo workload (10 replications of 2*10^5 updates) about 1.8x.
-    Each replication in flight holds 7-10 horizon-length float64 arrays at
-    its peak (10-16 MiB at 2*10^5 updates).
+    Each replication in flight holds max(5, 2 + 3 nu/lambda) horizon-length
+    float64 arrays at its peak (7.6-8.4 MiB at 2*10^5 updates in that
+    workload); the nu/lambda term is for Poisson decisions only.
     """
     return _replications(config, horizon, n_reps, base_seed, threads)[0]
 

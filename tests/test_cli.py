@@ -295,6 +295,18 @@ def test_simulate_dump_reuses_replication_zero(tmp_path, monkeypatch, threads):
     assert dump.read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.parametrize("decision", ["sync:m0=3", "offset:delta=0.4"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_periodic_report_does_not_depend_on_dump(tmp_path, decision, threads):
+    # the dumped replication is summed on the grid like the others
+    argv = ["simulate", "--arrival", "det:period=1.25", "--mu", "1", "--decision", decision,
+            "--horizon", "20000", "--reps", "3", "--seed", "5", "--threads", threads, "--json"]
+    plain, dumped = tmp_path / "plain.json", tmp_path / "dumped.json"
+    assert cli.main(argv + ["--out", str(plain)]) == 0
+    assert cli.main(argv + ["--out", str(dumped), "--dump", str(tmp_path / "d.csv")]) == 0
+    assert dumped.read_bytes() == plain.read_bytes()
+
+
 _ANALYZE = ["analyze", "--mu", "1"]
 
 

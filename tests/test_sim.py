@@ -255,6 +255,120 @@ def test_offset_aud_matches_recursion_law():
         assert rep.mean_aud == pytest.approx(exact_offset_aud(1.0, 2.0, delta), rel=0.01)
 
 
+# --- periodic grid sums ----------------------------------------------------------------
+
+P125 = ak.Deterministic(1.25)
+GRID_DECISIONS = [ak.PeriodicSyncDecisions(m0) for m0 in (1, 2, 3, 50)] + [
+    ak.PeriodicOffsetDecisions(delta) for delta in (0.1, 0.6, 1.15)]
+
+
+def sums_both_ways(config, t, dep, warm):
+    """(grid sums, sampled sums) of one trajectory, or the error message
+    each path raised in place of its sums."""
+    decision, out = config.decision, []
+    for sums in (type(decision).replication_sums, ak.DecisionModel.replication_sums):
+        try:
+            out.append(sums(decision, config, t, dep, warm, None))
+        except InsufficientDataError as err:
+            out.append(str(err))
+    return out
+
+
+def assert_sums_agree(config, t, dep, warm):
+    grid, sampled = sums_both_ways(config, t, dep, warm)
+    if isinstance(sampled, str):
+        assert grid == sampled
+        return
+    assert grid[1:] == sampled[1:]  # kept, missed, counted, discarded
+    assert grid[0] == pytest.approx(sampled[0], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("decision", GRID_DECISIONS, ids=str)
+@pytest.mark.parametrize("seed", [4, 5])
+def test_grid_sums_agree_with_sampled_path(decision, seed):
+    cfg = ak.SystemConfig(P125, ak.ServiceModel(1.0), decision)
+    _, t, dep, _ = sim._trajectory(cfg, 20_000, seed, keep=False)
+    for warm in (0, 1, 2_000):
+        assert_sums_agree(cfg, t, dep, warm)
+
+
+def on_and_around_grid(config, rounds_wrong):
+    """Departure epochs at tau_j and one ulp either side, for the j whose
+    ``rounds_wrong`` check holds on some of the three, and arrivals 0.3
+    before them."""
+    decision = config.decision
+    tau = decision.epochs(config, 5_000.0, None)
+    j = np.arange(decision.first, decision.first + tau.shape[0], dtype=np.float64)
+    near = [np.nextafter(tau, -np.inf), tau, np.nextafter(tau, np.inf)]
+    chosen = np.zeros(tau.shape[0], dtype=bool)
+    for x in near:
+        chosen |= rounds_wrong(np.ceil(decision._index(config, x)), j, x, tau)
+    dep = np.sort(np.concatenate([x[chosen] for x in near]))
+    return dep - 0.3, dep
+
+
+@pytest.mark.parametrize("cfg", [
+    ak.SystemConfig(P125, ak.ServiceModel(1.0), ak.PeriodicSyncDecisions(3)),
+    ak.SystemConfig(ak.Deterministic(1 / 0.6), ak.ServiceModel(1.0),
+                    ak.PeriodicOffsetDecisions(0.4)),
+], ids=["sync", "offset"])
+def test_grid_sums_where_the_index_rounds_wrong(cfg):
+    # C(x) counts the grid points below x as rounded in ``epochs``; the
+    # ceiling of x nu (or (x - delta) / P) is one too high at some tau_j
+    # and one too low one ulp above some tau_j, and C must correct both
+    for rounds_wrong in (
+        lambda c, j, x, tau: (x == tau) & (c > j),  # too high: tau_j >= x
+        lambda c, j, x, tau: (x > tau) & (c <= j),  # too low: tau_j < x
+    ):
+        t, dep = on_and_around_grid(cfg, rounds_wrong)
+        assert dep.shape[0] >= 30
+        for warm in (0, 1, 10):
+            assert_sums_agree(cfg, t, dep, warm)
+
+
+def test_grid_sums_stop_where_epochs_stop():
+    # one ulp past tau_3 = 3 * 1.4 + 0.77, (x - delta) / P rounds below 3,
+    # so ``epochs`` up to there stops at tau_2: the grid must stop there too
+    cfg = ak.SystemConfig(ak.Deterministic(1.4), ak.ServiceModel(1.0),
+                          ak.PeriodicOffsetDecisions(0.77))
+    tau = cfg.decision.epochs(cfg, 10.0, None)
+    dep = np.append(tau[:3], np.nextafter(tau[3], np.inf))
+    assert cfg.decision.epochs(cfg, dep[-1], None).tolist() == tau[:3].tolist()
+    for warm in (0, 1, 2):
+        assert_sums_agree(cfg, dep - 0.3, dep, warm)
+
+
+@pytest.mark.parametrize("decision", [ak.PeriodicSyncDecisions(1),
+                                      ak.PeriodicOffsetDecisions(0.4)], ids=str)
+def test_grid_decision_at_a_departure_uses_that_update(decision):
+    # every departure on a grid point: each update serves the decision at
+    # its own departure, 0.3 after its arrival, and none is missed
+    cfg = ak.SystemConfig(P125, ak.ServiceModel(1.0), decision)
+    dep = decision.epochs(cfg, 100.0, None)
+    assert cfg.decision.replication_sums(cfg, dep - 0.3, dep, 0, None) == pytest.approx(
+        (0.3, dep.shape[0], 0, dep.shape[0] - 1, 0), rel=1e-12)
+
+
+@pytest.mark.parametrize("decision", GRID_DECISIONS[:2] + GRID_DECISIONS[-2:], ids=str)
+def test_grid_sums_raise_as_the_sampled_path(decision):
+    cfg = ak.SystemConfig(P125, ak.ServiceModel(1.0), decision)
+    tau = decision.epochs(cfg, 10.0, None)
+    cases = [
+        (np.array([tau[0] / 2]), 0),   # one update, no decision after it
+        (tau[-1:], 0),                 # one update and the last decision at it
+        (tau[:3] + 1e-9, 2),           # no decision at or after the last departure
+    ]
+    outcomes = [sums_both_ways(cfg, dep - 0.3, dep, warm) for dep, warm in cases]
+    for grid, sampled in outcomes:
+        assert grid == sampled
+    assert [o[0][:17] for o in outcomes] == [
+        "no decision epoch", "no updates left a", "no decision epoch"]
+    for horizon in (1, 2, 3):  # whole trajectories; one update keeps no decision
+        _, t, dep, _ = sim._trajectory(cfg, horizon, 9, keep=False)
+        assert_sums_agree(cfg, t, dep, horizon // 10)
+        assert isinstance(sums_both_ways(cfg, t, dep, 0)[0], str) == (horizon == 1)
+
+
 # --- replication protocol -----------------------------------------------------------
 
 
@@ -287,13 +401,18 @@ def test_replication_report_fields():
 @pytest.mark.parametrize("decision", [ak.PoissonDecisions(0.4), ak.PeriodicSyncDecisions(2),
                                       ak.PeriodicOffsetDecisions(0.5)])
 def test_one_search_per_replication(monkeypatch, decision):
-    searchsorted = np.searchsorted
+    # Poisson epochs are drawn once and searched once; periodic ones are
+    # summed on their grid, with neither
+    searchsorted, epochs = np.searchsorted, type(decision).epochs
     calls = []
     monkeypatch.setattr(np, "searchsorted",
-                        lambda *args, **kw: calls.append(1) or searchsorted(*args, **kw))
+                        lambda *args, **kw: calls.append("search") or searchsorted(*args, **kw))
+    monkeypatch.setattr(type(decision), "epochs",
+                        lambda *args: calls.append("epochs") or epochs(*args))
     cfg = ak.SystemConfig(ak.Deterministic(2.0), ak.ServiceModel(1.0), decision)
     sim.run_replications(cfg, horizon=5_000, n_reps=3, base_seed=8)
-    assert len(calls) == 3
+    sampled = isinstance(decision, ak.PoissonDecisions)
+    assert calls == (["epochs", "search"] * 3 if sampled else [])
 
 
 @pytest.mark.parametrize("decision", [ak.PoissonDecisions(0.7), ak.PeriodicSyncDecisions(2),
@@ -328,19 +447,31 @@ def test_thread_count_validated():
 @pytest.mark.parametrize("config,bound_mib", [
     (ak.SystemConfig(ak.Exponential(0.6), ak.ServiceModel(1.0), ak.PoissonDecisions(0.7)), 14),
     (ak.SystemConfig(ak.Deterministic(1 / 0.6), ak.ServiceModel(1.0),
-                     ak.PeriodicSyncDecisions(2)), 19),
+                     ak.PeriodicSyncDecisions(2)), 8),
 ], ids=["exp-poisson", "det-sync"])
 def test_replication_peak_memory(config, bound_mib):
-    # a replication that is not dumped never holds x, S, W, T or Y
+    # a replication that is not dumped never holds x, S, W, T or Y, and a
+    # periodic one no decision epoch
+    assert replication_peak(config, 200_000) <= bound_mib * 2**20
+
+
+def replication_peak(config, horizon):
+    """Traced peak bytes of one replication that is not dumped."""
     seq = np.random.SeedSequence(3)
-    sim._replicate(config, 200_000, seq)  # warm caches outside the trace
+    sim._replicate(config, horizon, seq)  # warm caches outside the trace
     tracemalloc.start()
     try:
-        sim._replicate(config, 200_000, seq)
-        peak = tracemalloc.get_traced_memory()[1]
+        sim._replicate(config, horizon, seq)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound_mib * 2**20
+
+
+def test_periodic_replication_peak_does_not_grow_with_m0():
+    peaks = [replication_peak(ak.SystemConfig(ak.Deterministic(1.0), SVC2,
+                                              ak.PeriodicSyncDecisions(m0)), 100_000)
+             for m0 in (1, 200)]
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_ci_coverage_meta_trial():
