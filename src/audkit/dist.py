@@ -22,6 +22,9 @@ cached and shared across threads.
 Every transform is a closed form.  The Lomax transforms are generalized
 exponential integrals E_p(z), evaluated by a continued fraction or, for
 small z and moderate p, by a power series and upward recurrence.  The
+continued fraction runs backwards, one division a term, from a depth that
+``_cf_depth`` reads off (p, z): a fit above the measured modified-Lentz term
+counts, with a margin, and a ConvergenceError past ``_CF_MAX_TERMS``.  The
 folded-normal transforms are evaluated through the scaled complementary
 error function so they stay finite all the way down to sigma -> 0, where
 the family degenerates to a point mass.
@@ -40,10 +43,11 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfcx, zeta
+from scipy.special import erfcx
 
 from .errors import ConvergenceError, InputError
 
@@ -69,16 +73,29 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-_EPS = 2.0**-52
-
 # E_p(z) = int_1^inf exp(-z t) t^-p dt.  Its continued fraction needs at most
 # ~100 terms for z >= 1 or p >= _CF_MIN_ORDER, but 4,600 at p = 2.05, z = 0.01
 # and ever more as z -> 0, where a series takes over.
 _CF_MIN_ORDER = 20.0
 _CF_MAX_TERMS = 1000
-# zeta(k)/k, k = 53..2: ln Gamma(1-e) = euler_gamma e + sum_k zeta(k) e^k / k
-# (A&S 6.1.33), to 1e-17 for |e| <= 1/2.
-_LNGAMMA_1M = tuple(float(zeta(k) / k) for k in range(53, 1, -1))
+# zeta(k)/k, k = 53..2, as scipy.special.zeta rounds them (11 differ from the
+# correctly rounded value by an ulp): ln Gamma(1-e) = euler_gamma e +
+# sum_k zeta(k) e^k / k (A&S 6.1.33), to 1e-17 for |e| <= 1/2.
+_LNGAMMA_1M = (
+    0.01886792452830189, 0.019230769230769235, 0.019607843137254912, 0.020000000000000018,
+    0.02040816326530616, 0.02083333333333341, 0.021276595744681003, 0.021739130434782917,
+    0.022222222222222855, 0.02272727272727402, 0.023255813953491015, 0.023809523809529224,
+    0.024390243902450117, 0.025000000000022737, 0.025641025641072283, 0.02631578947377995,
+    0.027027027027223673, 0.027777777778181998, 0.02857142857226011, 0.029411764707594344,
+    0.030303030306558048, 0.03125000000727597, 0.03225806453115041, 0.03333333336437758,
+    0.034482758684919304, 0.03571428584733336, 0.037037037312989324, 0.03846153903467519,
+    0.04000000119214014, 0.04166666915034121, 0.04347826605304026, 0.04545455629320467,
+    0.04761907033014223, 0.05000004769810169, 0.05263167937961666, 0.055555767627403614,
+    0.05882397865868458, 0.06250095514121304, 0.06666870588242046, 0.07143294629536134,
+    0.0769325164113522, 0.083353840546109, 0.09095401714582904, 0.10009945751278179,
+    0.11133426586956469, 0.12550966952474304, 0.14404989676884614, 0.16955717699740822,
+    0.207385551028674, 0.27058080842778454, 0.40068563438653143, 0.8224670334241132,
+)
 # (-1)^k/(k+2)!, k = 15..0: (u + expm1(-u))/u^2 = sum_k (-u)^k/(k+2)!, to
 # 1e-17 relative for u <= 1/2.
 _UNIFORM_SURVIVAL = tuple((-1.0) ** k / math.factorial(k + 2) for k in range(15, -1, -1))
@@ -113,40 +130,76 @@ def _exp_times_gauss_tail(log_scale: float, v: float) -> float:
     return 0.5 * math.exp(log_scale - 0.5 * v * v) * float(erfcx(v / _SQRT2))
 
 
-def _scaled_expint_pair(p: float, z: float) -> tuple[float, float]:
-    """(e^z E_p(z), e^z [E_p(z) - E_{p+1}(z)]) for p > 1 and z > 0."""
+def _cf_depth(p: float, z: float) -> int:
+    """Terms of E_p(z)'s continued fraction that ``_scaled_expint_pair`` takes.
+
+    Fitted on 21,202 points (p - 2 from 1e-3 to 1e6 with z from 1 to 1e6, and
+    p from 20 to 2e6 with z from 1e-10 to 1) to at least 1.1 times the
+    modified-Lentz count, the terms Lentz takes to a relative step of eps,
+    and to at least the depth past which the truncated g stays within eps/10
+    of its limit.  That count is 96/55/30/19/7 at z = 1/2/5/10/100 for p near
+    2, and 49/20/11 at p = 20/50/200 as z -> 0; the eps/10 depth is up to
+    1.28 times it near z = 1, where the fraction converges slowly.  p * p,
+    not a power, so that a huge shape gives the floor of 18, not an
+    OverflowError.
+    """
+    return 18 + int(103.0 / (z + p * p / 225.0))
+
+
+@lru_cache(maxsize=256)
+def _series_shape(p: float) -> tuple[int, float, float]:
+    """(n, e, e lg) of the series branch at order p = n + e: the terms that
+    depend on the shape alone, computed once per shape."""
+    n = round(p)
+    e = p - n
+    return n, e, e * _horner(_LNGAMMA_1M, e)  # lg = (ln Gamma(1-e) - euler_gamma e) / e^2
+
+
+def _scaled_expint_pair(p: float, z: float) -> tuple[float, float, float]:
+    """(e^z E_p(z), e^z [E_p(z) - E_{p+1}(z)], p e^z E_{p+1}(z)) for p > 1 and
+    z > 0, from one E_p pair."""
     if z >= 1.0 or p >= _CF_MIN_ORDER:
-        # Modified Lentz (Numerical Recipes 6.3) on the tail g of
-        # e^z E_p = 1/(z+p - 1*p/(z+p+2 - 2(p+1)/(z+p+4 - ...))) = 1/(z+p - p g).
-        # E_{p+1} = (exp(-z) - z E_p)/p turns the difference into g e^z E_p,
-        # free of the cancellation that costs log10(p) digits below.
-        b = z + p + 2.0
-        c = 1e300  # Lentz's 1/tiny start
-        d = 1.0 / b
-        g = d
-        for i in range(2, _CF_MAX_TERMS):
-            an = -i * (p - 1.0 + i)
-            b += 2.0
-            d = 1.0 / (an * d + b)
-            c = b + an / c
-            delta = c * d
-            g *= delta
-            if abs(delta - 1.0) <= _EPS:
-                f = 1.0 / (z + p - p * g)
-                return f, g * f
-        raise ConvergenceError(
-            f"exponential-integral continued fraction did not converge (p={p}, z={z})",
-            best=1.0 / (z + p - p * g),
-            residual=abs(delta - 1.0),
-        )
+        # The tail g of e^z E_p = 1/(z+p - 1*p/(z+p+2 - 2(p+1)/(z+p+4 - ...)))
+        # = 1/(z+p - p g), evaluated backwards from the depth _cf_depth gives:
+        # u_i = i(p-1+i)/(z+p+2i - u_{i+1}), g = 1/(z+p+2 - u_2), one division a
+        # term where modified Lentz takes two and a convergence test.  Each
+        # z+p+2i is formed afresh, so its rounding stays relative to itself;
+        # the float counter spares an int-to-float conversion a term.
+        # E_{p+1} = (exp(-z) - z E_p)/p turns the difference into g e^z E_p and
+        # p e^z E_{p+1} into h/(z + h), h = p (1 - g): free of the cancellation
+        # that costs log10(p) digits below, and one rounding from h.
+        depth = _cf_depth(p, z)
+        pm1 = p - 1.0
+        zp = z + p
+        u = 0.0
+        i = float(min(depth, _CF_MAX_TERMS))
+        while i > 1.5:
+            u = i * (pm1 + i) / (zp + 2.0 * i - u)
+            i -= 1.0
+        g = 1.0 / (zp + 2.0 - u)
+        pg = p * g
+        h = p - pg
+        den = z + h
+        if depth > _CF_MAX_TERMS:
+            raise ConvergenceError(
+                f"exponential-integral continued fraction needs {depth} terms, "
+                f"more than {_CF_MAX_TERMS} (p={p}, z={z})",
+                best=1.0 / den,
+            )
+        # h/(z + h), corrected to first order by the roundings of h (Fast2Sum,
+        # exact as pg < p) and of z + h (TwoSum): within an eps, where the
+        # three roundings alone reach 1.25
+        lap = h / den
+        dh = (p - h) - pg
+        t = den - z
+        dden = (z - (den - t)) + (h - t) + dh
+        return 1.0 / den, g / den, lap + (dh - lap * dden) / den
     # z < 1: A&S 5.1.12 gives E_{1+e}(z) at e = p - round(p) as
     #   -expm1(e w)/e - sum_{k>=1} (-z)^k / (k! (k-e)),  w = ln z + ln Gamma(1-e)/e,
     # which does not cancel as e -> 0 (gammaincc at the fractional order loses
     # digits like 1/e).  The upward recurrence to E_p scales errors by z/q < 2.
-    n = round(p)
-    e = p - n
-    lg = _horner(_LNGAMMA_1M, e)  # (ln Gamma(1-e) - euler_gamma e) / e^2
-    w = math.log(z) + np.euler_gamma + e * lg
+    n, e, elg = _series_shape(p)
+    w = math.log(z) + np.euler_gamma + elg
     e_q = -w if e == 0.0 else -math.expm1(e * w) / e
     t = 1.0
     for k in range(1, 20):  # z^19/19! < 1e-17
@@ -156,7 +209,8 @@ def _scaled_expint_pair(p: float, z: float) -> tuple[float, float]:
     for j in range(1, n):
         e_q = (ez - z * e_q) / (j + e)
     f = e_q / ez
-    return f, f - (1.0 - z * f) / p
+    df = f - (1.0 - z * f) / p
+    return f, df, p * (f - df)
 
 
 def _check_s(s: float) -> float:
@@ -191,9 +245,15 @@ class ArrivalModel:
     (folded normal at sigma -> 0 is ``det``, Lomax at shape -> infinity is
     ``exp``), whose mean AuD is at most its own at every arrival rate.  The
     arrival optimizer searches that family instead.
+
+    ``rho1_floor`` is a c with rho1 >= c rho for every member of the family
+    at every load rho < 1, where the rho1 Newton climb may start: 1 for
+    Lomax, which dominates the exponential of its mean in convex order
+    (``solve_rho1``), and 0, no bound, for the others.
     """
 
     limit: Optional[str] = None
+    rho1_floor: float = 0.0
 
     @classmethod
     def with_rate(cls, lam: float) -> "ArrivalModel":
@@ -317,6 +377,7 @@ class Lomax(ArrivalModel):
 
     tag = "lomax"
     limit = "exp"
+    rho1_floor = 1.0
     alpha: float
     beta: float
 
@@ -337,15 +398,17 @@ class Lomax(ArrivalModel):
 
     def newton_terms(self, s, survival):
         # At z = beta s (A&S 5.1.4 after x = beta (t-1)), from one E_p pair
-        # f = e^z E_alpha(z), df = e^z [E_alpha(z) - E_{alpha+1}(z)]:
-        # laplace alpha e^z E_{alpha+1}(z) = alpha (f - df), survival_laplace
-        # beta f from 1 - F(x) = (beta/(x+beta))^alpha, and W1 alpha beta df.
-        z = self.beta * _check_s(s)
+        # f = e^z E_alpha(z), df = e^z [E_alpha(z) - E_{alpha+1}(z)] and
+        # lap = alpha e^z E_{alpha+1}(z): laplace lap, survival_laplace beta f
+        # from 1 - F(x) = (beta/(x+beta))^alpha, and W1 alpha beta df.
+        s = _check_s(s)
+        z = self.beta * s
         if z == 0.0:
             return (self.mean() if survival else 1.0), self.mean()
-        f, df = _scaled_expint_pair(self.alpha, z)
-        head = self.beta * f if survival else self.alpha * (f - df)
-        return head, self.alpha * self.beta * df
+        if z == math.inf:  # beta s overflows: the limits, survival_laplace ~ 1/s
+            return (1.0 / s if survival else 0.0), 0.0
+        f, df, lap = _scaled_expint_pair(self.alpha, z)
+        return (self.beta * f if survival else lap), self.alpha * self.beta * df
 
     def sample(self, rng, size):
         # Inverse CDF: x = beta * ((1-U)^(-1/alpha) - 1), exact and loop-free.

@@ -248,10 +248,17 @@ class Rho1Solution:
 def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Solution:
     """Solve rho1 = laplace(arrival, mu (1 - rho1)) by Newton's method.
 
-    Newton runs on g(r) = laplace(mu s) - r, s = 1 - r, from r = 0, with
+    Newton runs on g(r) = laplace(mu s) - r, s = 1 - r, with
     g'(r) = mu weighted_first_moment(mu s) - 1.  g is convex, g(0) > 0 and
-    g'(0) <= 1/e - 1 < 0, so the iterates climb monotonically to rho1 and
-    never reach the second root r = 1.  From r = 1/2 on, where s is exact
+    g'(0) <= 1/e - 1 < 0, so from any start in [0, rho1] the iterates climb
+    monotonically to rho1 and never reach the second root r = 1.  The climb
+    starts at r = ``arrival.rho1_floor`` rho (s0 = 1 - rho for Lomax), not 0:
+    a Lomax law, a mixture of exponentials and so DFR, dominates the
+    exponential of its mean in convex order, so laplace(mu (1 - rho)) >=
+    lambda/(lambda + mu (1 - rho)) = rho, that is g(rho) >= 0 and rho <= rho1.
+    Where rho1 - rho is below rounding (shape -> infinity), g(rho) may round
+    to <= 0 and the start is the answer, under the acceptance below.  From
+    r = 1/2 on, where s is exact
     (Sterbenz), g is evaluated as s - z survival_laplace(z), z = mu s: the
     same function without the cancellation of laplace(z) against r, so
     near rho = 1 the relative error of s = 1 - rho1 stays at the
@@ -275,7 +282,7 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
     if not rho < 1.0:
         raise StabilityError(rho)
 
-    r = 0.0
+    r = arrival.rho1_floor * rho
     steps = 0
     while True:
         s = 1.0 - r

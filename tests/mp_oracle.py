@@ -65,9 +65,49 @@ def _phi_uniform(z, beta):
     return beta * (u - 1 + mpmath.exp(-u)) / (u * u)
 
 
+def scaled_expint_tail(p, u):
+    """g = 1 - E_{p+1}(u)/E_p(u) at the working precision, by modified Lentz on
+    the continued fraction e^u E_p(u) = 1/(u+p - p g),
+    g = 1/(u+p+2 - 2(p+1)/(u+p+4 - 3(p+2)/(u+p+6 - ...))) (A&S 5.1.22), run
+    until a step moves g by under 10^-dps.  e^u E_p = 1/(u+p - p g) and
+    e^u (E_p - E_{p+1}) = g e^u E_p follow.  The Lomax oracle for shapes above
+    ``_CF_SHAPE``, and the deep reference of ``audkit.dist``'s backward form."""
+    p, u = mpf(p), mpf(u)
+    tol = mpf(10) ** -mp.dps
+    b = u + p + 2
+    c, d = 1 / tol, 1 / b
+    g = d
+    i = 1
+    while True:
+        i += 1
+        an = -i * (p - 1 + i)
+        b += 2
+        d = 1 / (an * d + b)
+        c = b + an / c
+        g *= c * d
+        if abs(c * d - 1) < tol:
+            return g
+
+
+# mpmath's expint, an incomplete gamma, does not converge at shapes in the
+# millions; above this the continued fraction serves, which converges there
+# in a few tens of terms
+_CF_SHAPE = 1e3
+
+
+def _scaled_expint_pair(alpha, u):
+    """(e^u E_alpha(u), e^u (E_alpha(u) - E_{alpha+1}(u)))."""
+    if alpha > _CF_SHAPE:
+        g = scaled_expint_tail(alpha, u)
+        f = 1 / (u + alpha - alpha * g)
+        return f, g * f
+    eu = mpmath.exp(u)
+    f = eu * mpmath.expint(alpha, u)
+    return f, f - eu * mpmath.expint(alpha + 1, u)
+
+
 def _phi_lomax(z, alpha, beta):
-    u = beta * z
-    return beta * mpmath.exp(u) * mpmath.expint(alpha, u)
+    return beta * _scaled_expint_pair(alpha, beta * z)[0]
 
 
 def _phi_det(z, period):
@@ -100,8 +140,7 @@ def _w1_uniform(z, beta):
 
 
 def _w1_lomax(z, alpha, beta):
-    u = beta * z
-    return alpha * beta * mpmath.exp(u) * (mpmath.expint(alpha, u) - mpmath.expint(alpha + 1, u))
+    return alpha * beta * _scaled_expint_pair(alpha, beta * z)[1]
 
 
 def _w1_det(z, period):

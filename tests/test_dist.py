@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import audkit as ak
+from audkit import dist
 from audkit.errors import ConvergenceError, InputError
 
 import mp_oracle
@@ -172,13 +174,89 @@ def test_transforms_match_quadrature(model, s):
     assert wfm == pytest.approx(quad_transform(model, s, moment=1), abs=1e-8)
 
 
-def test_lomax_continued_fraction_failure_raises(monkeypatch):
-    from audkit import dist
+# p - 2 from 1e-3 to 1e6 with z from 1 to 1e6, and p from 20 to 2 + 1e6, where
+# the continued fraction also takes z < 1, with z from 1e-10 to 1
+CF_GRID = [(2.0 + float(q), float(z)) for q in np.geomspace(1e-3, 1e6, 41)
+           for z in np.geomspace(1.0, 1e6, 41)]
+CF_GRID += [(float(p), float(z)) for p in np.geomspace(20.0, 2.0 + 1e6, 31)
+            for z in np.geomspace(1e-10, 1.0, 31)]
 
+
+def _lentz_count(p, z):
+    """Terms modified Lentz takes on the tail of E_p(z)'s continued fraction
+    until a step moves it by eps or less."""
+    b = z + p + 2.0
+    c, d = 1e300, 1.0 / b
+    for i in range(2, 100_000):
+        an = -i * (p - 1.0 + i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        if abs(c * d - 1.0) <= 2.0**-52:
+            return i
+    raise AssertionError(f"no convergence at p={p}, z={z}")
+
+
+def test_cf_depth_covers_the_lentz_count():
+    assert all(dist._cf_depth(p, z) >= _lentz_count(p, z) for p, z in CF_GRID)
+
+
+# where h/(z + h) without its first-order correction is 1.08 to 1.24 eps off,
+# the worst of 30,000 random points
+CF_ROUNDING_POINTS = [(2.05601443974498, 126.77651019376496),
+                      (2.0043961529546324, 141669.3771806781),
+                      (2.001003139765712, 300703.0309585799),
+                      (2.1972002781141518, 69480.69929435597)]
+
+
+def test_cf_transforms_match_deep_reference():
+    # Lomax(p, 1) at s = z: laplace p e^z E_{p+1}, W1 p e^z (E_p - E_{p+1}) and
+    # survival_laplace e^z E_p, against modified Lentz at 30 digits
+    worst = {"laplace": 0.0, "w1": 0.0, "survival": 0.0}
+    with mpmath.mp.workdps(30):
+        for p, z in CF_GRID + CF_ROUNDING_POINTS:
+            g = mp_oracle.scaled_expint_tail(p, z)
+            f = 1 / (mpmath.mpf(z) + p - p * g)
+            exact = {"laplace": p * f * (1 - g), "w1": p * g * f, "survival": f}
+            model = ak.Lomax(p, 1.0)
+            lap, w1 = model.newton_terms(z, False)
+            got = {"laplace": lap, "w1": w1, "survival": model.newton_terms(z, True)[0]}
+            for k in worst:
+                err = float(abs(got[k] - exact[k]) / exact[k]) / 2.0**-52
+                worst[k] = max(worst[k], err)
+    assert worst["laplace"] <= LAPLACE_ULPS["lomax"], worst
+    assert worst["w1"] <= W1_ULPS["lomax"], worst
+    assert worst["survival"] <= 4, worst
+
+
+@pytest.mark.parametrize("p, z", [(2.001, 1.0), (3.5, 30.0), (25.0, 1e-3), (1000.0, 2.0)])
+def test_deep_reference_matches_expint(p, z):
+    # the continued fraction of mp_oracle against mpmath's incomplete gamma
+    with mpmath.mp.workdps(mp_oracle.DPS):
+        g = mp_oracle.scaled_expint_tail(p, z)
+        f = 1 / (mpmath.mpf(z) + p - p * g)
+        ez = mpmath.exp(z)
+        assert abs(f / (ez * mpmath.expint(p, z)) - 1) < 1e-35
+        assert abs((1 - g) * f / (ez * mpmath.expint(p + 1, z)) - 1) < 1e-35
+
+
+def test_lomax_continued_fraction_failure_raises(monkeypatch):
+    # a depth past _CF_MAX_TERMS raises, with the truncated value as best,
+    # at every point of CF_GRID (at least 18 terms each)
     monkeypatch.setattr(dist, "_CF_MAX_TERMS", 3)
     with pytest.raises(ConvergenceError) as err:
         ak.Lomax(3.0, 2.0).laplace(5.0)
     assert math.isfinite(err.value.best)
+    for p, z in CF_GRID:
+        with pytest.raises(ConvergenceError) as err:
+            ak.Lomax(p, 1.0).laplace(z)
+        assert 0.0 < err.value.best < 1.0, (p, z)
+
+
+def test_lngamma_coefficients_are_scipys_bit_for_bit():
+    from scipy.special import zeta
+
+    assert dist._LNGAMMA_1M == tuple(float(zeta(k) / k) for k in range(53, 1, -1))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -188,9 +266,7 @@ def test_weighted_first_moment_at_zero_is_mean(model):
     )
 
 
-@pytest.mark.parametrize(
-    "model", [m for m in ALL_MODELS if not (isinstance(m, ak.Lomax) and m.alpha > 1e3)]
-)
+@pytest.mark.parametrize("model", ALL_MODELS)
 def test_survival_laplace_matches_oracle(model):
     # a few ulps where the family has its own form; the folded normal's
     # (1 - laplace(s))/s loses the digits 1 - laplace(s) cancels, about 1/(s E[X])
@@ -208,9 +284,7 @@ def test_survival_laplace_matches_oracle(model):
 LAPLACE_ULPS = {"exp": 1, "uniform": 1, "lomax": 1, "fnorm": 4, "det": 1}
 
 
-@pytest.mark.parametrize(
-    "model", [m for m in ALL_MODELS if not (isinstance(m, ak.Lomax) and m.alpha > 1e3)]
-)
+@pytest.mark.parametrize("model", ALL_MODELS)
 def test_laplace_matches_oracle(model):
     for s in [0.0] + S_GRID:
         exact = mp_oracle.laplace(model, s)
@@ -252,9 +326,7 @@ def _w1_ulps(model, s):
     return float(abs(model.weighted_first_moment(s) - exact) / exact) / 2.0**-52
 
 
-@pytest.mark.parametrize(
-    "model", [m for m in ALL_MODELS if not (isinstance(m, ak.Lomax) and m.alpha > 1e3)]
-)
+@pytest.mark.parametrize("model", ALL_MODELS)
 @pytest.mark.parametrize("s", [0.0] + S_GRID)
 def test_weighted_first_moment_matches_oracle(model, s, request):
     if isinstance(model, ak.FoldedNormal) and model.sigma * s >= 8.0:

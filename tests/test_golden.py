@@ -23,6 +23,10 @@ ANALYZE = {
     "exp-poisson": ("exp:rate=0.6", "1", "poisson:rate=0.8"),
     "uniform-poisson": ("uniform:beta=2.5", "1.3", "poisson:rate=2"),
     "lomax-poisson": ("lomax:alpha=3.5,beta=3", "1", "poisson:rate=0.5"),
+    # shape 2.05 at load 0.99, and shape 1e6 at load 0.5, next to exp's M/M/1
+    "lomax-heavy-poisson": ("lomax:alpha=2.05,beta=1.0606060606060606", "1",
+                            "poisson:rate=0.7"),
+    "lomax-near-exp-poisson": ("lomax:alpha=1e6,beta=1999998", "1", "poisson:rate=0.8"),
     "fnorm-poisson": ("fnorm:alpha=1.5,sigma=0.4", "1", "poisson:rate=1"),
     "det-poisson": ("det:period=1.25", "1", "poisson:rate=0.7"),
     "det-sync": ("det:period=1.25", "1", "sync:m0=2"),
