@@ -257,17 +257,17 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
     exponential of its mean in convex order, so laplace(mu (1 - rho)) >=
     lambda/(lambda + mu (1 - rho)) = rho, that is g(rho) >= 0 and rho <= rho1.
     Where rho1 - rho is below rounding (shape -> infinity), g(rho) may round
-    to <= 0 and the start is the answer, under the acceptance below.  From
-    r = 1/2 on, where s is exact
-    (Sterbenz), g is evaluated as s - z survival_laplace(z), z = mu s: the
-    same function without the cancellation of laplace(z) against r, so
-    near rho = 1 the relative error of s = 1 - rho1 stays at the
-    eps/(1 - rho) that rounding the inputs costs.  (Written with the
-    rounded z in both factors, the folded normal's survival_laplace,
-    (1 - laplace(z))/z, gives back laplace(z) - r;
+    to <= 0 and the start is the answer, under the acceptance below.
+
+    From r = 1/2 on, where s is exact (Sterbenz), g is evaluated as
+    s - z survival_laplace(z), z = mu s: the same function without the
+    cancellation of laplace(z) against r, so near rho = 1 the relative error
+    of s = 1 - rho1 stays at the eps/(1 - rho) that rounding the inputs
+    costs.  (Written with the rounded z in both factors, the folded normal's
+    survival_laplace, (1 - laplace(z))/z, gives back laplace(z) - r;
     s (1 - mu survival_laplace(z)) would round above zero at the root and
-    let the climb creep by ulps.)  The climb runs until
-    rounding stops it (g <= 0, or r no longer moves) and is accepted if then
+    let the climb creep by ulps.)  The climb runs until rounding stops it
+    (g <= 0, or r no longer moves) and is accepted if then
     |g| <= ``_RHO1_TOL`` (1e-12).  Otherwise, and after ``max_iter`` steps,
     ConvergenceError carries the best iterate.  Instability is rejected up
     front.

@@ -36,7 +36,9 @@ enters:
                          (the Gaussian-density terms of L' meet in one e^{-a^2/(2 sigma^2)}).
 
 The Lomax form follows from x = beta (t - 1), as its survival transform
-does.  At z = 0, where the uniform form is 0/0, ``weighted_first_moment``
+does.  Above shape ``_CF_SHAPE`` (1e3), where mpmath's expint does not
+converge, its E_alpha pair comes from the continued fraction instead
+(``scaled_expint_tail``).  At z = 0, where the uniform form is 0/0, ``weighted_first_moment``
 returns E[X].
 
 Both are evaluated with ``_GUARD`` extra digits, which absorb the
@@ -84,8 +86,9 @@ def scaled_expint_tail(p, u):
         b += 2
         d = 1 / (an * d + b)
         c = b + an / c
-        g *= c * d
-        if abs(c * d - 1) < tol:
+        delta = c * d
+        g *= delta
+        if abs(delta - 1) < tol:
             return g
 
 
