@@ -224,8 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimate for one system")
     add_system(sp)
-    sp.add_argument("--horizon", type=int, default=1_000_000, help="updates per replication")
-    sp.add_argument("--reps", type=int, default=5, help="number of replications")
+    sp.add_argument("--horizon", type=int, default=sim.DEFAULT_HORIZON,
+                    help="updates per replication")
+    sp.add_argument("--reps", type=int, default=sim.DEFAULT_REPLICATIONS,
+                    help="number of replications")
     sp.add_argument("--seed", type=int, default=0, help="base seed")
     sp.add_argument("--dump", help="write the per-update/per-decision CSV here, "
                                    "gzip-compressed when the path ends in .gz")

@@ -16,8 +16,7 @@ such form).  A family writes its transforms once, in
 ``newton_terms(s, survival)``: laplace(s), or survival_laplace(s) if
 ``survival``, and weighted_first_moment(s), which is what a step of the rho1
 Newton solve needs at s.  The three named transforms are components of it.
-Model objects are immutable and hashable, so results keyed on them can be
-cached and shared across threads.
+Model objects are immutable and hashable, and can be shared across threads.
 
 Every transform is a closed form.  The Lomax transforms are generalized
 exponential integrals E_p(z), evaluated by a continued fraction or, for
@@ -312,11 +311,13 @@ class Exponential(ArrivalModel):
         return 1.0 / self.rate
 
     def second_moment(self):
-        return 2.0 / self.rate**2
+        r = self.rate  # below 1e-150, r r would lose digits, then underflow to 0
+        return 2.0 / (r * r) if r > 1e-150 else 2.0 / r / r
 
     def newton_terms(self, s, survival):
         d = self.rate + _check_s(s)
-        return (1.0 / d if survival else self.rate / d), self.rate / d**2
+        w1 = self.rate / (d * d) if d > 1e-150 else self.rate / d / d  # as in second_moment
+        return (1.0 / d if survival else self.rate / d), w1
 
     def sample(self, rng, size):
         u = rng.random(size)
@@ -344,11 +345,13 @@ class Uniform(ArrivalModel):
         return self.beta / 2.0
 
     def second_moment(self):
-        return self.beta**2 / 3.0
+        return self.beta * self.beta / 3.0  # inf, not OverflowError, past ~1.3e154
 
     def newton_terms(self, s, survival):
         s = _check_s(s)
         u = self.beta * s
+        if u == math.inf:  # beta s overflows: the limits, survival_laplace ~ 1/s
+            return (1.0 / s if survival else 0.0), 0.0
         small = u < 0.5  # where the direct survival and W1 forms cancel; the series do not
         if not survival:
             # (1 - exp(-u)) / u; expm1 keeps the removable singularity at u -> 0 stable
@@ -455,6 +458,8 @@ class FoldedNormal(ArrivalModel):
         # derivative there; both are made of the same two Gaussian tails
         s = _check_s(s)
         a, sg = self.alpha, self.sigma
+        if max(a, sg) * s == math.inf:  # the limits, survival_laplace ~ 1/s
+            return (1.0 / s if survival else 0.0), 0.0
         if sg == 0.0:
             lap = math.exp(-s * a)
             w1 = a * lap

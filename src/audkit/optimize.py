@@ -17,10 +17,11 @@ load alone:
   rate, and its infimum is the shape -> infinity limit, the ``exp`` law.
   Either is searched as its limit family, and the result says so.
 
-Every mean AuD scales as 1/mu at a fixed load, so the search runs once at
-mu = 1 and its answer is rescaled to the caller's mu.  The paper's own
-procedure, threshold bisection over a penalised simplex search, is kept in
-the test suite as the oracle these answers are checked against.
+Every mean AuD scales as 1/mu at a fixed load, so the search runs at
+mu = 1, once per searched family (exp, uniform, det) and process, and each
+call rescales that answer to its mu.  The paper's own procedure, threshold
+bisection over a penalised simplex search, is kept in the test suite as
+the oracle these answers are checked against.
 
 ``optimize_offset`` is closed form: the offset-periodic mean AuD is convex
 in the offset with derivative 1 - u1/rho (see ``queue_core``), so the
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from scipy import optimize as sp_optimize
@@ -99,12 +101,11 @@ def optimal_arrival(family: str, mu: float) -> OptimizationResult:
 
     A bounded scalar search (scipy's ``minimize_scalar``, Brent's method
     on an interval) over the load of ``FAMILIES[limit or family]`` at unit
-    service rate.  The minimum is flat, so the load is found only to about
-    sqrt(eps), not to ``_XATOL``: for exp at mu = 1 the optimal rate is
-    1.4e-8 off the root of dAuD/drho, relative, and ``c0`` 1.5e-16 off the
-    minimum.  The optimum is rescaled to ``mu``: the rate is multiplied by
-    mu and c0 divided by it.  A search that stops at ``_MAX_ITER``
-    iterations raises ConvergenceError with the best load found.
+    service rate, once per searched family (``_unit_optimum``), to the
+    accuracy stated at ``_XATOL``.  The optimum is rescaled to ``mu``: the
+    rate is multiplied by mu and c0 divided by it.  A search that stops at
+    ``_MAX_ITER`` iterations raises ConvergenceError with the best load
+    found, at every call.
     """
     cls = FAMILIES.get(family)
     if cls is None:
@@ -112,6 +113,18 @@ def optimal_arrival(family: str, mu: float) -> OptimizationResult:
     _positive("service rate", mu)
     limit = cls.limit
     searched = FAMILIES[limit or family]
+    rho, c0, evaluations = _unit_optimum(searched.tag)
+    model = searched.with_rate(rho * mu)
+    kappa = tuple(getattr(model, k) for k in searched.keys)
+    return OptimizationResult(family=family, kappa=kappa, c0=c0 / mu,
+                              inner_evaluations=evaluations, limit=limit)
+
+
+@lru_cache(maxsize=None)
+def _unit_optimum(tag: str) -> Tuple[float, float, int]:
+    """(load, mean AuD, evaluations) of family ``tag``'s optimum at mu = 1.
+    Memoised, as it depends on nothing else; ``lru_cache`` keeps no error."""
+    searched = FAMILIES[tag]
 
     def mean_aud(rho: float) -> float:
         return average_aud_from_moments(*departure_moments(searched.with_rate(rho), 1.0))
@@ -122,19 +135,9 @@ def optimal_arrival(family: str, mu: float) -> OptimizationResult:
     )
     rho = float(res.x)
     if not res.success:
-        raise ConvergenceError(
-            f"load search stopped after {res.nfev} evaluations: {res.message}",
-            best=rho,
-            residual=float(res.fun),
-        )
-    model = searched.with_rate(rho * mu)
-    return OptimizationResult(
-        family=family,
-        kappa=tuple(getattr(model, k) for k in searched.keys),
-        c0=float(res.fun) / mu,
-        inner_evaluations=int(res.nfev),
-        limit=limit,
-    )
+        raise ConvergenceError(f"load search stopped after {res.nfev} evaluations: "
+                               f"{res.message}", best=rho, residual=float(res.fun))
+    return rho, float(res.fun), int(res.nfev)
 
 
 def optimize_offset(lam: float, mu: float) -> OffsetResult:

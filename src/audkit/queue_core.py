@@ -7,17 +7,17 @@ length embedded at arrival instants, the unique fixed point in (0, 1) of
 
     rho1 = int_0^inf f_X(x) exp(-mu (1 - rho1) x) dx.
 
-This module solves that fixed point, by one cached Newton climb for every
-arrival family (``solve_rho1``, ``rho1_value``), derives the system-time law
-and the inter-departure moments, and evaluates the mean age upon
-decisions and the update missing probability for Poisson,
-synchronous-periodic, and offset-periodic decision processes.  Each
-discipline is one class, registered in ``DISCIPLINES``, that carries all
-its discipline-specific knowledge; everything else dispatches through it.
+This module solves that fixed point, by one Newton climb for every arrival
+family (``solve_rho1``), derives the system-time law and the
+inter-departure moments, and evaluates the mean age upon decisions and the
+update missing probability for Poisson, synchronous-periodic, and
+offset-periodic decision processes.  Each discipline is one class,
+registered in ``DISCIPLINES``, that carries all its discipline-specific
+knowledge; everything else dispatches through it.
 
 A ``SystemConfig`` computes its ``DerivedQuantities`` once, as its
-``derived`` property, and every discipline's mean AuD and missing
-probability read it.  The periodic mean-AuD closed forms
+``derived`` property, from one rho1 solve, and every discipline's mean AuD
+and missing probability read it.  The periodic mean-AuD closed forms
 (``average_aud_dm1*``) also take (lambda, mu), so ``optimize-offset`` and
 the sweep's ``optimal-offset`` cells call them without building a system;
 each shares one private function of the scalars with its discipline class.
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -209,9 +209,10 @@ class SystemConfig:
         InputError if E[Y^2] is not representable in the caller's time unit.
         """
         arrival, mu = self.arrival, self.service.rate
-        rho1 = rho1_value(arrival, mu)
+        solution = solve_rho1(arrival, mu)
+        rho1 = solution.value
         a = mu * (1.0 - rho1)
-        q1 = _rho1_cached(arrival, mu).q1  # weighted_first_moment(a), from the solve
+        q1 = solution.q1  # weighted_first_moment(a), from the solve
         moments = _moments_at(arrival, mu, rho1, q1)
         if not math.isfinite(moments.second_moment):
             raise InputError("second_moment_y is not finite at this time scale; "
@@ -272,11 +273,9 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
     ConvergenceError carries the best iterate.  Instability is rejected up
     front.
 
-    A step evaluates the arrival once, ``arrival.newton_terms(z, r >= 1/2)``:
-    g's transform and weighted_first_moment at the same z = mu (1.0 - r).
-    The accepted step's z is the mu (1.0 - rho1) of every closed form, so
-    its weighted_first_moment is q1, bit for bit, and the solution carries
-    it as ``q1``.
+    A step evaluates the arrival once, ``arrival.newton_terms(z, r >= 1/2)``
+    at z = mu (1.0 - r).  The accepted step's z is the mu (1.0 - rho1) of
+    every closed form, so its weighted_first_moment is ``q1``, bit for bit.
     """
     rho = 1.0 / (mu * arrival.mean())
     if not rho < 1.0:
@@ -304,15 +303,9 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
         steps += 1
 
 
-@lru_cache(maxsize=16384)
-def _rho1_cached(arrival: ArrivalModel, mu: float) -> Rho1Solution:
-    return solve_rho1(arrival, mu)
-
-
 def rho1_value(arrival: ArrivalModel, mu: float) -> float:
-    """rho1 of ``arrival`` at service rate ``mu``: ``solve_rho1``, cached on
-    (arrival, mu), since sweeps hit the same system a lot."""
-    return _rho1_cached(arrival, mu).value
+    """rho1 of ``arrival`` at service rate ``mu``: ``solve_rho1``'s value."""
+    return solve_rho1(arrival, mu).value
 
 
 def rho1_deterministic(rho: float) -> float:
@@ -323,7 +316,7 @@ def rho1_deterministic(rho: float) -> float:
         raise StabilityError(rho)
     if math.exp(-1.0 / rho) == 0.0:  # rho1 lies below the smallest subnormal
         return 0.0
-    return rho1_value(Deterministic(1.0 / rho), 1.0)
+    return solve_rho1(Deterministic(1.0 / rho), 1.0).value
 
 
 # --- departure moments -------------------------------------------------------
@@ -345,16 +338,17 @@ def departure_moments(arrival: ArrivalModel, mu: float) -> DepartureMoments:
     E[TY]  = (E[X] - 1/mu + q1) / (mu (1-rho1)),
              q1 = weighted_first_moment(arrival, mu (1-rho1)), from the solve
     """
-    rho1 = rho1_value(arrival, mu)
-    return _moments_at(arrival, mu, rho1, _rho1_cached(arrival, mu).q1)
+    solution = solve_rho1(arrival, mu)
+    return _moments_at(arrival, mu, solution.value, solution.q1)
 
 
 def _moments_at(arrival: ArrivalModel, mu: float, rho1: float, q1: float) -> DepartureMoments:
     ex = arrival.mean()
     ex2 = arrival.second_moment()
     a = mu * (1.0 - rho1)
-    second = ex2 - 2.0 * rho1 * ex / a + 2.0 / (mu * mu * (1.0 - rho1))
-    cross = ex / a - 1.0 / (mu * mu * (1.0 - rho1)) + q1 / a
+    inv = 1.0 / max(mu * mu * (1.0 - rho1), 5e-324)  # inf once the product underflows
+    second = ex2 - 2.0 * rho1 * ex / a + 2.0 * inv
+    cross = ex / a - inv + q1 / a
     return DepartureMoments(ex, second, cross)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import queue_core, sim
 from .dist import Deterministic, _positive
 from .errors import AudKitError, InputError, StabilityError
-from .optimize import OptimizationResult, optimal_arrival, optimize_offset
+from .optimize import optimal_arrival, optimize_offset
 from .queue_core import DISCIPLINES, SystemConfig
 
 __all__ = [
@@ -66,8 +66,8 @@ class SweepSpec:
     grid: Tuple[float, ...]
     template: SystemConfig
     evaluations: Tuple[str, ...]
-    horizon: int = 1_000_000
-    replications: int = 5
+    horizon: int = sim.DEFAULT_HORIZON
+    replications: int = sim.DEFAULT_REPLICATIONS
     base_seed: int = 0
 
     def __post_init__(self):
@@ -121,7 +121,6 @@ class _Point:
     spec: SweepSpec
     config: SystemConfig
     seed: int
-    optima: Dict[Tuple[str, float], OptimizationResult]  # arrival optima per (family, mu)
     _mc: object = field(default=None, init=False)  # the report, or the error running it
 
     def mc(self) -> sim.SimulationReport:
@@ -136,11 +135,10 @@ class _Point:
             raise self._mc
         return self._mc
 
-    def optimum(self) -> OptimizationResult:
-        key = (self.config.arrival.tag, self.config.service.rate)
-        if key not in self.optima:
-            self.optima[key] = optimal_arrival(*key)
-        return self.optima[key]
+
+def _optimal_arrival(p: _Point) -> Tuple[Cell, Cell]:
+    res = optimal_arrival(p.config.arrival.tag, p.config.service.rate)
+    return Cell(res.c0), Cell(res.arrival_rate())
 
 
 def _optimal_offset(p: _Point) -> Tuple[Cell, Cell]:
@@ -162,8 +160,7 @@ _TABLE = {
                lambda p: (Cell(p.mc().mean_aud, p.mc().aud_std_error),)),
     "mc-pmis": ((("pmis_mc", True),),
                 lambda p: (Cell(p.mc().p_mis_hat, p.mc().p_mis_std_error),)),
-    "optimal-arrival": ((("aud_opt", False), ("lambda_opt", False)),
-                        lambda p: (Cell(p.optimum().c0), Cell(p.optimum().arrival_rate()))),
+    "optimal-arrival": ((("aud_opt", False), ("lambda_opt", False)), _optimal_arrival),
     "optimal-offset": ((("delta_opt", False), ("aud_at_delta_opt", False)), _optimal_offset),
 }
 
@@ -203,7 +200,6 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         len(spec.grid), dtype=np.uint64
     )
     rows: List[SweepRow] = []
-    optima: Dict[Tuple[str, float], OptimizationResult] = {}
     for value, seed in zip(spec.grid, point_seeds):
         try:
             config = _apply_variable(spec, value)
@@ -212,7 +208,7 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         except InputError as err:
             cells = _flag_all(spec.evaluations, f"invalid: {err}")
         else:
-            cells = _evaluate_point(_Point(spec, config, int(seed), optima))
+            cells = _evaluate_point(_Point(spec, config, int(seed)))
         rows.append(SweepRow(value, cells))
     return rows
 

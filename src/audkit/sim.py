@@ -55,6 +55,9 @@ __all__ = [
     "dump_trajectory_csv",
 ]
 
+DEFAULT_HORIZON = 1_000_000  # the default Monte Carlo budget, also of the CLI and
+DEFAULT_REPLICATIONS = 5  # sweeps: updates per replication, and replications
+
 
 @dataclass(frozen=True)
 class UpdateRecords:
@@ -255,8 +258,8 @@ def _default_threads(horizon: int) -> int:
 
 def run_replications(
     config: SystemConfig,
-    horizon: int = 1_000_000,
-    n_reps: int = 5,
+    horizon: int = DEFAULT_HORIZON,
+    n_reps: int = DEFAULT_REPLICATIONS,
     base_seed: int = 0,
     threads: Optional[int] = None,
 ) -> SimulationReport:
@@ -272,11 +275,8 @@ def run_replications(
     in turn; the report is bit-identical for every thread count, and
     ``threads`` < 1 raises ``InputError``.  The default, None, is one thread
     per available core, at most one per replication, from 10^5 updates per
-    replication up, and 1 below.  On 2 cores that lifted the benchmark's
-    Monte Carlo workload (10 replications of 2*10^5 updates) about 1.8x.
-    Each replication in flight holds max(5, 2 + 3 nu/lambda) horizon-length
-    float64 arrays at its peak (7.6-8.4 MiB at 2*10^5 updates in that
-    workload); the nu/lambda term is for Poisson decisions only.
+    replication up, and 1 below.  The module docstring gives its speed-up
+    and the peak memory of each replication in flight.
     """
     return _replications(config, horizon, n_reps, base_seed, threads)[0]
 

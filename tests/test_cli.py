@@ -47,9 +47,9 @@ def test_analyze_json_near_critical(tmp_path, arrival, rho):
 
 def test_analyze_evaluates_each_transform_once(tmp_path, monkeypatch):
     # derive, mean_aud and missing_probability share one DerivedQuantities,
-    # and q1 comes with rho1 from the cached solve: q0 = laplace(nu) is left
-    # to evaluate, and every transform is an evaluation of newton_terms
-    audkit.rho1_value(audkit.Lomax(3.5, 3.0), 1.0)  # warm the rho1 cache
+    # and q1 comes with rho1 from the solve: one newton_terms per Newton step
+    # and one at the root, then q0 = laplace(nu), and no W1 at the root
+    steps = audkit.solve_rho1(audkit.Lomax(3.5, 3.0), 1.0).iterations
     calls = []
     original = audkit.Lomax.newton_terms
     monkeypatch.setattr(audkit.Lomax, "newton_terms",
@@ -59,7 +59,8 @@ def test_analyze_evaluates_each_transform_once(tmp_path, monkeypatch):
          "--decision", "poisson:rate=0.5", "--out", str(tmp_path / "analyze.txt")]
     )
     assert code == 0
-    assert calls == [(0.5, False)]
+    assert len(calls) == steps + 2
+    assert calls[-1] == (0.5, False)
 
 
 @pytest.mark.parametrize("decision", ["poisson:rate=0.5", "sync:m0=2", "offset:delta=0.5"])
@@ -69,7 +70,6 @@ def test_analyze_solves_rho1_once(tmp_path, monkeypatch, decision):
     calls = []
     monkeypatch.setattr(audkit.queue_core, "solve_rho1",
                         lambda arrival, mu: calls.append(arrival) or solve(arrival, mu))
-    audkit.queue_core._rho1_cached.cache_clear()
     code = cli.main(["analyze", "--arrival", "det:period=2", "--mu", "1",
                      "--decision", decision, "--out", str(tmp_path / "analyze.txt")])
     assert code == 0
@@ -315,6 +315,11 @@ _ANALYZE = ["analyze", "--mu", "1"]
     [
         _ANALYZE + ["--arrival", "exp:rate=inf", "--decision", "poisson:rate=1"],
         _ANALYZE + ["--arrival", "uniform:beta=inf", "--decision", "poisson:rate=1"],
+        # E[X^2] and 1 / mu^2 past the double range: they raised ZeroDivisionError
+        # and OverflowError, exit 1
+        ["analyze", "--arrival", "exp:rate=1e-200", "--mu", "1e-190",
+         "--decision", "poisson:rate=1e-200"],
+        _ANALYZE + ["--arrival", "uniform:beta=1e200", "--decision", "poisson:rate=1"],
         _ANALYZE + ["--arrival", "det:period=2", "--decision", "sync:m0=inf"],
         _ANALYZE + ["--arrival", "det:period=2", "--decision", "sync:m0=1.5"],
         _ANALYZE + ["--arrival", "exp:rate=0.5", "--decision", "sync:m0=1"],

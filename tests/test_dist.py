@@ -142,6 +142,14 @@ def test_folded_normal_mean_scales_without_overflow(alpha, sigma):
         assert ak.FoldedNormal(k * alpha, k * sigma).mean() == pytest.approx(k * base, rel=1e-15)
 
 
+@pytest.mark.parametrize("model", [ak.Exponential(1e-200), ak.Uniform(1e200),
+                                   ak.Lomax(3.0, 1e200), ak.FoldedNormal(1e200, 1e199),
+                                   ak.Deterministic(1e200)])
+def test_second_moment_past_the_double_range_is_inf(model):
+    # exp's 2 / rate**2 divided by zero and uniform's beta**2 overflowed
+    assert model.second_moment() == math.inf
+
+
 # --- laplace / weighted first moment -----------------------------------------
 
 
@@ -152,6 +160,22 @@ def test_laplace_examples():
         assert model.laplace(0.0) == 1.0
     # beta s underflows to 0 for s > 0; (1 - e^-u)/u divided by zero there
     assert ak.Uniform(0.5).laplace(5e-324) == 1.0
+
+
+@pytest.mark.parametrize("model,s", [
+    (ak.Exponential(1e-300), 1e300),
+    (ak.Uniform(1e300), 1e10),
+    (ak.Lomax(3.0, 1e300), 1e10),
+    (ak.FoldedNormal(1e300, 1e299), 1e10),
+    (ak.FoldedNormal(0.0, 1e300), 1e10),
+    (ak.Deterministic(1e300), 1e10),
+])
+def test_transforms_take_their_limits_where_scale_times_s_overflows(model, s):
+    # uniform and the folded normal gave (nan, nan) here: laplace and W1
+    # are 0 there and survival_laplace 1/s
+    assert model.mean() * s == math.inf
+    assert model.newton_terms(s, False) == (0.0, 0.0)
+    assert model.newton_terms(s, True) == (1.0 / s, 0.0)
 
 
 def test_weighted_first_moment_examples():

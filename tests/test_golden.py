@@ -88,17 +88,22 @@ def _cases():
 CASES = _cases()
 
 
-def run_case(name: str, workdir: Path) -> bytes:
-    """Output file of one case, written under ``workdir``."""
+def case_argv(name: str, workdir: Path) -> list:
+    """The CLI arguments of one case, writing its output to ``workdir / name``;
+    a sweep's spec file is written to ``workdir`` first."""
     argv, spec = CASES[name]
     argv = list(argv)
     if spec is not None:
         spec_path = workdir / "spec.json"
         spec_path.write_text(json.dumps(spec))
         argv += ["--spec", str(spec_path)]
-    out = workdir / name
-    assert cli.main(argv + ["--out", str(out)]) == 0
-    return out.read_bytes()
+    return argv + ["--out", str(workdir / name)]
+
+
+def run_case(name: str, workdir: Path) -> bytes:
+    """Output file of one case, written under ``workdir``."""
+    assert cli.main(case_argv(name, workdir)) == 0
+    return (workdir / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

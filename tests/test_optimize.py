@@ -282,13 +282,34 @@ def test_optimal_arrival_lomax_approaches_exponential_limit():
 
 
 def test_optimal_arrival_failed_search_raises(monkeypatch, capsys):
-    # one iteration of the bounded search cannot reach the load tolerance
+    # one iteration of the bounded search cannot reach the load tolerance;
+    # the memoised search of an earlier test would not run it
     monkeypatch.setattr(op, "_MAX_ITER", 1)
+    op._unit_optimum.cache_clear()
     with pytest.raises(ConvergenceError) as err:
         op.optimal_arrival("exp", 2.0)
     assert 0.0 < err.value.best < 1.0
     assert cli.main(["optimize-arrival", "--family", "exp", "--mu", "2"]) == 3
     assert "load search stopped" in capsys.readouterr().err
+
+
+def test_load_search_runs_once_per_family(monkeypatch):
+    # the search at mu = 1 depends on the searched family alone: exp at three
+    # rates and Lomax, whose limit is exp, make one search, and every answer
+    # is the one a fresh search gives, bit for bit
+    search = op.sp_optimize.minimize_scalar
+    calls = []
+    monkeypatch.setattr(op.sp_optimize, "minimize_scalar",
+                        lambda *a, **k: calls.append(a) or search(*a, **k))
+    op._unit_optimum.cache_clear()
+    queries = [("exp", 0.5), ("exp", 1.0), ("exp", 3.0), ("lomax", 1.0)]
+    results = [op.optimal_arrival(*q) for q in queries]
+    assert len(calls) == 1
+    for query, res in zip(queries, results):
+        op._unit_optimum.cache_clear()
+        fresh = op.optimal_arrival(*query)
+        assert repr(fresh) == repr(res)
+    assert len(calls) == 1 + len(queries)
 
 
 def test_optimal_arrival_rejects_bad_input():

@@ -215,7 +215,6 @@ def test_lomax_analyze_evaluates_few_expint_pairs(monkeypatch):
     calls = []
     monkeypatch.setattr(dist, "_scaled_expint_pair",
                         lambda p, z: calls.append(z) or pair(p, z))
-    qc._rho1_cached.cache_clear()
     rng = np.random.default_rng(29)
     n = 200
     for _ in range(n):

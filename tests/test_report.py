@@ -1,6 +1,7 @@
 """Sweep orchestration and CSV/JSON serialization."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 
 import audkit as ak
 from audkit import queue_core as qc
-from audkit import report, sim
+from audkit import optimize, report, sim
 from audkit.errors import InputError, StabilityError
 
 SVC2 = ak.ServiceModel(2.0)
@@ -168,20 +169,19 @@ def test_optimal_arrival_sweep():
 
 
 def test_lambda_sweep_solves_each_optimum_once(monkeypatch):
-    solve = report.optimal_arrival
+    # one load search per family and process, whatever the sweep and its mu
+    search = optimize.sp_optimize.minimize_scalar
     calls = []
-
-    def counting(family, mu):
-        calls.append((family, mu))
-        return solve(family, mu)
-
-    monkeypatch.setattr(report, "optimal_arrival", counting)
+    monkeypatch.setattr(optimize.sp_optimize, "minimize_scalar",
+                        lambda *a, **k: calls.append(a) or search(*a, **k))
+    optimize._unit_optimum.cache_clear()
     spec = report.SweepSpec("lambda", (0.5, 1.0, 1.5), POISSON_TEMPLATE, ("optimal-arrival",))
     rows = report.run_sweep(spec)
-    assert calls == [("exp", 2.0)]
+    assert len(calls) == 1
     assert len({r.cells["aud_opt"].value for r in rows}) == 1
-    report.run_sweep(spec)  # the cache lives only as long as one sweep
-    assert len(calls) == 2
+    report.run_sweep(spec)
+    report.run_sweep(dataclasses.replace(spec, variable="mu", grid=(2.0, 3.0)))
+    assert len(calls) == 1
 
 
 def test_optimal_offset_sweep():
