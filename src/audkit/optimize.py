@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from scipy import optimize as sp_optimize
-
 from .dist import FAMILIES, ArrivalModel, _positive
 from .errors import ConvergenceError, InputError
 from .queue_core import (
@@ -124,12 +122,16 @@ def optimal_arrival(family: str, mu: float) -> OptimizationResult:
 def _unit_optimum(tag: str) -> Tuple[float, float, int]:
     """(load, mean AuD, evaluations) of family ``tag``'s optimum at mu = 1.
     Memoised, as it depends on nothing else; ``lru_cache`` keeps no error."""
+    # imported here, not at module level, so that only this search loads
+    # scipy (ROADMAP item 17 replaces it with a pure-Python root)
+    from scipy.optimize import minimize_scalar
+
     searched = FAMILIES[tag]
 
     def mean_aud(rho: float) -> float:
         return average_aud_from_moments(*departure_moments(searched.with_rate(rho), 1.0))
 
-    res = sp_optimize.minimize_scalar(
+    res = minimize_scalar(
         mean_aud, bounds=(0.0, 1.0), method="bounded",
         options={"xatol": _XATOL, "maxiter": _MAX_ITER},
     )

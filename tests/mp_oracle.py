@@ -1,6 +1,8 @@
 """The embedded-chain root s = 1 - rho1 at 40 digits, the oracle for the rho1 solve,
 and the weighted first moment W1(z) = int_0^inf x f(x) e^{-z x} dx and the
-Laplace transform L(z) = 1 - z phi(z) of each family.
+Laplace transform L(z) = 1 - z phi(z) of each family, and the scaled
+complementary error function erfcx(x) = e^{x^2} erfc(x) that the folded-normal
+transforms are built on.
 
 With s = 1 - rho1, the fixed point rho1 = L(mu s) is the root in (0, 1) of
 
@@ -169,6 +171,24 @@ _W1 = {
     "det": _w1_det,
     "fnorm": _w1_fnorm,
 }
+
+
+def erfcx(x) -> mpf:
+    """e^{x^2} erfc(x), to about 40 digits.
+
+    Up to 1e3 from mpmath's erfc, whose exponent range holds e^{x^2} and
+    erfc(x) apart; above it (mpmath's erfc raises OverflowError at 1e200)
+    from Laplace's continued fraction
+    erfcx(x) = 1/(sqrt(pi) (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))),
+    run backwards from 40 terms, far past the working precision there."""
+    with mp.workdps(DPS + _GUARD):
+        x = mpf(x)
+        if x <= 1000:
+            return mpmath.exp(x * x) * mpmath.erfc(x)
+        tail = mpf(0)
+        for k in range(40, 0, -1):
+            tail = (mpf(k) / 2) / (x + tail)
+        return 1 / (mpmath.sqrt(mpmath.pi) * (x + tail))
 
 
 def weighted_first_moment(arrival, z) -> mpf:

@@ -110,6 +110,16 @@ def test_analyze_exp_keeps_its_digits_near_critical_load(tmp_path):
                                                 rel=1e-5, abs=0)
 
 
+def test_analyze_fnorm_at_light_load(tmp_path):
+    # the rho1 solve reaches sigma s ~ 3e10, where the Gaussian-tail exponents
+    # v^2/2 - a s - (v - z)^2/2 lost every digit and math.exp raised
+    # OverflowError; at load 1e-11 the mean AuD is E[X^2]/(2 E[X]) + E[T]
+    payload = analyze_json(tmp_path, "fnorm:alpha=1e11,sigma=3e10", "poisson:rate=1")
+    jsonschema.Draft202012Validator(CLI_SCHEMA).validate(payload)
+    fn = audkit.FoldedNormal(1e11, 3e10)
+    assert payload["mean_aud"] == pytest.approx(fn.second_moment() / (2 * fn.mean()), rel=1e-9)
+
+
 @pytest.mark.parametrize("arrival", ["det:period=1e160", "fnorm:alpha=1e160,sigma=1e159"])
 def test_analyze_rejects_an_unrepresentable_second_moment(capsys, arrival):
     # E[Y^2] overflows at this time scale; squaring the period raised OverflowError

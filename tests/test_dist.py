@@ -178,6 +178,43 @@ def test_transforms_take_their_limits_where_scale_times_s_overflows(model, s):
     assert model.newton_terms(s, True) == (1.0 / s, 0.0)
 
 
+def test_transforms_stay_finite_where_the_square_of_scale_times_s_overflows():
+    # (v v)/2 overflowed in both Gaussian-tail exponents (inf - inf), and
+    # uniform's u u in its survival head: all four were NaN
+    fn = ak.FoldedNormal(1.0, 1.0)
+    v, gauss = 1e160, math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+    lap, w1 = fn.newton_terms(v, False)
+    assert lap == pytest.approx(2.0 * gauss / v, rel=1e-15)  # 2 phi(z)/v, to 1/v^2
+    assert abs(w1) <= 1e-300  # 2 phi(z)/v^2, about 5e-321
+    assert fn.newton_terms(v, True) == ((1.0 - lap) / v, w1)
+    assert ak.Uniform(1e200).newton_terms(1e-40, True) == pytest.approx((1e40, 1e-120),
+                                                                        rel=1e-15)
+    # u u still finite, but beta (u - 1) overflows: inf before
+    assert ak.Uniform(1e300).newton_terms(1e-150, True)[0] == pytest.approx(1e150, rel=1e-15)
+
+
+def _erfcx_ulps(x):
+    exact = mp_oracle.erfcx(x)
+    return float(abs(dist._erfcx(x) - exact) / exact) / 2.0**-52
+
+
+def test_erfcx_matches_oracle():
+    # the Dekker-product form below the switch at 26, the asymptotic series
+    # from it; scipy's erfcx was up to 3.8 ulps off on such a grid
+    switch = dist._ERFCX_SWITCH
+    grid = list(np.geomspace(1e-8, 1e6, 400)) + [
+        math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)]
+    for x in grid:
+        assert _erfcx_ulps(float(x)) <= 2.0, x
+
+
+def test_erfcx_at_zero_and_where_the_square_overflows():
+    assert dist._erfcx(0.0) == 1.0
+    # x x overflows to inf; the series keeps its leading term 1/(x sqrt(pi))
+    assert _erfcx_ulps(1e200) <= 2.0
+    assert dist._erfcx(1e200) == pytest.approx(1.0 / (1e200 * math.sqrt(math.pi)), rel=4e-16)
+
+
 def test_weighted_first_moment_examples():
     assert ak.Exponential(1.0).weighted_first_moment(0.0) == 1.0
     assert ak.Deterministic(1.0).weighted_first_moment(1.0) == pytest.approx(

@@ -10,7 +10,10 @@ and says so in CHANGES.md.
 """
 
 import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,8 @@ import pytest
 from audkit import cli
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+# a sitecustomize that refuses every scipy import
+NO_SCIPY = Path(__file__).parent / "no_scipy"
 
 ANALYZE = {
     "exp-poisson": ("exp:rate=0.6", "1", "poisson:rate=0.8"),
@@ -109,6 +114,44 @@ def run_case(name: str, workdir: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(tmp_path, name):
     assert run_case(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+def _fresh_python(script: str, *path: Path) -> subprocess.CompletedProcess:
+    """``script`` in a new interpreter with ``path`` and audkit's and this
+    directory's parents on its path."""
+    path += (Path(cli.__file__).parents[1], Path(__file__).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in path))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _fresh_python("""
+        import sys
+        import audkit.cli
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_analyze_and_simulate_goldens_without_scipy(tmp_path):
+    # every scipy import raises: the closed forms, the simulator and the offset
+    # optimum need none; until ROADMAP item 17 only the arrival search does
+    proc = _fresh_python(f"""
+        from pathlib import Path
+        import audkit
+        from audkit import cli
+        from test_golden import CASES, GOLDEN, case_argv
+        tmp = Path({str(tmp_path)!r})
+        for name in sorted(CASES):
+            if name.startswith(("analyze-", "simulate-")):
+                assert cli.main(case_argv(name, tmp)) == 0, name
+                assert (tmp / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        assert cli.main(["optimize-offset", "--lambda", "0.5", "--mu", "1"]) == 0
+    """, NO_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    assert "delta" in proc.stdout
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -297,9 +298,9 @@ def test_load_search_runs_once_per_family(monkeypatch):
     # the search at mu = 1 depends on the searched family alone: exp at three
     # rates and Lomax, whose limit is exp, make one search, and every answer
     # is the one a fresh search gives, bit for bit
-    search = op.sp_optimize.minimize_scalar
+    search = scipy.optimize.minimize_scalar
     calls = []
-    monkeypatch.setattr(op.sp_optimize, "minimize_scalar",
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
                         lambda *a, **k: calls.append(a) or search(*a, **k))
     op._unit_optimum.cache_clear()
     queries = [("exp", 0.5), ("exp", 1.0), ("exp", 3.0), ("lomax", 1.0)]

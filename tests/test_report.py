@@ -8,6 +8,7 @@ import math
 
 import jsonschema
 import pytest
+import scipy.optimize
 
 import audkit as ak
 from audkit import queue_core as qc
@@ -170,9 +171,9 @@ def test_optimal_arrival_sweep():
 
 def test_lambda_sweep_solves_each_optimum_once(monkeypatch):
     # one load search per family and process, whatever the sweep and its mu
-    search = optimize.sp_optimize.minimize_scalar
+    search = scipy.optimize.minimize_scalar
     calls = []
-    monkeypatch.setattr(optimize.sp_optimize, "minimize_scalar",
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
                         lambda *a, **k: calls.append(a) or search(*a, **k))
     optimize._unit_optimum.cache_clear()
     spec = report.SweepSpec("lambda", (0.5, 1.0, 1.5), POISSON_TEMPLATE, ("optimal-arrival",))
