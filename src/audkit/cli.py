@@ -140,7 +140,6 @@ def _cmd_optimize_arrival(args) -> tuple:
         "kappa": list(res.kappa),
         "c0": res.c0,
         "lambda_opt": res.arrival_rate(),
-        "inner_evaluations": res.inner_evaluations,
     }
     return payload, _text([
         ("family", res.family),
@@ -148,7 +147,6 @@ def _cmd_optimize_arrival(args) -> tuple:
         ("kappa_opt", "[" + ", ".join(f"{v:.10g}" for v in res.kappa) + "]"),
         ("min_aud (c0)", f"{res.c0:.12g}"),
         ("lambda_opt", f"{res.arrival_rate():.10g}"),
-        ("inner_evaluations", res.inner_evaluations),
     ])
 
 

@@ -30,8 +30,9 @@ down to sigma -> 0, where the family degenerates to a point mass.
 
 Each family is one class, registered in ``FAMILIES``: its spec-string tag,
 ``with_rate`` for the one-parameter slice of the family at a given arrival
-rate (lambda sweeps and the arrival optimizer), and, for the two-parameter
-families, the ``limit`` family whose slice holds their infimum mean AuD.
+rate (lambda sweeps and the arrival optimizer), and either its
+``optimal_load`` or, for the two-parameter families, the ``limit`` family
+whose slice holds their infimum mean AuD.
 ``parse_spec``/``format_spec`` serve the families and the decision
 disciplines alike.
 """
@@ -255,7 +256,11 @@ class ArrivalModel:
     raises; its ``limit`` names the one-parameter family on its boundary
     (folded normal at sigma -> 0 is ``det``, Lomax at shape -> infinity is
     ``exp``), whose mean AuD is at most its own at every arrival rate.  The
-    arrival optimizer searches that family instead.
+    arrival optimizer answers with that family instead.
+
+    ``optimal_load`` is the load lambda/mu at which a one-parameter family
+    has its least mean AuD under Poisson decisions, the same at every mu
+    (the derivation is in ``optimize``); None for a two-parameter family.
 
     ``rho1_floor`` is a c with rho1 >= c rho for every member of the family
     at every load rho < 1, where the rho1 Newton climb may start: 1 for
@@ -265,6 +270,7 @@ class ArrivalModel:
 
     limit: Optional[str] = None
     rho1_floor: float = 0.0
+    optimal_load: Optional[float] = None
 
     @classmethod
     def with_rate(cls, lam: float) -> "ArrivalModel":
@@ -310,6 +316,7 @@ class Exponential(ArrivalModel):
     """Exponential inter-arrival times with rate ``rate`` (mean 1/rate)."""
 
     tag = "exp"
+    optimal_load = 0.5310100564595692
     rate: float
 
     def __post_init__(self):
@@ -344,6 +351,7 @@ class Uniform(ArrivalModel):
     """Uniform inter-arrival times on (0, beta)."""
 
     tag = "uniform"
+    optimal_load = 0.5224794912406758
     beta: float
 
     def __post_init__(self):
@@ -510,6 +518,7 @@ class Deterministic(ArrivalModel):
     """Periodic arrivals: every inter-arrival time equals ``period``."""
 
     tag = "det"
+    optimal_load = 0.5168847112649534
     period: float
 
     def __post_init__(self):

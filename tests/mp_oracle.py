@@ -1,8 +1,8 @@
 """The embedded-chain root s = 1 - rho1 at 40 digits, the oracle for the rho1 solve,
 and the weighted first moment W1(z) = int_0^inf x f(x) e^{-z x} dx and the
-Laplace transform L(z) = 1 - z phi(z) of each family, and the scaled
+Laplace transform L(z) = 1 - z phi(z) of each family, the scaled
 complementary error function erfcx(x) = e^{x^2} erfc(x) that the folded-normal
-transforms are built on.
+transforms are built on, and the optimal load of each one-parameter family.
 
 With s = 1 - rho1, the fixed point rho1 = L(mu s) is the root in (0, 1) of
 
@@ -37,6 +37,13 @@ enters:
                          T1, T2 the two terms of L(z) above, each Phi(x) = erfc(-x/sqrt 2)/2
                          (the Gaussian-density terms of L' meet in one e^{-a^2/(2 sigma^2)}).
 
+and the weighted second moment W2(z) = int_0^inf x^2 f(x) e^{-z x} dx of
+the one-parameter families, from the same densities:
+
+    exp(lam)             2 lam / (lam + z)^3
+    uniform(beta)        (2 - e^{-u} (u^2 + 2 u + 2)) / (beta z^3)
+    det(P)               P^2 e^{-z P}
+
 The Lomax form follows from x = beta (t - 1), as its survival transform
 does.  Above shape ``_CF_SHAPE`` (1e3), where mpmath's expint does not
 converge, its E_alpha pair comes from the continued fraction instead
@@ -55,6 +62,8 @@ from __future__ import annotations
 
 import mpmath
 from mpmath import mp, mpf
+
+from audkit.dist import FAMILIES
 
 DPS = 40
 _GUARD = 60
@@ -173,6 +182,26 @@ _W1 = {
 }
 
 
+def _w2_exp(z, lam):
+    return 2 * lam / (lam + z) ** 3
+
+
+def _w2_uniform(z, beta):
+    u = beta * z
+    return (2 - mpmath.exp(-u) * (u * u + 2 * u + 2)) / (beta * z ** 3)
+
+
+def _w2_det(z, period):
+    return period * period * mpmath.exp(-z * period)
+
+
+_W2 = {
+    "exp": _w2_exp,
+    "uniform": _w2_uniform,
+    "det": _w2_det,
+}
+
+
 def erfcx(x) -> mpf:
     """e^{x^2} erfc(x), to about 40 digits.
 
@@ -235,6 +264,32 @@ def s_root(arrival, mu: float) -> mpf:
             lo /= 2
         assert h(hi) < 0
         return mpmath.findroot(h, (lo, hi), solver="anderson", tol=mpf(10) ** (-2 * DPS))
+
+
+def arrival_optimum(tag: str) -> tuple:
+    """(load, mean AuD) at the least mean AuD of one-parameter family ``tag``
+    under Poisson decisions at mu = 1, to about 40 digits.
+
+    With the unit-mean law xi of the family, u = (1 - rho1)/lambda gives
+    rho1 = L(u), lambda = (1 - L(u))/u and the mean AuD
+    A(u) = 1 + (E[xi^2] u/2 + W1(u)) / (1 - L(u)), whose derivative vanishes
+    where g(u) = (E[xi^2]/2 - W2(u)) (1 - L(u)) - (E[xi^2] u/2 + W1(u)) W1(u)
+    does.  g falls to -1 as u -> 0 and rises to E[xi^2]/2 as u -> inf; the
+    root is bracketed in (1/4, 4) for exp, uniform and det."""
+    with mp.workdps(DPS + _GUARD):
+        unit = FAMILIES[tag].with_rate(1.0)
+        (p,) = _params(unit)
+        m2 = {"exp": 2 / p ** 2, "uniform": p ** 2 / 3, "det": p ** 2}[tag]
+
+        def g(u):
+            w1 = weighted_first_moment(unit, u)
+            return (m2 / 2 - _W2[tag](u, p)) * (1 - laplace(unit, u)) - (m2 * u / 2 + w1) * w1
+
+        lo, hi = mpf(1) / 4, mpf(4)
+        assert g(lo) < 0 < g(hi)
+        u = mpmath.findroot(g, (lo, hi), solver="anderson", tol=mpf(10) ** (-2 * DPS))
+        head = 1 - laplace(unit, u)
+        return head / u, 1 + (m2 * u / 2 + weighted_first_moment(unit, u)) / head
 
 
 def _mean(tag: str, params) -> mpf:

@@ -472,7 +472,6 @@ _OPTIMIZE_ARRIVAL_LINES = [
     ("kappa_opt", lambda p: p["kappa"], lambda v: "[" + ", ".join(f"{k:.10g}" for k in v) + "]"),
     ("min_aud (c0)", lambda p: p["c0"], _g12),
     ("lambda_opt", lambda p: p["lambda_opt"], lambda v: f"{v:.10g}"),
-    ("inner_evaluations", lambda p: p["inner_evaluations"], str),
 ]
 _OPTIMIZE_OFFSET_LINES = [
     ("delta_opt", lambda p: p["delta_opt"], _g12),

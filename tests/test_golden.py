@@ -125,31 +125,37 @@ def _fresh_python(script: str, *path: Path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
-def test_cli_import_loads_no_scipy():
-    proc = _fresh_python("""
+def _every_subcommand(tmp_path: Path, *path: Path) -> subprocess.CompletedProcess:
+    """In one new interpreter: every golden case (analyze for every family,
+    simulate, and sweeps of every evaluation), each compared byte for byte,
+    then optimize-arrival for every family and optimize-offset; finally the
+    scipy modules loaded are printed."""
+    return _fresh_python(f"""
         import sys
-        import audkit.cli
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-    """)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
-def test_analyze_and_simulate_goldens_without_scipy(tmp_path):
-    # every scipy import raises: the closed forms, the simulator and the offset
-    # optimum need none; until ROADMAP item 17 only the arrival search does
-    proc = _fresh_python(f"""
         from pathlib import Path
-        import audkit
         from audkit import cli
+        from audkit.dist import FAMILIES
         from test_golden import CASES, GOLDEN, case_argv
         tmp = Path({str(tmp_path)!r})
         for name in sorted(CASES):
-            if name.startswith(("analyze-", "simulate-")):
-                assert cli.main(case_argv(name, tmp)) == 0, name
-                assert (tmp / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+            assert cli.main(case_argv(name, tmp)) == 0, name
+            assert (tmp / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        for family in FAMILIES:
+            assert cli.main(["optimize-arrival", "--family", family, "--mu", "1"]) == 0, family
         assert cli.main(["optimize-offset", "--lambda", "0.5", "--mu", "1"]) == 0
-    """, NO_SCIPY)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """, *path)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    proc = _every_subcommand(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_goldens_and_optimizers_without_scipy(tmp_path):
+    # every scipy import raises: no subcommand needs scipy
+    proc = _every_subcommand(tmp_path, NO_SCIPY)
     assert proc.returncode == 0, proc.stderr
     assert "delta" in proc.stdout
 

@@ -1,22 +1,22 @@
-"""The arrival optimizer's load search against the paper's bisection oracle
-(simplex wrapper, penalized feasibility objective, threshold bisection),
-result 1 as properties, and the closed-form offset optimum."""
+"""The arrival optimizer's per-family optimal loads against a 40-digit root of
+their stationarity condition and the paper's bisection oracle (simplex
+wrapper, penalized feasibility objective, threshold bisection), result 1 as
+properties, and the closed-form offset optimum."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import audkit as ak
-from audkit import cli
 from audkit import optimize as op
 from audkit import queue_core as qc
 from audkit.errors import ConvergenceError, InputError
 
 import bisection_oracle as bo
+import mp_oracle
 
 
 def golden_section(f, lo, hi, tol=1e-10):
@@ -247,7 +247,7 @@ def test_optimal_offset_beats_poisson_and_sync_decisions():
         assert aud < qc.average_aud_dm1d_sync(lam, mu, 1)
 
 
-# --- load search -----------------------------------------------------------------------
+# --- arrival optimum -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("family", ["exp", "uniform", "fnorm", "lomax"])
@@ -263,7 +263,6 @@ def test_optimal_arrival_matches_bisection(family, mu):
         assert res.c0 == pytest.approx(oracle.c0, rel=1e-5)
     else:
         assert abs(res.c0 - oracle.c0) <= eps
-    assert 5 * res.inner_evaluations <= oracle.inner_evaluations
     # c0 is the mean AuD the reported parameters achieve
     assert res.c0 == qc.average_aud_from_moments(
         *qc.departure_moments(res.arrival_model(), mu)
@@ -282,35 +281,31 @@ def test_optimal_arrival_lomax_approaches_exponential_limit():
     assert res.arrival_rate() == pytest.approx(lam_star, rel=1e-3)
 
 
-def test_optimal_arrival_failed_search_raises(monkeypatch, capsys):
-    # one iteration of the bounded search cannot reach the load tolerance;
-    # the memoised search of an earlier test would not run it
-    monkeypatch.setattr(op, "_MAX_ITER", 1)
-    op._unit_optimum.cache_clear()
-    with pytest.raises(ConvergenceError) as err:
-        op.optimal_arrival("exp", 2.0)
-    assert 0.0 < err.value.best < 1.0
-    assert cli.main(["optimize-arrival", "--family", "exp", "--mu", "2"]) == 3
-    assert "load search stopped" in capsys.readouterr().err
-
-
-def test_load_search_runs_once_per_family(monkeypatch):
-    # the search at mu = 1 depends on the searched family alone: exp at three
-    # rates and Lomax, whose limit is exp, make one search, and every answer
-    # is the one a fresh search gives, bit for bit
-    search = scipy.optimize.minimize_scalar
-    calls = []
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
-                        lambda *a, **k: calls.append(a) or search(*a, **k))
-    op._unit_optimum.cache_clear()
+def test_optimal_arrival_is_a_constant_per_family():
+    # exp at three rates and Lomax, whose limit is exp, all report exp's
+    # optimal load times mu; a repeated call gives the same answer, bit for bit
     queries = [("exp", 0.5), ("exp", 1.0), ("exp", 3.0), ("lomax", 1.0)]
     results = [op.optimal_arrival(*q) for q in queries]
-    assert len(calls) == 1
-    for query, res in zip(queries, results):
-        op._unit_optimum.cache_clear()
-        fresh = op.optimal_arrival(*query)
-        assert repr(fresh) == repr(res)
-    assert len(calls) == 1 + len(queries)
+    for (family, mu), res in zip(queries, results):
+        assert res.kappa == (ak.Exponential.optimal_load * mu,)
+        assert repr(op.optimal_arrival(family, mu)) == repr(res)
+    assert results[3].kappa == results[1].kappa and results[3].c0 == results[1].c0
+
+
+@pytest.mark.parametrize("family", ["exp", "uniform", "det"])
+def test_optimal_load_is_the_root_of_the_stationarity_condition(family):
+    cls = ak.dist.FAMILIES[family]
+    rho, aud = mp_oracle.arrival_optimum(family)
+    # the correctly rounded root
+    assert cls.optimal_load == float(rho)
+    for mu in (1e-3, 1.0, 1e3):
+        lam = op.optimal_arrival(family, mu).arrival_rate()
+        assert abs(lam - float(rho * mu)) <= 1e-13 * lam
+    c0 = op.optimal_arrival(family, 1.0).c0
+    assert abs(c0 - float(aud)) <= 4 * math.ulp(c0)
+    # no load next to it has a lower mean AuD in the code's own closed form
+    for step in (1.0 - 1e-6, 1.0 + 1e-6):
+        assert _aud(cls.with_rate(cls.optimal_load * step), 1.0) >= c0
 
 
 def test_optimal_arrival_rejects_bad_input():
