@@ -53,6 +53,7 @@ from typing import Optional, Tuple
 from .dist import FAMILIES, ArrivalModel, _positive
 from .errors import InputError
 from .queue_core import (
+    _offset_aud,
     _stable_load,
     average_aud_from_moments,
     departure_moments,
@@ -126,6 +127,16 @@ def optimize_offset(lam: float, mu: float) -> OffsetResult:
     The derivative 1 - u1/rho vanishes at u1 = rho, which lies inside
     (rho1, 1), so delta* = ln(1/rho) / (mu (1 - rho1)) in (0, 1/lam).
     """
+    return _offset_optimum(lam, mu)[0]
+
+
+def _offset_optimum(lam: float, mu: float) -> Tuple[OffsetResult, float, float]:
+    """(``optimize_offset``'s result, the mean AuD at delta*, rho1) from one
+    rho1 solve, whose rho1 the CLI also reads the other periodic-arrival
+    laws from.  delta* needs no range check: rho ln(1/rho) < 1 - rho1."""
     rho = _stable_load(lam, mu)
     rho1 = rho1_deterministic(rho)
-    return OffsetResult(delta=-math.log(rho) / (mu * (1.0 - rho1)), iterations=0)
+    a = mu * (1.0 - rho1)
+    delta = -math.log(rho) / a
+    aud = _offset_aud(lam, delta, rho1, math.exp(-a * delta))
+    return OffsetResult(delta=delta, iterations=0), aud, rho1

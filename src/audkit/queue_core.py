@@ -387,7 +387,11 @@ def average_aud_mm1m(lam: float, mu: float) -> float:
 
 def average_aud_dm1m(lam: float, mu: float) -> float:
     """Mean AuD with periodic arrivals and Poisson decisions: 1/(2 lam) + E[T]."""
-    rho1 = rho1_deterministic(_stable_load(lam, mu))
+    return _dm1m_aud(lam, mu, rho1_deterministic(_stable_load(lam, mu)))
+
+
+def _dm1m_aud(lam: float, mu: float, rho1: float) -> float:
+    """The periodic-arrival, Poisson-decision law from rho1."""
     return 1.0 / (2.0 * lam) + 1.0 / (mu * (1.0 - rho1))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import queue_core, sim
 from .dist import Deterministic, _positive
 from .errors import AudKitError, InputError, StabilityError
-from .optimize import optimal_arrival, optimize_offset
+from .optimize import _offset_optimum, optimal_arrival
 from .queue_core import DISCIPLINES, SystemConfig
 
 __all__ = [
@@ -144,9 +144,8 @@ def _optimal_arrival(p: _Point) -> Tuple[Cell, Cell]:
 def _optimal_offset(p: _Point) -> Tuple[Cell, Cell]:
     if not isinstance(p.config.arrival, Deterministic):
         return (Cell(status="requires-deterministic-arrivals"),) * 2
-    lam, mu = p.config.arrival_rate, p.config.service.rate
-    delta = optimize_offset(lam, mu).delta
-    return Cell(delta), Cell(queue_core.average_aud_dm1d_offset(lam, mu, delta))
+    res, aud, _ = _offset_optimum(p.config.arrival_rate, p.config.service.rate)
+    return Cell(res.delta), Cell(aud)
 
 
 # evaluation -> its ordered (column, carries standard error) pairs, and the

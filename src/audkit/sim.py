@@ -42,6 +42,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._inplace import overwrite
 from .errors import InputError
 from .queue_core import SystemConfig, _first_counted
 
@@ -349,14 +350,20 @@ def dump_trajectory_csv(
     through gzip at level 6 with a zero header timestamp, so the trajectory
     and the path fix the bytes.  Level 9, gzip's default, took 1.5 times as
     long for 0.06% fewer bytes.
+
+    An existing file is overwritten in place and then cut to length, not
+    truncated first (``_inplace``): over a 2.7 MB file on ext4 the write
+    itself took 0.32-0.33 ms in place against 2.2-2.5 ms truncated first.
+    Like a truncating open, the overwrite is not atomic.
     """
-    gz = path.endswith(".gz")
-    raw = gzip.GzipFile(path, "wb", compresslevel=6, mtime=0) if gz else open(path, "wb")
-    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
-        _write_table(fh, "k,t_k,X_k,S_k,W_k,T_k,t_dep_k,Y_k",
-                     [getattr(records, f) for f in records.__dataclass_fields__])
-        _write_table(fh, "j,tau_j,used_update,aud",
-                     [decisions.epoch, decisions.used_update + 1, decisions.age])
+    with overwrite(path) as raw:
+        if path.endswith(".gz"):  # the header names the file, as when gzip opens it
+            raw = gzip.GzipFile(path, "wb", compresslevel=6, fileobj=raw, mtime=0)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+            _write_table(fh, "k,t_k,X_k,S_k,W_k,T_k,t_dep_k,Y_k",
+                         [getattr(records, f) for f in records.__dataclass_fields__])
+            _write_table(fh, "j,tau_j,used_update,aud",
+                         [decisions.epoch, decisions.used_update + 1, decisions.age])
     return path
 
 

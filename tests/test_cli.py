@@ -1,5 +1,6 @@
 """In-process CLI runs, with JSON output validated against the shipped schema."""
 
+import ast
 import csv
 import json
 import math
@@ -194,6 +195,44 @@ def test_optimize_offset_json_at_high_load(tmp_path):
     assert payload["iterations"] == 0
     assert payload["aud_at_delta_opt"] < payload["aud_sync_m0_1"]
     assert payload["aud_at_delta_opt"] < payload["aud_poisson_decisions"]
+
+
+def _count_rho1_solves(monkeypatch) -> list:
+    solve = audkit.queue_core.solve_rho1
+    calls = []
+    monkeypatch.setattr(audkit.queue_core, "solve_rho1",
+                        lambda arrival, mu: calls.append(arrival) or solve(arrival, mu))
+    return calls
+
+
+def test_optimize_offset_reads_its_laws_off_one_rho1_solve(tmp_path, monkeypatch):
+    lam, mu = 0.6, 1.3
+    delta = audkit.optimize_offset(lam, mu).delta
+    expected = {  # the public laws, each solving rho1 again
+        "delta_opt": delta,
+        "aud_at_delta_opt": audkit.average_aud_dm1d_offset(lam, mu, delta),
+        "aud_poisson_decisions": audkit.average_aud_dm1m(lam, mu),
+        "aud_sync_m0_1": audkit.average_aud_dm1d_sync(lam, mu, 1),
+    }
+    calls = _count_rho1_solves(monkeypatch)
+    payload = run_json(tmp_path, ["optimize-offset", "--lambda", repr(lam), "--mu", repr(mu)])
+    assert len(calls) == 1
+    assert {k: payload[k] for k in expected} == expected
+
+
+def test_optimal_offset_sweep_cell_solves_rho1_once(tmp_path, monkeypatch):
+    lam, mu = 0.6, 1.3
+    delta = audkit.optimize_offset(lam, mu).delta
+    aud = audkit.average_aud_dm1d_offset(lam, mu, delta)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "variable": "lambda", "grid": [lam], "evaluations": ["optimal-offset"],
+        "template": {"arrival": "det:period=1", "mu": mu, "decision": "poisson:rate=1"},
+    }))
+    calls = _count_rho1_solves(monkeypatch)
+    cells = run_json(tmp_path, ["sweep", "--spec", str(spec)])["rows"][0]["cells"]
+    assert len(calls) == 1
+    assert (cells["delta_opt"]["value"], cells["aud_at_delta_opt"]["value"]) == (delta, aud)
 
 
 def test_optimize_arrival_unknown_family_exits_2():
@@ -431,6 +470,72 @@ def test_unwritable_path_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no-such-dir" in err
     assert "Traceback" not in err
+
+
+# --- overwriting an existing --out file -------------------------------------------
+
+_OUT_ARGV = {
+    "text": _ANALYZE + ["--arrival", "exp:rate=0.5", "--decision", "poisson:rate=1"],
+    "json": _ANALYZE + ["--arrival", "exp:rate=0.5", "--decision", "poisson:rate=1", "--json"],
+    "sweep-csv": ["sweep"],
+}
+
+
+def _out_argv(kind, tmp_path):
+    argv = list(_OUT_ARGV[kind])
+    if kind == "sweep-csv":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_sweep_spec([0.25, 0.5, 1.0])))
+        argv += ["--spec", str(spec)]
+    return argv
+
+
+def _fresh_output(argv, tmp_path) -> bytes:
+    fresh = tmp_path / "fresh.out"
+    assert cli.main(argv + ["--out", str(fresh)]) == 0
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_OUT_ARGV))
+def test_out_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, kind):
+    argv = _out_argv(kind, tmp_path)
+    expected = _fresh_output(argv, tmp_path)
+    stale = tmp_path / "stale.out"
+    stale.write_bytes(b"stale\n" * len(expected))
+    assert cli.main(argv + ["--out", str(stale)]) == 0
+    assert stale.read_bytes() == expected
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    argv = _out_argv("json", tmp_path)
+    expected = _fresh_output(argv, tmp_path)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"stale\n" * len(expected))
+    link.symlink_to(target)
+    assert cli.main(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null device")
+def test_out_to_dev_null_exits_0(tmp_path):
+    # a character device is written as it is, never cut to length
+    assert cli.main(_out_argv("json", tmp_path) + ["--out", "/dev/null"]) == 0
+
+
+def test_no_module_opens_a_file_for_writing_but_the_in_place_writer():
+    # open(path, "w") truncates the file first (see audkit._inplace)
+    for path in sorted(Path(audkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            assert getattr(node, "attr", None) != "O_TRUNC", where
+            if path.name == "_inplace.py" or not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords = {k.arg: k.value for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            if name in ("open", "GzipFile") and "fileobj" not in keywords:
+                assert not set(getattr(mode, "value", "r")) & set("wax+"), where
 
 
 def _g12(v):

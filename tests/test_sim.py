@@ -559,3 +559,22 @@ def test_dump_gzips_exactly_when_path_ends_in_gz(tmp_path):
         header = fh.read(10)
     assert header[4:8] == bytes(4)  # no timestamp in the gzip header
     assert header[8] == 0  # XFL: level 6; level 9 writes 2 and level 1 writes 4
+
+
+@pytest.mark.parametrize("name", ["trajectory.csv", "trajectory.csv.gz"])
+def test_dump_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, name):
+    # the file is written in place and cut to length, not truncated first
+    rec, dec = sim.run_trajectory(poisson_cfg(ak.Exponential(1.0)), 500, seed=77)
+    for sub in ("fresh", "empty"):
+        (tmp_path / sub).mkdir()
+    fresh = tmp_path / "fresh" / name
+    sim.dump_trajectory_csv(rec, dec, str(fresh))
+    stale = tmp_path / name
+    stale.write_bytes(b"stale\n" * fresh.stat().st_size)
+    assert sim.dump_trajectory_csv(rec, dec, str(stale)) == str(stale)
+    assert stale.read_bytes() == fresh.read_bytes()
+    if name.endswith(".gz"):  # the header gzip writes for a path it opens itself
+        empty = tmp_path / "empty" / name
+        gzip.GzipFile(str(empty), "wb", compresslevel=6, mtime=0).close()
+        size = 10 + len(b"trajectory.csv\0")  # the fixed fields, then the file name
+        assert stale.read_bytes()[:size] == empty.read_bytes()[:size]
