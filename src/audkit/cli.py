@@ -29,8 +29,8 @@ from . import __version__, queue_core, report, sim
 from ._inplace import overwrite
 from .dist import ARRIVAL_GRAMMAR, FAMILIES, ServiceModel, parse_arrival
 from .errors import AudKitError, InputError
-from .optimize import _offset_optimum, optimal_arrival
-from .queue_core import DECISION_GRAMMAR, SystemConfig, _dm1m_aud, _sync_aud, parse_decision
+from .optimize import optimal_arrival, optimize_offset
+from .queue_core import DECISION_GRAMMAR, SystemConfig, parse_decision
 
 
 def _first_non_finite(value, name: str = "") -> Optional[str]:
@@ -151,25 +151,23 @@ def _cmd_optimize_arrival(args) -> tuple:
 
 
 def _cmd_optimize_offset(args) -> tuple:
-    lam, mu = args.lam, args.mu
-    res, aud, rho1 = _offset_optimum(lam, mu)
-    results = {
-        "delta_opt": res.delta,
-        "iterations": res.iterations,
-        "aud_at_delta_opt": aud,
-        "aud_poisson_decisions": _dm1m_aud(lam, mu, rho1),
-        "aud_sync_m0_1": _sync_aud(1, lam, mu * (1.0 - rho1)),
-    }
+    res = dict(vars(optimize_offset(args.lam, args.mu)))  # fields in JSON key order
+    results = {"delta_opt": res.pop("delta"), **res}
     text = _text((k, f"{v:.12g}" if isinstance(v, float) else v) for k, v in results.items())
-    return {"command": "optimize-offset", "lambda": lam, "mu": mu, **results}, text
+    return {"command": "optimize-offset", "lambda": args.lam, "mu": args.mu, **results}, text
+
+
+def _number(key: str, value) -> float:
+    """A sweep spec number as a float; a JSON boolean or a non-number is an error."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise InputError(f"sweep spec {key} must be a number, got {value!r}")
 
 
 def _integral(key: str, value) -> int:
-    """A sweep budget value as an int; a fraction or a non-number is an error."""
-    if isinstance(value, float) and value.is_integer():
+    """A sweep budget value as an int; a fraction is an error, as for ``_number``."""
+    if _number(key, value).is_integer():
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     raise InputError(f"sweep spec {key} must be an integral number, got {value!r}")
 
 
@@ -179,14 +177,15 @@ def _load_sweep_spec(path: str) -> report.SweepSpec:
             raw = json.load(fh)
         budget = {k: _integral(k, raw[k]) for k in ("horizon", "replications", "base_seed")
                   if k in raw}
+        template = raw["template"]
         return report.SweepSpec(
             variable=raw["variable"],
-            grid=tuple(float(v) for v in raw["grid"]),
-            template=_build_config(raw["template"]),
+            grid=tuple(_number(f"grid[{i}]", v) for i, v in enumerate(raw["grid"])),
+            template=_build_config(dict(template, mu=_number("template.mu", template["mu"]))),
             evaluations=tuple(raw["evaluations"]),
             **budget,
         )
-    except (OSError, KeyError, TypeError, ValueError) as err:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as err:
         raise InputError(f"bad sweep spec {path}: {err}") from None
 
 

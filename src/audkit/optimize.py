@@ -41,7 +41,9 @@ minimisation, is kept in the test suite as a further oracle.
 
 ``optimize_offset`` is closed form: the offset-periodic mean AuD is convex
 in the offset with derivative 1 - u1/rho (see ``queue_core``), so the
-optimum is u1 = rho, delta* = ln(1/rho) / (mu (1 - rho1)).
+optimum is u1 = rho, delta* = ln(1/rho) / (mu (1 - rho1)).  Its result
+carries the paper's three-way comparison (the mean AuD at delta*, under
+Poisson and under aligned decisions) from the one rho1 solve delta* takes.
 """
 
 from __future__ import annotations
@@ -52,13 +54,8 @@ from typing import Optional, Tuple
 
 from .dist import FAMILIES, ArrivalModel, _positive
 from .errors import InputError
-from .queue_core import (
-    _offset_aud,
-    _stable_load,
-    average_aud_from_moments,
-    departure_moments,
-    rho1_deterministic,
-)
+from .queue_core import (_dm1m_aud, _offset_aud, _stable_load, _sync_aud,
+                         average_aud_from_moments, departure_moments, rho1_deterministic)
 
 __all__ = [
     "OptimizationResult",
@@ -92,13 +89,20 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class OffsetResult:
-    """Optimal decision offset.
-
-    ``iterations`` is 0: the optimum is closed form.
+    """Optimal decision offset, and the paper's three-way comparison at it
+    from one rho1 solve: the mean AuD at delta*, under Poisson decisions and
+    under aligned decisions (m0 = 1), the values of
+    ``average_aud_dm1d_offset(lam, mu, delta)``, ``average_aud_dm1m(lam, mu)``
+    and ``average_aud_dm1d_sync(lam, mu, 1)``.  ``iterations`` is 0: the
+    optimum is closed form.  The fields bear the CLI's JSON keys, in order,
+    but ``delta``, printed as ``delta_opt``.
     """
 
     delta: float
     iterations: int
+    aud_at_delta_opt: float
+    aud_poisson_decisions: float
+    aud_sync_m0_1: float
 
 
 def optimal_arrival(family: str, mu: float) -> OptimizationResult:
@@ -122,21 +126,18 @@ def optimal_arrival(family: str, mu: float) -> OptimizationResult:
 
 
 def optimize_offset(lam: float, mu: float) -> OffsetResult:
-    """Offset that minimizes the mean AuD of the offset-periodic system.
+    """Offset that minimizes the mean AuD of the offset-periodic system, and
+    the mean AuD there and under the two other decision disciplines.
 
     The derivative 1 - u1/rho vanishes at u1 = rho, which lies inside
-    (rho1, 1), so delta* = ln(1/rho) / (mu (1 - rho1)) in (0, 1/lam).
+    (rho1, 1), so delta* = ln(1/rho) / (mu (1 - rho1)) in (0, 1/lam): no
+    range check is needed, as rho ln(1/rho) < 1 - rho1.
     """
-    return _offset_optimum(lam, mu)[0]
-
-
-def _offset_optimum(lam: float, mu: float) -> Tuple[OffsetResult, float, float]:
-    """(``optimize_offset``'s result, the mean AuD at delta*, rho1) from one
-    rho1 solve, whose rho1 the CLI also reads the other periodic-arrival
-    laws from.  delta* needs no range check: rho ln(1/rho) < 1 - rho1."""
     rho = _stable_load(lam, mu)
     rho1 = rho1_deterministic(rho)
     a = mu * (1.0 - rho1)
     delta = -math.log(rho) / a
-    aud = _offset_aud(lam, delta, rho1, math.exp(-a * delta))
-    return OffsetResult(delta=delta, iterations=0), aud, rho1
+    return OffsetResult(delta=delta, iterations=0,
+                        aud_at_delta_opt=_offset_aud(lam, delta, rho1, math.exp(-a * delta)),
+                        aud_poisson_decisions=_dm1m_aud(lam, mu, rho1),
+                        aud_sync_m0_1=_sync_aud(1, lam, a))

@@ -2,7 +2,8 @@
 and the weighted first moment W1(z) = int_0^inf x f(x) e^{-z x} dx and the
 Laplace transform L(z) = 1 - z phi(z) of each family, the scaled
 complementary error function erfcx(x) = e^{x^2} erfc(x) that the folded-normal
-transforms are built on, and the optimal load of each one-parameter family.
+transforms are built on, the optimal load of each one-parameter family, and
+the mean AuD laws of periodic arrivals under each decision discipline.
 
 With s = 1 - rho1, the fixed point rho1 = L(mu s) is the root in (0, 1) of
 
@@ -305,6 +306,73 @@ def _mean(tag: str, params) -> mpf:
     a, sigma = params  # fnorm: E|N(a, sigma^2)|
     return (sigma * mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-(a / sigma) ** 2 / 2)
             + a * mpmath.erf(a / (sigma * mpmath.sqrt(2))))
+
+
+def periodic_s(lam: float, mu: float) -> mpf:
+    """s = 1 - rho1 of periodic arrivals at rate ``lam``: ``s_root`` of
+    det:period=1/lam at service rate ``mu``."""
+    return s_root(FAMILIES["det"](1.0 / lam), mu)
+
+
+# Periodic arrivals at rate lam, one exponential server at rate mu, FCFS.
+# The system time T of an update is exponential with rate mu s, s = 1 - rho1
+# (the GI/M/1 law), and FCFS delivers the updates in order, so t in [0, 1/lam)
+# after an arrival the updates not yet delivered are the last K, with
+#
+#     E[K] = sum_{k >= 0} P(T > t + k/lam) = e^(-mu s t) / (1 - e^(-mu s/lam))
+#          = e^(-mu s t) / s
+#
+# by the fixed point rho1 = e^(-mu s/lam).  The mean age a decision at t sees
+# is t plus one period per undelivered update:
+#
+#     A(t) = t + e^(-mu s t) / (lam s).
+#
+# Each law below is a mean of A over the decision epochs of its discipline,
+# with s from ``periodic_s`` and lam, mu and delta at their exact binary values.
+
+
+def _periodic_age(lam, mu, s, t) -> mpf:
+    return t + mpmath.exp(-mu * s * t) / (lam * s)
+
+
+def aud_dm1m(lam: float, mu: float, s) -> mpf:
+    """Poisson decisions see the time average of A over a period,
+    lam int_0^(1/lam) A(t) dt = 1/(2 lam) + (1 - e^(-mu s/lam))/(mu s^2)
+    = 1/(2 lam) + 1/(mu s)."""
+    with mp.workdps(DPS + _GUARD):
+        lam, mu = mpf(lam), mpf(mu)
+        return 1 / (2 * lam) + 1 / (mu * s)
+
+
+def aud_sync(lam: float, mu: float, s, m0: int) -> mpf:
+    """Decisions at rate nu = m0 lam aligned with the arrivals, at t = j/nu,
+    j = 1..m0 (t = 1/lam is the next arrival's t = 0): the mean of A(j/nu),
+    summed term by term.  Its closed form is
+    (1 + m0)/(2 nu) + w1 / (nu (1 - w1)), w1 = e^(-mu s/nu)."""
+    with mp.workdps(DPS + _GUARD):
+        lam, mu = mpf(lam), mpf(mu)
+        nu = m0 * lam
+        return mpmath.fsum(_periodic_age(lam, mu, s, j / nu) for j in range(1, m0 + 1)) / m0
+
+
+def aud_offset(lam: float, mu: float, s, delta: float) -> mpf:
+    """One decision delta after each arrival: A(delta) = delta + e^(-mu s delta)/(lam s)."""
+    with mp.workdps(DPS + _GUARD):
+        return _periodic_age(mpf(lam), mpf(mu), s, mpf(delta))
+
+
+def offset_optimum(lam: float, mu: float, s) -> mpf:
+    """A'(delta) = 1 - (mu/lam) e^(-mu s delta) is increasing and vanishes at
+    delta* = ln(1/rho)/(mu s), rho = lam/mu."""
+    with mp.workdps(DPS + _GUARD):
+        lam, mu = mpf(lam), mpf(mu)
+        return mpmath.log(mu / lam) / (mu * s)
+
+
+def rel_error(value: float, exact) -> float:
+    """Relative error of ``value`` against an oracle value."""
+    with mp.workdps(DPS + _GUARD):
+        return float(abs(mpf(value) - exact) / exact)
 
 
 def s_rel_error(rho1: float, arrival, mu: float) -> float:

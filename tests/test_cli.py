@@ -409,9 +409,10 @@ def _sweep_spec(grid):
         json.dumps(dict(_sweep_spec([0.5]), template={"arrival": "exp:rate=0.5", "mu": 1.0})),
         json.dumps(dict(_sweep_spec([0.5]), evaluations=["analytic-aud", "analytic-aud"])),
         json.dumps(dict(_sweep_spec([0.5]), base_seed=-1)),
+        json.dumps(_sweep_spec([10**400])),
     ],
     ids=["missing", "malformed", "inf-grid", "nan-grid", "no-decision", "repeated-evaluation",
-         "negative-seed"],
+         "negative-seed", "huge-int-grid"],
 )
 def test_sweep_input_errors_exit_2(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
@@ -436,6 +437,24 @@ def test_sweep_budget_must_be_integral(tmp_path, capsys, key, value):
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize(
+    "key, grid, mu",
+    [("grid[1]", [0.5, True], True), ("template.mu", [0.5], True), ("grid[0]", ["0.5"], 1.0),
+     ("template.mu", [0.5], "1")],
+    ids=["bool-grid", "bool-mu", "string-grid", "string-mu"],
+)
+def test_sweep_spec_numbers_must_be_numbers(tmp_path, capsys, key, grid, mu):
+    # float() read true as 1.0 and ran the sweep
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "variable": "lambda", "grid": grid, "evaluations": ["analytic-aud"],
+        "template": {"arrival": "det:period=2", "mu": mu, "decision": "poisson:rate=1"},
+    }))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must be a number" in err
 
 
 def test_sweep_budget_takes_integral_floats(tmp_path):

@@ -247,6 +247,61 @@ def test_optimal_offset_beats_poisson_and_sync_decisions():
         assert aud < qc.average_aud_dm1d_sync(lam, mu, 1)
 
 
+@pytest.mark.parametrize("lam, mu", [(0.5, 1.0), (0.6, 1.3), (1.9, 2.0), (1e-3, 2.7),
+                                     (0.999999, 1.0), (3e-200, 1e-199)])
+def test_offset_result_is_its_public_laws(lam, mu):
+    # the comparison the CLI prints, from one rho1 solve, equals the public
+    # laws that each solve rho1 again, bit for bit
+    res = op.optimize_offset(lam, mu)
+    assert res.aud_at_delta_opt == qc.average_aud_dm1d_offset(lam, mu, res.delta)
+    assert res.aud_poisson_decisions == qc.average_aud_dm1m(lam, mu)
+    assert res.aud_sync_m0_1 == qc.average_aud_dm1d_sync(lam, mu, 1)
+
+
+# worst measured: 1.63 eps/(1 - rho), on 4,800 random loads from 0.05 to
+# 1 - 1e-6 at mu = 1 and 2.7 (the offset law at delta*, at rho = 0.9990)
+_PERIODIC_LAW_BOUND = 1.7
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.7])
+def test_periodic_arrival_laws_match_the_mp_oracle(mu):
+    # the offset optimum and every periodic-arrival mean AuD, each through
+    # rho1_deterministic and through the system's own rho1 solve, against the
+    # 40-digit laws of mp_oracle
+    rng = np.random.default_rng(2019)
+    gaps = np.concatenate([[0.95, 0.8, 0.5, 0.2, 0.05, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6],
+                           10.0 ** rng.uniform(-6.0, math.log10(0.95), 30)])
+    for rho in 1.0 - gaps:
+        lam = float(rho) * mu
+        s = mp_oracle.periodic_s(lam, mu)
+        res = op.optimize_offset(lam, mu)
+        arrival = ak.Deterministic(1.0 / lam)
+
+        def system(decision):
+            return qc.mean_aud(ak.SystemConfig(arrival, ak.ServiceModel(mu), decision))
+
+        at_delta = mp_oracle.aud_offset(lam, mu, s, res.delta)
+        poisson = mp_oracle.aud_dm1m(lam, mu, s)
+        checks = {
+            "delta": (res.delta, mp_oracle.offset_optimum(lam, mu, s)),
+            "aud_at_delta_opt": (res.aud_at_delta_opt, at_delta),
+            "aud_poisson_decisions": (res.aud_poisson_decisions, poisson),
+            "aud_sync_m0_1": (res.aud_sync_m0_1, mp_oracle.aud_sync(lam, mu, s, 1)),
+            "dm1d_offset": (qc.average_aud_dm1d_offset(lam, mu, res.delta), at_delta),
+            "dm1m": (qc.average_aud_dm1m(lam, mu), poisson),
+            "system offset": (system(ak.PeriodicOffsetDecisions(res.delta)), at_delta),
+            "system poisson": (system(ak.PoissonDecisions(1.0)), poisson),
+        }
+        for m0 in (1, 2, 3, 4):
+            sync = mp_oracle.aud_sync(lam, mu, s, m0)
+            checks[f"dm1d_sync m0={m0}"] = (qc.average_aud_dm1d_sync(lam, mu, m0), sync)
+            checks[f"system sync m0={m0}"] = (system(ak.PeriodicSyncDecisions(m0)), sync)
+        assert res.iterations == 0
+        bound = _PERIODIC_LAW_BOUND * 2.0**-52 / (1.0 - lam / mu)
+        for name, (value, exact) in checks.items():
+            assert mp_oracle.rel_error(value, exact) <= bound, (name, lam, mu)
+
+
 # --- arrival optimum -------------------------------------------------------------------
 
 
