@@ -107,12 +107,12 @@ def _cmd_analyze(args) -> tuple:
 
 def _cmd_simulate(args) -> tuple:
     config = _build_config(vars(args))
-    rep, first = sim._replications(
-        config, args.horizon, args.reps, args.seed, args.threads,
-        keep_first=bool(args.dump),
-    )
-    if args.dump:
-        sim.dump_trajectory_csv(*first, args.dump)
+    rep = sim.run_replications(config, args.horizon, args.reps, args.seed, args.threads)
+    if args.dump:  # replication 0 again, from its stream (the seeding rule of ``sim``)
+        import numpy as np
+
+        seq = np.random.SeedSequence(args.seed).spawn(1)[0]
+        sim.dump_trajectory_csv(*sim.run_trajectory(config, args.horizon, seq), args.dump)
     payload = {"command": "simulate", "report": rep.to_dict()}
     return payload, _text([
         ("mean_aud", f"{rep.mean_aud:.12g}"),
@@ -171,18 +171,41 @@ def _integral(key: str, value) -> int:
     raise InputError(f"sweep spec {key} must be an integral number, got {value!r}")
 
 
+_JSON = {str: "string", list: "array", dict: "object"}
+
+
+def _typed(key: str, value, kind: type, keys: tuple = ()):
+    """A sweep spec value of one JSON type, ``kind`` a key of ``_JSON``; an
+    object may hold no key outside ``keys``."""
+    if not isinstance(value, kind):
+        raise InputError(f"sweep spec {key} must be a JSON {_JSON[kind]}, got {value!r}")
+    unknown = sorted(set(value) - set(keys)) if kind is dict else []
+    if unknown:
+        raise InputError(f"sweep spec {key} has unknown key {unknown[0]!r}; "
+                         f"expected {', '.join(keys)}")
+    return value
+
+
+_BUDGET = ("horizon", "replications", "base_seed")
+
+
 def _load_sweep_spec(path: str) -> report.SweepSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        budget = {k: _integral(k, raw[k]) for k in ("horizon", "replications", "base_seed")
-                  if k in raw}
-        template = raw["template"]
+            raw = _typed("file", json.load(fh), dict,
+                         ("variable", "grid", "template", "evaluations") + _BUDGET)
+        budget = {k: _integral(k, raw[k]) for k in _BUDGET if k in raw}
+        template = _typed("template", raw["template"], dict, ("arrival", "mu", "decision"))
+        grid = _typed("grid", raw["grid"], list)
+        evaluations = _typed("evaluations", raw["evaluations"], list)
         return report.SweepSpec(
-            variable=raw["variable"],
-            grid=tuple(_number(f"grid[{i}]", v) for i, v in enumerate(raw["grid"])),
-            template=_build_config(dict(template, mu=_number("template.mu", template["mu"]))),
-            evaluations=tuple(raw["evaluations"]),
+            variable=_typed("variable", raw["variable"], str),
+            grid=tuple(_number(f"grid[{i}]", v) for i, v in enumerate(grid)),
+            template=_build_config(dict(
+                {k: _typed(f"template.{k}", template[k], str) for k in ("arrival", "decision")},
+                mu=_number("template.mu", template["mu"]))),
+            evaluations=tuple(_typed(f"evaluations[{i}]", v, str)
+                              for i, v in enumerate(evaluations)),
             **budget,
         )
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as err:
@@ -196,7 +219,9 @@ def _cmd_sweep(args) -> tuple:
             None if args.json else report.serialize(rows, "csv", spec.variable))
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """Built on first use and shared by every later call; never mutated."""
     p = argparse.ArgumentParser(
         prog="audkit",
         description="Age-upon-decisions analysis of update-and-decide queueing systems.",
@@ -252,12 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sweep)
 
     return p
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # Built on first use and shared by every later call; never mutated.
-    return build_parser()
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -599,6 +599,8 @@ def parse_spec(text: str, registry: dict, kind: str):
         m = _KV_RE.match(part.strip())
         if not m or m.group(1) not in cls.keys:
             raise InputError(f"bad parameter {part!r} in {text!r}; expected {_pattern(cls)}")
+        if m.group(1) in kwargs:
+            raise InputError(f"repeated parameter {m.group(1)!r} in {text!r}")
         try:
             value = float(m.group(2))
         except ValueError:

@@ -124,7 +124,7 @@ class DecisionModel:
     def check(self, arrival: ArrivalModel) -> None:
         pass
 
-    def replication_sums(self, config, t, dep, warm, rng, decisions=None):
+    def replication_sums(self, config, t, dep, warm, rng):
         """One replication's (mean AuD, decisions kept, updates missed,
         updates counted, decisions discarded) from its arrival and departure
         epochs ``t`` and ``dep``, after a warm-up of ``warm`` updates.
@@ -133,16 +133,14 @@ class DecisionModel:
         to len(dep) - 2 are counted, as in ``sim._missed``.  Raises
         ``InsufficientDataError`` when no decision or no counted update is
         left.  This is the sampled path: ``epochs`` drawn from ``rng`` and
-        matched by ``sim.assign_decisions`` (or ``decisions``, that match,
-        if given), then ``sim._missed``.
+        matched by ``sim.assign_decisions``, then ``sim._missed``.
         """
         from . import sim  # sim imports this module
 
-        if decisions is None:
-            decisions = sim._decisions(config, t, dep, rng)
+        decisions = sim._decisions(config, t, dep, rng)
         used, ages = decisions.used_update, decisions.age
         skipped = decisions.n_before_first_departure
-        del decisions  # and with it the epochs, unless a dump keeps them
+        del decisions  # and with it the epochs
         early = int(np.count_nonzero(used < warm))  # before dep[warm]
         ages = ages[early:]
         _require_decisions(ages.shape[0])
@@ -573,7 +571,7 @@ class _PeriodicDecisions(DecisionModel):
         c -= self._tau(config, c - 1.0) >= x
         return c
 
-    def replication_sums(self, config, t, dep, warm, rng, decisions=None):
+    def replication_sums(self, config, t, dep, warm, rng):
         """The sums of the sampled path by grid arithmetic, without an epoch.
 
         Update k serves the decisions in [dep[k], dep[k+1]), so a decision
@@ -583,8 +581,7 @@ class _PeriodicDecisions(DecisionModel):
         index of ``epochs``, which can stop a grid point short of dep[-1],
         and their ages, tau_C(dep[k]) - t[k] and on in steps of
         ``_step``, sum to count (first age) + count (count - 1) step / 2.
-        Memory and time do not grow with the decision rate.  ``rng`` and
-        ``decisions`` are not read.
+        Memory and time do not grow with the decision rate.  ``rng`` is not read.
         """
         n = dep.shape[0]
         end = self._end(config, float(dep[-1]))

@@ -13,22 +13,25 @@ satisfy  dep_k = S_k + max(t_k, dep_{k-1}),  whose running maximum form
 vectorizes exactly with a cumulative sum and a cumulative maximum; a
 10^7-update trajectory costs a fraction of a second.
 
-Replications are seeded through ``numpy.random.SeedSequence.spawn`` on a
-counter-based Philox generator, so streams are independent by construction
-and a report is bit-identical for a given base seed regardless of how many
-worker threads execute it.  By default replications of 10^5 updates or more
-run on every available core, which lifted the benchmark's Monte Carlo
-workload about 1.8x on 2 cores.
+Replication i draws from child i of ``numpy.random.SeedSequence(base_seed)``
+(``spawn``) on a counter-based Philox generator, so streams are independent
+by construction and a report is bit-identical for a given base seed
+regardless of how many worker threads execute it.  By default replications
+of 10^5 updates or more run on every available core, which lifted the
+benchmark's Monte Carlo workload about 1.8x on 2 cores.
 
 Each decision discipline estimates a replication from its arrival and
 departure epochs (``replication_sums``).  Poisson decisions are sampled and
 matched to the updates, so their cost grows with the decision rate.
 Periodic ones are summed per update window by grid arithmetic, with no
-decision epoch drawn: their cost does not depend on m0.  A replication that
-is not dumped peaks at max(5, 2 + 3 nu/lambda) horizon-length float64 arrays:
-five in the Lindley scan (7.6 MiB at 2*10^5 updates), and under Poisson
-decisions the arrival and departure epochs plus three 8-byte arrays per
-decision (8.4 MiB for exp arrivals at load 0.6 and nu = 0.7).
+decision epoch drawn: their cost does not depend on m0.  A replication
+peaks at max(5, 2 + 3 nu/lambda) horizon-length float64 arrays: five in the
+Lindley scan (7.6 MiB at 2*10^5 updates), and under Poisson decisions the
+arrival and departure epochs plus three 8-byte arrays per decision (8.4 MiB
+for exp arrivals at load 0.6 and nu = 0.7).  A dump (``simulate --dump``)
+is a second run of replication 0 by ``run_trajectory``, from the same stream,
+after the replications.  Holding every column and every decision, it peaks
+at 7 + 3 nu/lambda arrays (16.0 MiB in the same case).
 """
 
 from __future__ import annotations
@@ -160,7 +163,12 @@ def run_trajectory(
     A negative int seed raises ``InputError``.
     """
     _check_seed(seed)
-    records, t, dep, rng = _trajectory(config, horizon, seed, keep=True)
+    rng = np.random.Generator(np.random.Philox(seed))
+    x, s, t, dep = _lindley(config, horizon, rng)
+    t_sys = dep - t
+    w = t_sys - s
+    np.maximum(w, 0.0, out=w)  # clip roundoff at the idle-server boundary
+    records = UpdateRecords(t, x, s, w, t_sys, dep, np.diff(dep, prepend=0.0))
     return records, _decisions(config, t, dep, rng)
 
 
@@ -168,22 +176,6 @@ def _check_seed(seed) -> None:
     """Rejects a negative int seed, which numpy refuses with a ValueError."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-
-
-def _trajectory(config: SystemConfig, horizon: int, seed, keep: bool):
-    """(records if ``keep`` else None, arrival epochs, departure epochs, and
-    the generator, for the decisions).  Without ``keep`` the inter-arrival
-    and service times are dropped as soon as the departures exist, and the
-    waiting, system and inter-departure columns are never built."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    x, s, t, dep = _lindley(config, horizon, rng)
-    records = None
-    if keep:
-        t_sys = dep - t
-        w = t_sys - s
-        np.maximum(w, 0.0, out=w)  # clip roundoff at the idle-server boundary
-        records = UpdateRecords(t, x, s, w, t_sys, dep, np.diff(dep, prepend=0.0))
-    return records, t, dep, rng
 
 
 def _decisions(config: SystemConfig, t: np.ndarray, dep: np.ndarray,
@@ -225,18 +217,13 @@ def _missed(used_update: np.ndarray, n: int, skip: int) -> Tuple[int, int]:
     return int(np.count_nonzero(unused)), int(unused.shape[0])
 
 
-def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence,
-               keep: bool = False):
-    """One replication: returns (mean AuD, kept decisions, missed, counted,
-    discarded, and the trajectory (records, decisions) if ``keep`` else None).
-
-    The estimates come from the discipline's ``replication_sums``, the same
-    with and without ``keep``: a kept trajectory draws its decisions once,
-    and a discipline that needs no epochs ignores them."""
-    records, t, dep, rng = _trajectory(config, horizon, seq, keep)
-    decisions = _decisions(config, t, dep, rng) if keep else None
-    sums = config.decision.replication_sums(config, t, dep, horizon // 10, rng, decisions)
-    return (*sums, (records, decisions) if keep else None)
+def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence):
+    """One replication's ``replication_sums``.  The inter-arrival and service
+    times are dropped once the departures exist, and the waiting, system and
+    inter-departure columns are never built."""
+    rng = np.random.Generator(np.random.Philox(seq))
+    t, dep = _lindley(config, horizon, rng)[2:]
+    return config.decision.replication_sums(config, t, dep, horizon // 10, rng)
 
 
 # From this many updates per replication on, replications run on every core
@@ -279,13 +266,6 @@ def run_replications(
     replication up, and 1 below.  The module docstring gives its speed-up
     and the peak memory of each replication in flight.
     """
-    return _replications(config, horizon, n_reps, base_seed, threads)[0]
-
-
-def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: int,
-                  threads: Optional[int], keep_first: bool = False):
-    """``run_replications``, and replication 0's (records, decisions) if
-    ``keep_first`` (None otherwise), so a dump reuses that trajectory."""
     if n_reps < 2:
         raise InputError(f"need at least 2 replications, got {n_reps}")
     _check_seed(base_seed)
@@ -299,7 +279,7 @@ def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: in
 
     def work():
         for i in pending:
-            results[i] = _replicate(config, horizon, children[i], keep_first and i == 0)
+            results[i] = _replicate(config, horizon, children[i])
 
     # The calling thread works too: an idle caller would add a malloc arena.
     helpers = min(threads, n_reps) - 1
@@ -312,7 +292,7 @@ def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: in
     else:
         work()
 
-    means, kept, missed, counted, discarded, trajectories = zip(*results)
+    means, kept, missed, counted, discarded = zip(*results)
     means = np.array(means)
     p_mis_reps = np.array(missed) / np.array(counted)
 
@@ -333,7 +313,7 @@ def _replications(config: SystemConfig, horizon: int, n_reps: int, base_seed: in
         horizon=horizon,
         replication_means=tuple(float(m) for m in means),
         config=config.describe(),
-    ), trajectories[0]
+    )
 
 
 _DUMP_BLOCK = 4096

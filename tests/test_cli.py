@@ -322,8 +322,8 @@ def test_simulate_dump_is_replication_zero(tmp_path):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_simulate_dump_reuses_replication_zero(tmp_path, monkeypatch, threads):
-    lindley = sim._lindley  # the core every trajectory, kept or not, runs once
+def test_simulate_dump_reruns_replication_zero(tmp_path, monkeypatch, threads):
+    lindley = sim._lindley  # the core every replication and the dump run once
     calls = []
 
     def counting(*args):
@@ -336,7 +336,7 @@ def test_simulate_dump_reuses_replication_zero(tmp_path, monkeypatch, threads):
             "--horizon", "3000", "--reps", "3", "--seed", "5", "--threads", threads,
             "--dump", str(dump)]
     assert cli.main(argv + ["--out", str(tmp_path / "report.txt")]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 4  # three replications, then replication 0 for the dump
     # the file a separate simulation of replication 0 writes
     seq = np.random.SeedSequence(5).spawn(3)[0]
     reference = tmp_path / "reference.csv"
@@ -399,22 +399,41 @@ def _sweep_spec(grid):
     }
 
 
+def _template(**fields):
+    return dict(_sweep_spec([0.5])["template"], **fields)
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, key",  # key: the key the message names, where checked
     [
-        None,  # no such file
-        '{"variable": ',
-        json.dumps(_sweep_spec([0.5, math.inf])),
-        json.dumps(_sweep_spec([0.5, math.nan, 1.0])),
-        json.dumps(dict(_sweep_spec([0.5]), template={"arrival": "exp:rate=0.5", "mu": 1.0})),
-        json.dumps(dict(_sweep_spec([0.5]), evaluations=["analytic-aud", "analytic-aud"])),
-        json.dumps(dict(_sweep_spec([0.5]), base_seed=-1)),
-        json.dumps(_sweep_spec([10**400])),
+        (None, None),  # no such file
+        ('{"variable": ', None),
+        (json.dumps(_sweep_spec([0.5, math.inf])), None),
+        (json.dumps(_sweep_spec([0.5, math.nan, 1.0])), None),
+        (json.dumps(dict(_sweep_spec([0.5]), template={"arrival": "exp:rate=0.5", "mu": 1.0})),
+         None),
+        (json.dumps(dict(_sweep_spec([0.5]), evaluations=["analytic-aud", "analytic-aud"])),
+         None),
+        (json.dumps(dict(_sweep_spec([0.5]), base_seed=-1)), None),
+        (json.dumps(_sweep_spec([10**400])), None),
+        (json.dumps(dict(_sweep_spec([0.5]), variable=5)), "variable"),
+        (json.dumps(dict(_sweep_spec([0.5]), template=_template(arrival=5))), "template.arrival"),
+        (json.dumps(dict(_sweep_spec([0.5]), template=_template(decision=None))),
+         "template.decision"),
+        (json.dumps(dict(_sweep_spec([0.5]), template="exp:rate=0.5")), "template"),
+        (json.dumps(dict(_sweep_spec([0.5]), evaluations="analytic-aud")), "evaluations"),
+        (json.dumps(dict(_sweep_spec([0.5]), evaluations=["analytic-aud", 5])),
+         "evaluations[1]"),
+        (json.dumps(dict(_sweep_spec([0.5]), grid=0.5)), "grid"),
+        (json.dumps(dict(_sweep_spec([0.5]), replication=3)), "replication"),
+        (json.dumps(dict(_sweep_spec([0.5]), template=_template(extra=1))), "extra"),
     ],
     ids=["missing", "malformed", "inf-grid", "nan-grid", "no-decision", "repeated-evaluation",
-         "negative-seed", "huge-int-grid"],
+         "negative-seed", "huge-int-grid", "number-variable", "number-arrival", "null-decision",
+         "string-template", "string-evaluations", "number-evaluation", "number-grid",
+         "unknown-key", "unknown-template-key"],
 )
-def test_sweep_input_errors_exit_2(tmp_path, capsys, text):
+def test_sweep_input_errors_exit_2(tmp_path, capsys, text, key):
     spec = tmp_path / "spec.json"
     if text is not None:
         spec.write_text(text)
@@ -422,6 +441,7 @@ def test_sweep_input_errors_exit_2(tmp_path, capsys, text):
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert key is None or key in err
     assert not out.exists()
 
 

@@ -537,6 +537,7 @@ def test_parse_arrival(text, expected):
         "exp:rate=abc",
         "lomax:alpha=3",
         "uniform:beta=2,extra=1",
+        "exp:rate=0.5,rate=0.6",
         "",
     ],
 )

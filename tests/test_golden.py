@@ -1,8 +1,8 @@
 """CLI outputs compared byte for byte with committed golden files.
 
 The files in ``tests/data/golden`` pin the analyze, simulate and sweep
-outputs of a fixed set of inputs.  A change that alters numbers on purpose
-regenerates them with
+outputs of a fixed set of inputs, and two ``simulate --dump`` trajectory
+files.  A change that alters numbers on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -85,6 +85,13 @@ def _cases():
              "--threads", "1", "--horizon", "2000", "--reps", "3", "--seed", "7", "--json"],
             None,
         )
+    for name in ("poisson", "offset"):  # a dump case ends in --dump: see case_argv
+        arrival, mu, decision = SIMULATE[name]
+        cases[f"simulate-{name}-dump.csv"] = (
+            ["simulate", "--arrival", arrival, "--mu", mu, "--decision", decision,
+             "--threads", "1", "--horizon", "200", "--reps", "2", "--seed", "7", "--dump"],
+            None,
+        )
     for variable, spec in SWEEPS.items():
         cases[f"sweep-{variable}.csv"] = (["sweep"], dict(spec, variable=variable, **_MC))
     return cases
@@ -95,13 +102,17 @@ CASES = _cases()
 
 def case_argv(name: str, workdir: Path) -> list:
     """The CLI arguments of one case, writing its output to ``workdir / name``;
-    a sweep's spec file is written to ``workdir`` first."""
+    a sweep's spec file is written to ``workdir`` first, and a dump case writes
+    the dump there and its report to a side file."""
     argv, spec = CASES[name]
     argv = list(argv)
     if spec is not None:
         spec_path = workdir / "spec.json"
         spec_path.write_text(json.dumps(spec))
         argv += ["--spec", str(spec_path)]
+    if argv[-1] == "--dump":
+        argv.append(str(workdir / name))
+        name += ".report"
     return argv + ["--out", str(workdir / name)]
 
 

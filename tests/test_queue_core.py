@@ -641,6 +641,7 @@ def test_sync_m0_stored_as_int():
         "poisson:nu=1",
         "poisson:rate=x",
         "offset:delta=0.2,rate=1",
+        "poisson:rate=1,rate=2",
         "",
     ],
 )

@@ -287,9 +287,9 @@ def assert_sums_agree(config, t, dep, warm):
 @pytest.mark.parametrize("seed", [4, 5])
 def test_grid_sums_agree_with_sampled_path(decision, seed):
     cfg = ak.SystemConfig(P125, ak.ServiceModel(1.0), decision)
-    _, t, dep, _ = sim._trajectory(cfg, 20_000, seed, keep=False)
+    rec, _ = sim.run_trajectory(cfg, 20_000, seed)
     for warm in (0, 1, 2_000):
-        assert_sums_agree(cfg, t, dep, warm)
+        assert_sums_agree(cfg, rec.arrival, rec.departure, warm)
 
 
 def on_and_around_grid(config, rounds_wrong):
@@ -364,7 +364,8 @@ def test_grid_sums_raise_as_the_sampled_path(decision):
     assert [o[0][:17] for o in outcomes] == [
         "no decision epoch", "no updates left a", "no decision epoch"]
     for horizon in (1, 2, 3):  # whole trajectories; one update keeps no decision
-        _, t, dep, _ = sim._trajectory(cfg, horizon, 9, keep=False)
+        rec, _ = sim.run_trajectory(cfg, horizon, 9)
+        t, dep = rec.arrival, rec.departure
         assert_sums_agree(cfg, t, dep, horizon // 10)
         assert isinstance(sums_both_ways(cfg, t, dep, 0)[0], str) == (horizon == 1)
 
@@ -456,7 +457,7 @@ def test_replication_peak_memory(config, bound_mib):
 
 
 def replication_peak(config, horizon):
-    """Traced peak bytes of one replication that is not dumped."""
+    """Traced peak bytes of one replication."""
     seq = np.random.SeedSequence(3)
     sim._replicate(config, horizon, seq)  # warm caches outside the trace
     tracemalloc.start()
