@@ -51,22 +51,10 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 
 __all__ = [
-    "ArrivalModel",
-    "Exponential",
-    "Uniform",
-    "Lomax",
-    "FoldedNormal",
-    "Deterministic",
-    "ServiceModel",
-    "FAMILIES",
-    "arrival_rate",
-    "spec_registry",
-    "spec_grammar",
-    "parse_spec",
-    "format_spec",
-    "parse_arrival",
-    "format_arrival",
-    "ARRIVAL_GRAMMAR",
+    "ArrivalModel", "Exponential", "Uniform", "Lomax", "FoldedNormal", "Deterministic",
+    "ServiceModel", "FAMILIES", "arrival_rate",
+    "spec_registry", "spec_grammar", "parse_spec", "format_spec",
+    "parse_arrival", "format_arrival", "ARRIVAL_GRAMMAR",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -106,6 +94,7 @@ _UNIFORM_W1 = tuple((-1.0) ** k * (k - 1) / math.factorial(k) for k in range(19,
 _ERFCX_SWITCH = 26.0
 _ERFCX_ASYMPTOTIC = tuple((-1.0) ** k * math.prod(range(1, 2 * k, 2)) for k in range(7, -1, -1))
 _INV_SQRT_PI = 0.5641895835477563  # 1/sqrt(pi), correctly rounded
+_EULER_GAMMA = 0.5772156649015329  # np.euler_gamma
 
 
 def _horner(coefs: tuple, x: float) -> float:
@@ -211,7 +200,7 @@ def _scaled_expint_pair(p: float, z: float) -> tuple[float, float, float]:
     # which does not cancel as e -> 0 (gammaincc at the fractional order loses
     # digits like 1/e).  The upward recurrence to E_p scales errors by z/q < 2.
     n, e, elg = _series_shape(p)
-    w = math.log(z) + np.euler_gamma + elg
+    w = math.log(z) + _EULER_GAMMA + elg
     e_q = -w if e == 0.0 else -math.expm1(e * w) / e
     t = 1.0
     for k in range(1, 20):  # z^19/19! < 1e-17
@@ -300,6 +289,12 @@ class ArrivalModel:
     def survival_laplace(self, s: float) -> float:
         """int_0^inf (1 - F(x)) exp(-s x) dx = (1 - laplace(s))/s; mean() at s = 0."""
         return self.newton_terms(s, True)[0]
+
+    def rho0(self, mu: float) -> Optional[float]:
+        """The family's entry in a system's derived quantities: exp(-mu P)
+        for periodic arrivals, which offset decisions read; None, no entry,
+        for the others."""
+        return None
 
     def newton_terms(self, s: float, survival: bool) -> tuple[float, float]:
         """(survival_laplace(s) if ``survival`` else laplace(s),
@@ -533,6 +528,9 @@ class Deterministic(ArrivalModel):
 
     def second_moment(self):
         return self.period * self.period  # inf, not OverflowError, past ~1.3e154
+
+    def rho0(self, mu):
+        return math.exp(-mu * self.period)
 
     def newton_terms(self, s, survival):
         s = _check_s(s)

@@ -16,11 +16,14 @@ registered in ``DISCIPLINES``, that carries all its discipline-specific
 knowledge; everything else dispatches through it.
 
 A ``SystemConfig`` computes its ``DerivedQuantities`` once, as its
-``derived`` property, from one rho1 solve, and every discipline's mean AuD
-and missing probability read it.  The periodic mean-AuD closed forms
-(``average_aud_dm1*``) also take (lambda, mu), so ``optimize-offset`` and
-the sweep's ``optimal-offset`` cells call them without building a system;
-each shares one private function of the scalars with its discipline class.
+``derived`` attribute, from one rho1 solve, and every discipline's mean AuD
+and missing probability read it.  That record and ``Rho1Solution`` are named
+tuples, and ``derived`` is a plain memo in the instance ``__dict__``, taken
+without a lock, so that a system costs about its solve.  The periodic
+mean-AuD closed forms (``average_aud_dm1*``) also take (lambda, mu), so
+``optimize-offset`` and the sweep's ``optimal-offset`` cells call them
+without building a system; each shares one private function of the scalars
+with its discipline class.
 
 Missing probability.  An update is never used exactly when no decision
 epoch falls in [its departure, the next departure): a decision at a
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,29 +70,13 @@ from .dist import (
 from .errors import ConvergenceError, InputError, InsufficientDataError, StabilityError
 
 __all__ = [
-    "PoissonDecisions",
-    "PeriodicSyncDecisions",
-    "PeriodicOffsetDecisions",
-    "DecisionModel",
-    "DISCIPLINES",
-    "DECISION_GRAMMAR",
-    "parse_decision",
-    "SystemConfig",
-    "DerivedQuantities",
-    "Rho1Solution",
-    "DepartureMoments",
-    "solve_rho1",
-    "rho1_value",
-    "rho1_deterministic",
-    "departure_moments",
-    "average_aud_from_moments",
-    "average_aud_mm1m",
-    "average_aud_dm1m",
-    "average_aud_dm1d_sync",
-    "average_aud_dm1d_offset",
-    "derive",
-    "mean_aud",
-    "missing_probability",
+    "PoissonDecisions", "PeriodicSyncDecisions", "PeriodicOffsetDecisions", "DecisionModel",
+    "DISCIPLINES", "DECISION_GRAMMAR", "parse_decision",
+    "SystemConfig", "DerivedQuantities", "Rho1Solution", "DepartureMoments",
+    "solve_rho1", "rho1_value", "rho1_deterministic", "departure_moments",
+    "average_aud_from_moments", "average_aud_mm1m", "average_aud_dm1m",
+    "average_aud_dm1d_sync", "average_aud_dm1d_offset",
+    "derive", "mean_aud", "missing_probability",
 ]
 
 # |g| accepted at the end of the rho1 Newton climb
@@ -165,16 +151,30 @@ def _first_counted(n: int, warm: int) -> int:
     return start
 
 
+class _memo:
+    """``functools.cached_property`` without the lock that it takes before
+    3.12: the value goes into the instance ``__dict__``, read from there on."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.func.__name__, self.func(obj))
+
+
 @dataclass(frozen=True)
 class SystemConfig:
-    """One update-and-decide system: arrivals, exponential service, decisions."""
+    """One update-and-decide system: arrivals, exponential service, decisions.
+
+    Its load ``rho`` = lambda/mu is formed once, where stability is checked.
+    """
 
     arrival: ArrivalModel
     service: ServiceModel
     decision: DecisionModel
 
     def __post_init__(self):
-        rho = self.rho
+        rho = self.__dict__["rho"] = self.arrival_rate / self.service.rate
         if not rho < 1.0:
             raise StabilityError(rho)
         self.decision.check(self.arrival)
@@ -182,10 +182,6 @@ class SystemConfig:
     @property
     def arrival_rate(self) -> float:
         return arrival_rate(self.arrival)
-
-    @property
-    def rho(self) -> float:
-        return self.arrival_rate / self.service.rate
 
     @property
     def decision_rate(self) -> float:
@@ -199,42 +195,29 @@ class SystemConfig:
             "decision": format_spec(self.decision),
         }
 
-    @cached_property
+    @_memo
     def derived(self) -> "DerivedQuantities":
         """All derived scalars of this system, computed on first access.
 
-        Cached in the instance ``__dict__``, which equality and hashing ignore.
-        InputError if E[Y^2] is not representable in the caller's time unit.
+        A plain memo in the instance ``__dict__``, which equality, hashing
+        and ``dataclasses.replace`` ignore.  InputError if E[Y^2] is not
+        representable in the caller's time unit.
         """
         arrival, mu = self.arrival, self.service.rate
-        solution = solve_rho1(arrival, mu)
-        rho1 = solution.value
+        rho1, _, _, q1 = solve_rho1(arrival, mu)  # q1 = weighted_first_moment(a)
         a = mu * (1.0 - rho1)
-        q1 = solution.q1  # weighted_first_moment(a), from the solve
-        moments = _moments_at(arrival, mu, rho1, q1)
-        if not math.isfinite(moments.second_moment):
+        mean_y, second_y, cross = _moments_at(arrival, mu, rho1, q1)
+        if not math.isfinite(second_y):
             raise InputError("second_moment_y is not finite at this time scale; "
                              "rescale the arrival parameters and mu")
-        extra = self.decision.derive_extras(self, a)
-        if isinstance(arrival, Deterministic):
-            extra["rho0"] = math.exp(-mu * arrival.period)
-        return DerivedQuantities(
-            rho=self.rho,
-            rho1=rho1,
-            mean_y=moments.mean,
-            second_moment_y=moments.second_moment,
-            cross_ty=moments.cross,
-            q1=q1,
-            mean_system_time=1.0 / a,
-            **extra,
-        )
+        return DerivedQuantities(self.rho, rho1, mean_y, second_y, cross, q1, 1.0 / a,
+                                 arrival.rho0(mu), **self.decision.derive_extras(self, a))
 
 
 # --- the embedded-chain fixed point ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Rho1Solution:
+class Rho1Solution(NamedTuple):
     """Fixed point of the embedded chain, its Newton step count, |g| there,
     and q1 = weighted_first_moment(mu (1.0 - value)), bit for bit."""
 
@@ -290,7 +273,7 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
         r_next = r + g / (1.0 - mu * w1) if g > 0.0 else r
         if not r < r_next < 1.0 or steps >= max_iter:
             if abs(g) <= _RHO1_TOL:
-                return Rho1Solution(r, steps, abs(g), q1=w1)
+                return Rho1Solution(r, steps, abs(g), w1)
             raise ConvergenceError(
                 f"rho1 Newton iteration stalled at r={r!r} after {steps} "
                 f"steps (max_iter={max_iter})",
@@ -337,17 +320,17 @@ def departure_moments(arrival: ArrivalModel, mu: float) -> DepartureMoments:
              q1 = weighted_first_moment(arrival, mu (1-rho1)), from the solve
     """
     solution = solve_rho1(arrival, mu)
-    return _moments_at(arrival, mu, solution.value, solution.q1)
+    return DepartureMoments(*_moments_at(arrival, mu, solution.value, solution.q1))
 
 
-def _moments_at(arrival: ArrivalModel, mu: float, rho1: float, q1: float) -> DepartureMoments:
+def _moments_at(arrival: ArrivalModel, mu: float, rho1: float, q1: float) -> tuple:
     ex = arrival.mean()
     ex2 = arrival.second_moment()
     a = mu * (1.0 - rho1)
     inv = 1.0 / max(mu * mu * (1.0 - rho1), 5e-324)  # inf once the product underflows
     second = ex2 - 2.0 * rho1 * ex / a + 2.0 * inv
     cross = ex / a - inv + q1 / a
-    return DepartureMoments(ex, second, cross)
+    return ex, second, cross
 
 
 # --- mean age upon decisions ------------------------------------------------
@@ -433,12 +416,11 @@ def _offset_aud(lam: float, delta: float, rho1: float, u1: float) -> float:
 # --- per-system derived quantities -------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivedQuantities:
+class DerivedQuantities(NamedTuple):
     """Every scalar the closed forms consume for one system.
 
-    Fields that do not apply to the configured decision discipline are
-    ``None``, not zero; ``to_dict`` drops them.
+    Fields that do not apply to the configured arrival family (``rho0``) or
+    decision discipline are ``None``, not zero; ``to_dict`` drops them.
     """
 
     rho: float
@@ -456,7 +438,7 @@ class DerivedQuantities:
     u1: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def derive(config: SystemConfig) -> DerivedQuantities:

@@ -120,7 +120,7 @@ class _Point:
 
     spec: SweepSpec
     config: SystemConfig
-    seed: int
+    seed: Optional[int]  # None where no evaluation is stochastic
     _mc: object = field(default=None, init=False)  # the report, or the error running it
 
     def mc(self) -> sim.SimulationReport:
@@ -164,6 +164,7 @@ _TABLE = {
 }
 
 EVALUATIONS = tuple(_TABLE)
+_STOCHASTIC = frozenset(("mc-aud", "mc-pmis"))  # the evaluations that read a point's seed
 _HAS_SE = {col: se for columns, _ in _TABLE.values() for col, se in columns}
 
 
@@ -194,10 +195,12 @@ def _finite(cell: Cell) -> Cell:
 
 
 def run_sweep(spec: SweepSpec) -> List[SweepRow]:
-    """Evaluate the sweep; rows come back in grid order, seeds are per-point."""
-    point_seeds = np.random.SeedSequence(spec.base_seed).generate_state(
-        len(spec.grid), dtype=np.uint64
-    )
+    """Evaluate the sweep; rows come back in grid order, seeds are per-point,
+    and drawn only when a stochastic evaluation reads them."""
+    point_seeds = [None] * len(spec.grid)
+    if _STOCHASTIC.intersection(spec.evaluations):
+        point_seeds = np.random.SeedSequence(spec.base_seed).generate_state(
+            len(spec.grid), dtype=np.uint64).tolist()
     rows: List[SweepRow] = []
     for value, seed in zip(spec.grid, point_seeds):
         try:
@@ -207,7 +210,7 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         except InputError as err:
             cells = _flag_all(spec.evaluations, f"invalid: {err}")
         else:
-            cells = _evaluate_point(_Point(spec, config, int(seed)))
+            cells = _evaluate_point(_Point(spec, config, seed))
         rows.append(SweepRow(value, cells))
     return rows
 

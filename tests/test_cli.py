@@ -652,3 +652,56 @@ def test_text_output_matches_json(tmp_path, capsys, argv, expected):
     assert [(line[:22].rstrip(), line[23:]) for line in lines] == [
         (label, fmt(value(payload))) for label, value, fmt in expected
     ]
+
+
+# argv -> what the full parser makes of it; cli._parse must make the same
+_PARSE_CASES = {
+    "empty": [],
+    "version": ["--version"],
+    "help": ["-h"],
+    "command-help": ["optimize-offset", "-h"],
+    "unknown-command": ["frobnicate", "--mu", "1"],
+    "double-dash-first": ["--", "optimize-offset", "--lambda", "0.5", "--mu", "1"],
+    "option-first": ["--json", "optimize-offset", "--lambda", "0.5", "--mu", "1"],
+    "missing-mu": ["optimize-offset", "--lambda", "0.5"],
+    "bogus": ["optimize-offset", "--lambda", "0.5", "--mu", "1", "--bogus"],
+    "bare-bogus": ["--bogus"],
+    "lam-abbreviation": ["optimize-offset", "--lam", "0.5", "--mu", "1"],
+    "vers": ["--vers"],
+    "vers-after-command": ["optimize-offset", "--lambda", "0.5", "--mu", "1", "--vers"],
+    "lambda-not-a-number": ["optimize-offset", "--lambda=x", "--mu", "1"],
+    "negative": ["optimize-offset", "--lambda", "-0.5", "--mu", "1"],
+    "stray-positional": ["optimize-offset", "--lambda", "0.5", "--mu", "1", "extra"],
+    "sweep-without-spec": ["sweep"],
+    "analyze": ["analyze", "--arrival", "exp:rate=0.5", "--mu", "1",
+                "--decision", "poisson:rate=1", "--json", "--out", "x.json"],
+    "simulate-defaults": ["simulate", "--arrival", "det:period=2", "--mu", "1",
+                          "--decision", "sync:m0=2"],
+    "optimize-arrival": ["optimize-arrival", "--family", "exp", "--mu", "1"],
+}
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(the namespace's attributes, or the SystemExit code), stdout, stderr."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES.values(), ids=list(_PARSE_CASES))
+def test_subcommand_parser_parses_as_the_full_parser(capsys, argv):
+    outcome = _parse_outcome(cli._parse, argv, capsys)
+    assert outcome == _parse_outcome(cli._parser().parse_args, argv, capsys)
+    assert outcome[0] in (0, 2) or outcome[0]["command"] == argv[0]
+
+
+@pytest.mark.parametrize("name", ["analyze", "simulate-defaults", "optimize-arrival"])
+def test_a_whole_subcommand_skips_the_full_parser(monkeypatch, name):
+    def full_parse(argv):
+        raise AssertionError("parsed by the full parser")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", full_parse)
+    assert vars(cli._parse(_PARSE_CASES[name]))["command"] == _PARSE_CASES[name][0]

@@ -258,6 +258,11 @@ def _lentz_count(p, z):
     raise AssertionError(f"no convergence at p={p}, z={z}")
 
 
+def test_euler_gamma_literal_is_numpys():
+    # the E_p series reads the constant without importing it from numpy
+    assert dist._EULER_GAMMA == np.euler_gamma
+
+
 def test_cf_depth_covers_the_lentz_count():
     assert all(dist._cf_depth(p, z) >= _lentz_count(p, z) for p, z in CF_GRID)
 

@@ -541,6 +541,61 @@ def test_derive_is_computed_once_per_config():
     assert cfg.derived.q0 == ak.Lomax(3.5, 3.0).laplace(0.5)
 
 
+def test_derived_quantities_reject_assignment():
+    d = qc.derive(ak.SystemConfig(ak.Exponential(0.5), ak.ServiceModel(1.0),
+                                  ak.PoissonDecisions(1.0)))
+    with pytest.raises(AttributeError):
+        d.rho1 = 0.5
+    with pytest.raises(AttributeError):
+        d.extra = 1.0
+    assert d.rho1 == qc.solve_rho1(ak.Exponential(0.5), 1.0).value
+
+
+@pytest.mark.parametrize(
+    "decision,keys",
+    [(ak.PoissonDecisions(0.7), ("rho0", "q0")),
+     (ak.PeriodicSyncDecisions(2), ("rho0", "w0", "w1")),
+     (ak.PeriodicOffsetDecisions(0.5), ("rho0", "u0", "u1"))],
+    ids=["poisson", "sync", "offset"],
+)
+def test_to_dict_keys_come_in_field_order(decision, keys):
+    # det arrivals add rho0, the one field of the family; then the discipline's
+    d = qc.derive(ak.SystemConfig(ak.Deterministic(1.0), ak.ServiceModel(2.0), decision))
+    common = ("rho", "rho1", "mean_y", "second_moment_y", "cross_ty", "q1", "mean_system_time")
+    assert tuple(d.to_dict()) == common + keys
+    assert tuple(d.to_dict()) == tuple(f for f in qc.DerivedQuantities._fields
+                                       if getattr(d, f) is not None)
+
+
+def test_replace_starts_with_a_fresh_memo():
+    cfg = ak.SystemConfig(ak.Exponential(0.5), ak.ServiceModel(1.0), ak.PoissonDecisions(1.0))
+    first = cfg.derived
+    assert cfg.__dict__["derived"] is first
+    other = dataclasses.replace(cfg, service=ak.ServiceModel(2.0))
+    assert "derived" not in other.__dict__
+    assert other.rho == 0.25 and other.derived.rho == 0.25
+    same = dataclasses.replace(cfg)
+    assert "derived" not in same.__dict__
+    assert same.derived == first and same.derived is not first
+
+
+@pytest.mark.parametrize(
+    "decision", [ak.PoissonDecisions(0.7), ak.PeriodicSyncDecisions(2),
+                 ak.PeriodicOffsetDecisions(0.5)], ids=["poisson", "sync", "offset"])
+def test_each_discipline_solves_rho1_once(monkeypatch, decision):
+    solve = qc.solve_rho1
+    calls = []
+    monkeypatch.setattr(qc, "solve_rho1",
+                        lambda arrival, mu: calls.append(arrival) or solve(arrival, mu))
+    cfg = ak.SystemConfig(ak.Deterministic(1.0), ak.ServiceModel(2.0), decision)
+    assert calls == []  # construction does not solve
+    qc.derive(cfg)
+    qc.mean_aud(cfg)
+    qc.missing_probability(cfg)
+    qc.derive(cfg)
+    assert calls == [cfg.arrival]
+
+
 def test_derived_cache_leaves_hash_and_equality_alone():
     def make():
         return ak.SystemConfig(ak.Exponential(0.5), ak.ServiceModel(1.0), ak.PoissonDecisions(1.0))

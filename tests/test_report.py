@@ -6,6 +6,7 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
 import audkit as ak
@@ -126,6 +127,37 @@ def test_analytic_columns_ignore_seed_stochastic_move():
         assert r1.cells["aud_mc"].value != r2.cells["aud_mc"].value
         assert r1.cells["aud_mc"].std_error > 0
         assert r1.cells["aud_analytic"].std_error == 0.0
+
+
+def test_analytic_only_sweep_draws_no_seed(monkeypatch):
+    def seed_sequence(*args, **kwargs):
+        raise AssertionError("a SeedSequence was built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+    template = ak.SystemConfig(ak.Deterministic(1.0), SVC2, ak.PoissonDecisions(1.0))
+    spec = report.SweepSpec("lambda", (0.5, 0.8), template, (
+        "analytic-aud", "analytic-pmis", "optimal-arrival", "optimal-offset"))
+    rows = report.run_sweep(spec)
+    assert all(c.status == "ok" for row in rows for c in row.cells.values())
+
+
+@pytest.mark.parametrize("evaluation", ["mc-aud", "mc-pmis"])
+def test_stochastic_sweep_seeds_each_point_from_the_base_seed(monkeypatch, evaluation):
+    seeds = []
+    run = sim.run_replications
+
+    def recorded(*args, base_seed, **kwargs):
+        seeds.append(base_seed)
+        return run(*args, base_seed=base_seed, **kwargs)
+
+    monkeypatch.setattr(sim, "run_replications", recorded)
+    spec = report.SweepSpec("nu", (0.5, 1.0, 2.0), POISSON_TEMPLATE,
+                            ("analytic-aud", evaluation), horizon=200, replications=2,
+                            base_seed=7)
+    report.run_sweep(spec)
+    expected = np.random.SeedSequence(7).generate_state(3, dtype=np.uint64)
+    assert seeds == [int(v) for v in expected]
+    assert all(type(v) is int for v in seeds)
 
 
 OFFSET_TEMPLATE = ak.SystemConfig(ak.Deterministic(1.0), SVC2, ak.PeriodicOffsetDecisions(0.3))
