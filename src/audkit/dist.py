@@ -51,10 +51,22 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 
 __all__ = [
-    "ArrivalModel", "Exponential", "Uniform", "Lomax", "FoldedNormal", "Deterministic",
-    "ServiceModel", "FAMILIES", "arrival_rate",
-    "spec_registry", "spec_grammar", "parse_spec", "format_spec",
-    "parse_arrival", "format_arrival", "ARRIVAL_GRAMMAR",
+    "ArrivalModel",
+    "Exponential",
+    "Uniform",
+    "Lomax",
+    "FoldedNormal",
+    "Deterministic",
+    "ServiceModel",
+    "FAMILIES",
+    "arrival_rate",
+    "spec_registry",
+    "spec_grammar",
+    "parse_spec",
+    "format_spec",
+    "parse_arrival",
+    "format_arrival",
+    "ARRIVAL_GRAMMAR",
 ]
 
 _SQRT2 = math.sqrt(2.0)

@@ -70,13 +70,29 @@ from .dist import (
 from .errors import ConvergenceError, InputError, InsufficientDataError, StabilityError
 
 __all__ = [
-    "PoissonDecisions", "PeriodicSyncDecisions", "PeriodicOffsetDecisions", "DecisionModel",
-    "DISCIPLINES", "DECISION_GRAMMAR", "parse_decision",
-    "SystemConfig", "DerivedQuantities", "Rho1Solution", "DepartureMoments",
-    "solve_rho1", "rho1_value", "rho1_deterministic", "departure_moments",
-    "average_aud_from_moments", "average_aud_mm1m", "average_aud_dm1m",
-    "average_aud_dm1d_sync", "average_aud_dm1d_offset",
-    "derive", "mean_aud", "missing_probability",
+    "PoissonDecisions",
+    "PeriodicSyncDecisions",
+    "PeriodicOffsetDecisions",
+    "DecisionModel",
+    "DISCIPLINES",
+    "DECISION_GRAMMAR",
+    "parse_decision",
+    "SystemConfig",
+    "DerivedQuantities",
+    "Rho1Solution",
+    "DepartureMoments",
+    "solve_rho1",
+    "rho1_value",
+    "rho1_deterministic",
+    "departure_moments",
+    "average_aud_from_moments",
+    "average_aud_mm1m",
+    "average_aud_dm1m",
+    "average_aud_dm1d_sync",
+    "average_aud_dm1d_offset",
+    "derive",
+    "mean_aud",
+    "missing_probability",
 ]
 
 # |g| accepted at the end of the rho1 Newton climb
@@ -166,7 +182,8 @@ class _memo:
 class SystemConfig:
     """One update-and-decide system: arrivals, exponential service, decisions.
 
-    Its load ``rho`` = lambda/mu is formed once, where stability is checked.
+    Its ``arrival_rate`` lambda and load ``rho`` = lambda/mu are formed
+    once, where stability is checked, and read as plain attributes.
     """
 
     arrival: ArrivalModel
@@ -174,14 +191,11 @@ class SystemConfig:
     decision: DecisionModel
 
     def __post_init__(self):
-        rho = self.__dict__["rho"] = self.arrival_rate / self.service.rate
+        lam = self.__dict__["arrival_rate"] = arrival_rate(self.arrival)
+        rho = self.__dict__["rho"] = lam / self.service.rate
         if not rho < 1.0:
             raise StabilityError(rho)
         self.decision.check(self.arrival)
-
-    @property
-    def arrival_rate(self) -> float:
-        return arrival_rate(self.arrival)
 
     @property
     def decision_rate(self) -> float:

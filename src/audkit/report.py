@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -120,20 +121,28 @@ class _Point:
 
     spec: SweepSpec
     config: SystemConfig
-    seed: Optional[int]  # None where no evaluation is stochastic
+    index: int  # the point's place in the grid, which picks its seed
     _mc: object = field(default=None, init=False)  # the report, or the error running it
 
     def mc(self) -> sim.SimulationReport:
         """The Monte Carlo report, run at most once: a failure is kept and raised again."""
         if self._mc is None:
+            seed = _point_seeds(self.spec.base_seed, len(self.spec.grid))[self.index]
             try:
                 self._mc = sim.run_replications(self.config, horizon=self.spec.horizon,
-                                                n_reps=self.spec.replications, base_seed=self.seed)
+                                                n_reps=self.spec.replications, base_seed=seed)
             except AudKitError as err:
                 self._mc = err
         if isinstance(self._mc, AudKitError):
             raise self._mc
         return self._mc
+
+
+@functools.lru_cache(maxsize=1)
+def _point_seeds(base_seed: int, n: int) -> Tuple[int, ...]:
+    """The seeds of a sweep's ``n`` points, drawn when a point first runs
+    Monte Carlo: an analytic-only sweep draws none."""
+    return tuple(np.random.SeedSequence(base_seed).generate_state(n, dtype=np.uint64).tolist())
 
 
 def _optimal_arrival(p: _Point) -> Tuple[Cell, Cell]:
@@ -164,7 +173,6 @@ _TABLE = {
 }
 
 EVALUATIONS = tuple(_TABLE)
-_STOCHASTIC = frozenset(("mc-aud", "mc-pmis"))  # the evaluations that read a point's seed
 _HAS_SE = {col: se for columns, _ in _TABLE.values() for col, se in columns}
 
 
@@ -195,14 +203,9 @@ def _finite(cell: Cell) -> Cell:
 
 
 def run_sweep(spec: SweepSpec) -> List[SweepRow]:
-    """Evaluate the sweep; rows come back in grid order, seeds are per-point,
-    and drawn only when a stochastic evaluation reads them."""
-    point_seeds = [None] * len(spec.grid)
-    if _STOCHASTIC.intersection(spec.evaluations):
-        point_seeds = np.random.SeedSequence(spec.base_seed).generate_state(
-            len(spec.grid), dtype=np.uint64).tolist()
+    """Evaluate the sweep; rows come back in grid order, seeds are per-point."""
     rows: List[SweepRow] = []
-    for value, seed in zip(spec.grid, point_seeds):
+    for index, value in enumerate(spec.grid):
         try:
             config = _apply_variable(spec, value)
         except StabilityError:
@@ -210,7 +213,7 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         except InputError as err:
             cells = _flag_all(spec.evaluations, f"invalid: {err}")
         else:
-            cells = _evaluate_point(_Point(spec, config, seed))
+            cells = _evaluate_point(_Point(spec, config, index))
         rows.append(SweepRow(value, cells))
     return rows
 

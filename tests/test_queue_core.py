@@ -596,6 +596,22 @@ def test_each_discipline_solves_rho1_once(monkeypatch, decision):
     assert calls == [cfg.arrival]
 
 
+@pytest.mark.parametrize(
+    "decision", [ak.PoissonDecisions(0.7), ak.PeriodicSyncDecisions(2),
+                 ak.PeriodicOffsetDecisions(0.5)], ids=["poisson", "sync", "offset"])
+def test_readers_take_the_rate_from_construction(monkeypatch, decision):
+    cfg = ak.SystemConfig(ak.Deterministic(1.0), ak.ServiceModel(2.0), decision)
+    assert cfg.arrival_rate == ak.arrival_rate(cfg.arrival) and cfg.rho == 0.5
+    qc.derive(cfg)
+
+    def mean(self):
+        raise AssertionError("the arrival mean was formed again")
+
+    monkeypatch.setattr(ak.Deterministic, "mean", mean)
+    assert qc.mean_aud(cfg) > 0.0 and 0.0 <= qc.missing_probability(cfg) <= 1.0
+    assert cfg.decision_rate == decision.decision_rate(1.0)
+
+
 def test_derived_cache_leaves_hash_and_equality_alone():
     def make():
         return ak.SystemConfig(ak.Exponential(0.5), ak.ServiceModel(1.0), ak.PoissonDecisions(1.0))

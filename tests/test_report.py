@@ -134,6 +134,7 @@ def test_analytic_only_sweep_draws_no_seed(monkeypatch):
         raise AssertionError("a SeedSequence was built")
 
     monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+    report._point_seeds.cache_clear()  # an earlier sweep's seeds would hide a draw
     template = ak.SystemConfig(ak.Deterministic(1.0), SVC2, ak.PoissonDecisions(1.0))
     spec = report.SweepSpec("lambda", (0.5, 0.8), template, (
         "analytic-aud", "analytic-pmis", "optimal-arrival", "optimal-offset"))
