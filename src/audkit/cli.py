@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import __version__, queue_core, report, sim
@@ -74,18 +75,17 @@ def _text(lines) -> str:
     return "".join(f"{k:<22} {v}\n" for k, v in lines)
 
 
-def _build_config(fields) -> SystemConfig:
-    """The system named by the ``arrival``, ``mu`` and ``decision`` entries
-    of a mapping: the parsed options, or a sweep spec's template."""
-    return SystemConfig(
-        parse_arrival(fields["arrival"]),
-        ServiceModel(rate=float(fields["mu"])),
-        parse_decision(fields["decision"]),
-    )
+def _parts(fields) -> dict:
+    """The ``arrival``, ``service`` and ``decision`` named by the ``arrival``,
+    ``mu`` and ``decision`` entries of a mapping (the parsed options, or a
+    sweep spec's template), each checked on its own, not yet as a system."""
+    return {"arrival": parse_arrival(fields["arrival"]),
+            "service": ServiceModel(rate=float(fields["mu"])),
+            "decision": parse_decision(fields["decision"])}
 
 
 def _cmd_analyze(args) -> tuple:
-    config = _build_config(vars(args))
+    config = SystemConfig(**_parts(vars(args)))
     derived = queue_core.derive(config)
     aud = queue_core.mean_aud(config)
     pmis = queue_core.missing_probability(config)
@@ -109,7 +109,7 @@ def _cmd_analyze(args) -> tuple:
 
 
 def _cmd_simulate(args) -> tuple:
-    config = _build_config(vars(args))
+    config = SystemConfig(**_parts(vars(args)))
     rep = sim.run_replications(config, args.horizon, args.reps, args.seed, args.threads)
     if args.dump:  # replication 0 again, from its stream (the seeding rule of ``sim``)
         import numpy as np
@@ -204,9 +204,9 @@ def _load_sweep_spec(path: str) -> report.SweepSpec:
         return report.SweepSpec(
             variable=_typed("variable", raw["variable"], str),
             grid=tuple(_number(f"grid[{i}]", v) for i, v in enumerate(grid)),
-            template=_build_config(dict(
+            template=SimpleNamespace(**_parts(dict(
                 {k: _typed(f"template.{k}", template[k], str) for k in ("arrival", "decision")},
-                mu=_number("template.mu", template["mu"]))),
+                mu=_number("template.mu", template["mu"])))),
             evaluations=tuple(_typed(f"evaluations[{i}]", v, str)
                               for i, v in enumerate(evaluations)),
             **budget,

@@ -67,7 +67,7 @@ from .dist import (
     spec_grammar,
     spec_registry,
 )
-from .errors import ConvergenceError, InputError, InsufficientDataError, StabilityError
+from .errors import ConvergenceError, InputError, StabilityError
 
 __all__ = [
     "PoissonDecisions",
@@ -116,55 +116,39 @@ class DecisionModel:
         mean_aud(config)            closed-form mean AuD
         missing_probability(config) exact probability that an update is never used
         epochs(config, t_end, rng)  all decision epochs in (0, t_end], increasing
+        replication_sums(config, t, dep, warm, rng)
+                                    one replication's (age_sum, kept, missed,
+                                    discarded), sampled from ``epochs`` here
 
     ``derive_extras`` runs once per system, inside ``SystemConfig.derived``,
     and ``mean_aud`` and ``missing_probability`` read that object.  The
-    simulator estimates each replication through ``replication_sums``, which
-    samples ``epochs`` unless a discipline sums its decisions without them.
+    simulator estimates each replication from ``replication_sums``, which a
+    discipline may override to sum its decisions without drawing them.
     """
 
     def check(self, arrival: ArrivalModel) -> None:
         pass
 
     def replication_sums(self, config, t, dep, warm, rng):
-        """One replication's (mean AuD, decisions kept, updates missed,
-        updates counted, decisions discarded) from its arrival and departure
-        epochs ``t`` and ``dep``, after a warm-up of ``warm`` updates.
+        """One replication's additive sums (age_sum, kept, missed, discarded)
+        from its arrival and departure epochs ``t`` and ``dep``, after a
+        warm-up of ``warm`` updates: the summed ages of the kept decisions,
+        their count, the updates missed and the decisions discarded.
 
-        Decisions before dep[warm] are discarded; updates max(warm, 1) - 1
-        to len(dep) - 2 are counted, as in ``sim._missed``.  Raises
-        ``InsufficientDataError`` when no decision or no counted update is
-        left.  This is the sampled path: ``epochs`` drawn from ``rng`` and
-        matched by ``sim.assign_decisions``, then ``sim._missed``.
+        Decisions before dep[warm] are discarded, and misses are counted as in
+        ``sim._missed``.  ``sim._replicate`` forms the mean and raises when too
+        little is left.  This is the sampled path: ``epochs`` drawn from
+        ``rng`` and matched by ``sim.assign_decisions``, then ``sim._missed``.
         """
         from . import sim  # sim imports this module
 
-        decisions = sim._decisions(config, t, dep, rng)
+        decisions = sim.assign_decisions(t, dep, self.epochs(config, float(dep[-1]), rng))
         used, ages = decisions.used_update, decisions.age
         skipped = decisions.n_before_first_departure
         del decisions  # and with it the epochs
         early = int(np.count_nonzero(used < warm))  # before dep[warm]
-        ages = ages[early:]
-        _require_decisions(ages.shape[0])
-        missed, counted = sim._missed(used, dep.shape[0], warm)
-        return float(ages.mean()), int(ages.shape[0]), missed, counted, skipped + early
-
-
-def _require_decisions(kept: int) -> None:
-    if kept == 0:
-        raise InsufficientDataError(
-            "no decision epochs after the warm-up window; increase the horizon"
-        )
-
-
-def _first_counted(n: int, warm: int) -> int:
-    """max(warm, 1): of ``n`` updates, those from this one's predecessor to
-    n - 2 are counted for misses, as the horizon cuts off the last update's
-    window.  Raises ``InsufficientDataError`` when that leaves none."""
-    start = max(int(warm), 1)
-    if start >= n:
-        raise InsufficientDataError(f"no updates left after skipping {warm} of {n} for warm-up")
-    return start
+        missed = sim._missed(used, dep.shape[0], warm)
+        return float(ages[early:].sum()), ages.shape[0] - early, missed, skipped + early
 
 
 class _memo:
@@ -579,7 +563,6 @@ class _PeriodicDecisions(DecisionModel):
         ``_step``, sum to count (first age) + count (count - 1) step / 2.
         Memory and time do not grow with the decision rate.  ``rng`` is not read.
         """
-        n = dep.shape[0]
         end = self._end(config, float(dep[-1]))
         lo = max(warm, 1) - 1  # the first update counted for misses
         c = self._ceil(config, dep[lo:])
@@ -587,8 +570,6 @@ class _PeriodicDecisions(DecisionModel):
         count = np.diff(c, append=end)  # decisions update lo + i serves
         skip = warm - lo
         kept = int(end - c[skip])
-        _require_decisions(kept)
-        counted = n - _first_counted(n, warm)
         missed = int(np.count_nonzero(count[:-1] == 0))
         discarded = int(c[skip]) - self.first
         count = count[skip:]
@@ -597,7 +578,7 @@ class _PeriodicDecisions(DecisionModel):
         age *= count
         pairs = count * (count - 1.0)
         total = float(age.sum()) + 0.5 * self._step(config) * float(pairs.sum())
-        return total / kept, kept, missed, counted, discarded
+        return total, kept, missed, discarded
 
 
 @dataclass(frozen=True)

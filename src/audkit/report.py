@@ -61,7 +61,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep, over which grid, and with what Monte Carlo budget."""
+    """What to sweep, over which grid, and with what Monte Carlo budget.
+
+    ``template`` holds each point's ``arrival``, ``service`` and
+    ``decision`` (a ``SystemConfig`` will do); a point is judged as a
+    system only once the swept field replaces the template's."""
 
     variable: str
     grid: Tuple[float, ...]
@@ -95,24 +99,28 @@ class SweepSpec:
 
 
 def _apply_variable(spec: SweepSpec, value: float) -> SystemConfig:
-    """Instantiate the template at one grid point; raises InputError if invalid."""
-    t = spec.template
-    var = spec.variable
+    """The system at one grid point: the template with the swept field
+    replaced, judged as a system.  Raises InputError if invalid, and
+    StabilityError if unstable."""
+    t, var = spec.template, spec.variable
+    arrival, service, decision = t.arrival, t.service, t.decision
     if var == "mu":
-        return dataclasses.replace(t, service=dataclasses.replace(t.service, rate=value))
-    if var == "lambda":
+        service = dataclasses.replace(service, rate=value)
+    elif var == "lambda":
         _positive("arrival rate", value)
-        return dataclasses.replace(t, arrival=t.arrival.with_rate(value))
-    if var in _DECISION_VARIABLES:
-        if t.decision.variable != var:
+        arrival = arrival.with_rate(value)
+    elif var in _DECISION_VARIABLES:
+        if decision.variable != var:
             raise InputError(
                 f"{var} sweeps require {_DECISION_VARIABLES[var].label} decision template"
             )
-        return dataclasses.replace(t, decision=type(t.decision)(value))
-    param = var.split(".", 1)[1]
-    if param not in t.arrival.keys:
-        raise InputError(f"arrival model has no parameter {param!r}")
-    return dataclasses.replace(t, arrival=dataclasses.replace(t.arrival, **{param: value}))
+        decision = type(decision)(value)
+    else:
+        param = var.split(".", 1)[1]
+        if param not in arrival.keys:
+            raise InputError(f"arrival model has no parameter {param!r}")
+        arrival = dataclasses.replace(arrival, **{param: value})
+    return SystemConfig(arrival, service, decision)
 
 
 @dataclass

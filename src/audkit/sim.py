@@ -20,18 +20,28 @@ regardless of how many worker threads execute it.  By default replications
 of 10^5 updates or more run on every available core, which lifted the
 benchmark's Monte Carlo workload about 1.8x on 2 cores.
 
-Each decision discipline estimates a replication from its arrival and
-departure epochs (``replication_sums``).  Poisson decisions are sampled and
-matched to the updates, so their cost grows with the decision rate.
-Periodic ones are summed per update window by grid arithmetic, with no
-decision epoch drawn: their cost does not depend on m0.  A replication
-peaks at max(5, 2 + 3 nu/lambda) horizon-length float64 arrays: five in the
-Lindley scan (7.6 MiB at 2*10^5 updates), and under Poisson decisions the
-arrival and departure epochs plus three 8-byte arrays per decision (8.4 MiB
-for exp arrivals at load 0.6 and nu = 0.7).  A dump (``simulate --dump``)
-is a second run of replication 0 by ``run_trajectory``, from the same stream,
-after the replications.  Holding every column and every decision, it peaks
-at 7 + 3 nu/lambda arrays (16.0 MiB in the same case).
+A replication of n updates discards the first warm = n // 10 as warm-up,
+and with them every decision before the departure of update warm.  Update
+k serves the decisions in [dep_k, dep_{k+1}) and is missed when it serves
+none; updates max(warm, 1) - 1 to n - 2 are counted, n - max(warm, 1) of
+them, as the horizon cuts off the last update's window.  A replication with
+no decision kept raises ``InsufficientDataError``, and only then one with
+no update counted.  Its mean AuD is age_sum / kept.
+
+Each decision discipline returns a replication's additive sums (age_sum,
+kept, missed, discarded) from its arrival and departure epochs
+(``replication_sums``), and ``_replicate`` alone applies the rules above.
+Poisson decisions are sampled and matched to the updates, so their cost
+grows with the decision rate.  Periodic ones are summed per update window
+by grid arithmetic, with no decision epoch drawn: their cost does not
+depend on m0.  A replication peaks at max(5, 2 + 3 nu/lambda)
+horizon-length float64 arrays: five in the Lindley scan (7.6 MiB at 2*10^5
+updates), and under Poisson decisions the arrival and departure epochs plus
+three 8-byte arrays per decision (8.4 MiB for exp arrivals at load 0.6 and
+nu = 0.7).  A dump (``simulate --dump``) is a second run of replication 0
+by ``run_trajectory``, from the same stream, after the replications.
+Holding every column and every decision, it peaks at 7 + 3 nu/lambda arrays
+(16.0 MiB in the same case).
 """
 
 from __future__ import annotations
@@ -46,8 +56,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._inplace import overwrite
-from .errors import InputError
-from .queue_core import SystemConfig, _first_counted
+from .errors import InputError, InsufficientDataError
+from .queue_core import SystemConfig
 
 __all__ = [
     "UpdateRecords",
@@ -169,20 +179,13 @@ def run_trajectory(
     w = t_sys - s
     np.maximum(w, 0.0, out=w)  # clip roundoff at the idle-server boundary
     records = UpdateRecords(t, x, s, w, t_sys, dep, np.diff(dep, prepend=0.0))
-    return records, _decisions(config, t, dep, rng)
+    return records, assign_decisions(t, dep, config.decision.epochs(config, float(dep[-1]), rng))
 
 
 def _check_seed(seed) -> None:
     """Rejects a negative int seed, which numpy refuses with a ValueError."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-
-
-def _decisions(config: SystemConfig, t: np.ndarray, dep: np.ndarray,
-               rng: np.random.Generator) -> DecisionSamples:
-    """The decision epochs over (0, dep[-1]], drawn from ``rng``, and their
-    match to the updates."""
-    return assign_decisions(t, dep, config.decision.epochs(config, float(dep[-1]), rng))
 
 
 def _lindley(config: SystemConfig, horizon: int, rng: np.random.Generator):
@@ -202,28 +205,33 @@ def _lindley(config: SystemConfig, horizon: int, rng: np.random.Generator):
     return x, s, t, dep
 
 
-def _missed(used_update: np.ndarray, n: int, skip: int) -> Tuple[int, int]:
-    """(missed updates, counted updates) of a trajectory of ``n`` updates,
-    from the update each decision used.
-
-    An update is missed when no decision used it.  That is the one tie rule
-    of ``assign_decisions``: update k serves the decisions in
-    [dep[k], dep[k+1]), so a decision exactly at a departure epoch uses the
-    update that just departed.  Updates max(skip, 1) - 1 to n - 2 are
-    counted; the horizon cuts off the last update's window.
+def _missed(used_update: np.ndarray, n: int, warm: int) -> int:
+    """The updates missed of a trajectory of ``n`` updates after a warm-up of
+    ``warm``, from the update each decision used: those of updates
+    max(warm, 1) - 1 to n - 2 that no decision used.  That is the one tie
+    rule of ``assign_decisions``: a decision exactly at a departure epoch
+    uses the update that just departed.
     """
-    start = _first_counted(n, skip)
-    unused = np.bincount(used_update, minlength=n)[start - 1:-1] == 0
-    return int(np.count_nonzero(unused)), int(unused.shape[0])
+    unused = np.bincount(used_update, minlength=n)[max(warm, 1) - 1:-1] == 0
+    return int(np.count_nonzero(unused))
 
 
 def _replicate(config: SystemConfig, horizon: int, seq: np.random.SeedSequence):
-    """One replication's ``replication_sums``.  The inter-arrival and service
-    times are dropped once the departures exist, and the waiting, system and
-    inter-departure columns are never built."""
+    """One replication's (mean AuD, decisions kept, updates missed, decisions
+    discarded), by the rules of the module docstring.  The inter-arrival and
+    service times are dropped once the departures exist, and the waiting,
+    system and inter-departure columns are never built."""
     rng = np.random.Generator(np.random.Philox(seq))
     t, dep = _lindley(config, horizon, rng)[2:]
-    return config.decision.replication_sums(config, t, dep, horizon // 10, rng)
+    warm = horizon // 10
+    age_sum, kept, missed, discarded = config.decision.replication_sums(config, t, dep, warm, rng)
+    if kept == 0:
+        raise InsufficientDataError(
+            "no decision epochs after the warm-up window; increase the horizon")
+    if max(warm, 1) >= horizon:
+        raise InsufficientDataError(
+            f"no updates left after skipping {warm} of {horizon} for warm-up")
+    return age_sum / kept, kept, missed, discarded
 
 
 # From this many updates per replication on, replications run on every core
@@ -253,9 +261,8 @@ def run_replications(
 ) -> SimulationReport:
     """Independent replications with deterministically split seeds.
 
-    The first 10% of updates of each replication are discarded as warm-up,
-    together with every decision made before the first retained departure.
-    The report aggregates per-replication means; its standard error is the
+    Each replication is estimated by the rules of the module docstring.  The
+    report aggregates per-replication means; its standard error is the
     across-replication one, which is robust to within-trajectory
     autocorrelation.
 
@@ -292,9 +299,11 @@ def run_replications(
     else:
         work()
 
-    means, kept, missed, counted, discarded = zip(*results)
+    means, kept, missed, discarded = zip(*results)
     means = np.array(means)
-    p_mis_reps = np.array(missed) / np.array(counted)
+    warm = horizon // 10
+    counted = horizon - max(warm, 1)  # per replication
+    p_mis_reps = np.array(missed) / counted
 
     mean_aud = float(means.mean())
     se = float(means.std(ddof=1) / np.sqrt(n_reps))
@@ -302,11 +311,11 @@ def run_replications(
         mean_aud=mean_aud,
         aud_std_error=se,
         ci95=(mean_aud - 1.96 * se, mean_aud + 1.96 * se),
-        p_mis_hat=sum(missed) / sum(counted),
+        p_mis_hat=sum(missed) / (counted * n_reps),
         p_mis_std_error=float(p_mis_reps.std(ddof=1) / np.sqrt(n_reps)),
-        n_updates=sum(counted),
+        n_updates=counted * n_reps,
         n_decisions=sum(kept),
-        updates_discarded=(horizon // 10) * n_reps,
+        updates_discarded=warm * n_reps,
         decisions_discarded=sum(discarded),
         seed=base_seed,
         n_replications=n_reps,

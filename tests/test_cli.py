@@ -485,6 +485,39 @@ def test_sweep_budget_takes_integral_floats(tmp_path):
     assert cli._load_sweep_spec(str(spec)).horizon == 2000
 
 
+OFFSET_TEMPLATE = {"arrival": "det:period=1", "mu": 2.0, "decision": "offset:delta=1.5"}
+
+
+@pytest.mark.parametrize("variable,grid,template,systems", [
+    ("mu", [3, 4], {"arrival": "exp:rate=2", "mu": 1.0, "decision": "poisson:rate=1"},
+     [(audkit.Exponential(2.0), mu, audkit.PoissonDecisions(1.0)) for mu in (3, 4)]),
+    ("arrival.period", [2, 3], OFFSET_TEMPLATE,
+     [(audkit.Deterministic(p), 2.0, audkit.PeriodicOffsetDecisions(1.5)) for p in (2, 3)]),
+    ("delta", [0.5, 0.6], OFFSET_TEMPLATE,
+     [(audkit.Deterministic(1.0), 2.0, audkit.PeriodicOffsetDecisions(d)) for d in (0.5, 0.6)]),
+], ids=["unstable-mu", "offset-past-period", "offset-past-period-delta"])
+def test_sweep_template_is_judged_only_at_its_points(tmp_path, variable, grid, template,
+                                                     systems):
+    # the template is no valid system, but every point is
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variable": variable, "grid": grid, "template": template,
+                                "evaluations": ["analytic-aud"]}))
+    rows = run_json(tmp_path, ["sweep", "--spec", str(spec)])["rows"]
+    assert [row["cells"]["aud_analytic"] for row in rows] == [
+        {"value": audkit.mean_aud(audkit.SystemConfig(a, audkit.ServiceModel(mu), d)),
+         "std_error": 0.0, "status": "ok"} for a, mu, d in systems]
+
+
+def test_sweep_flags_a_template_decision_its_arrivals_cannot_serve(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "variable": "mu", "grid": [1.0, 2.0], "evaluations": ["analytic-aud"],
+        "template": {"arrival": "exp:rate=0.5", "mu": 1.0, "decision": "sync:m0=1"}}))
+    rows = run_json(tmp_path, ["sweep", "--spec", str(spec)])["rows"]
+    assert [row["cells"]["aud_analytic"]["status"] for row in rows] == [
+        "invalid: periodic decision disciplines require deterministic arrivals"] * 2
+
+
 def test_simulate_insufficient_data_exits_3(capsys):
     argv = ["simulate", "--arrival", "exp:rate=0.5", "--mu", "1", "--decision",
             "poisson:rate=0.001", "--horizon", "20", "--reps", "2"]

@@ -121,14 +121,13 @@ def test_tie_rule_matches_brute_force(trajectory):
     assert dec.n_before_first_departure == latest.count(None)
     assert dec.used_update.tolist() == [k for _, k in used]
     assert dec.age.tolist() == [tau - arrival[k] for tau, k in used]
-    # update k is missed iff no epoch's latest departure at or before it is k
+    # update k is missed iff no epoch's latest departure at or before it is
+    # k; the count of updates max(skip, 1) - 1 to n - 2 is pinned by
+    # test_replication_counts_updates_once_per_run
     n = len(departure)
-    for skip in range(n):
+    for skip in range(n + 1):
         counted = range(max(skip, 1) - 1, n - 1)
-        missed = sum(k not in latest for k in counted)
-        assert sim._missed(dec.used_update, n, skip) == (missed, len(counted))
-    with pytest.raises(InsufficientDataError):
-        sim._missed(dec.used_update, n, n)
+        assert sim._missed(dec.used_update, n, skip) == sum(k not in latest for k in counted)
 
 
 def test_decision_at_a_departure_uses_that_update():
@@ -136,7 +135,7 @@ def test_decision_at_a_departure_uses_that_update():
     departure = np.array([1.0, 2.0, 3.0, 4.0])
     dec = sim.assign_decisions(departure - 0.5, departure, np.array([2.0, 2.5]))
     assert dec.used_update.tolist() == [1, 1]
-    assert sim._missed(dec.used_update, 4, 0) == (2, 3)
+    assert sim._missed(dec.used_update, 4, 0) == 2  # of 3 counted, 4 - max(0, 1)
 
 
 def test_offset_decisions_with_instant_service():
@@ -174,22 +173,26 @@ def test_mean_aud_matches_markovian_value():
 def test_missing_prob_markovian():
     cfg = poisson_cfg(ak.Exponential(1.0), nu=1.0)
     rec, dec = sim.run_trajectory(cfg, 1_000_000, seed=43)
-    missed, counted = sim._missed(dec.used_update, len(rec), skip=len(rec) // 10)
-    assert missed / counted == pytest.approx(0.5, abs=0.005)
+    warm = len(rec) // 10
+    missed = sim._missed(dec.used_update, len(rec), warm)
+    assert missed / (len(rec) - warm) == pytest.approx(0.5, abs=0.005)
 
 
 def test_missing_prob_high_decision_rate():
     cfg = poisson_cfg(ak.Exponential(1.0), nu=100.0)
     rec, dec = sim.run_trajectory(cfg, 100_000, seed=44)
-    missed, counted = sim._missed(dec.used_update, len(rec), skip=10_000)
-    assert missed / counted < 0.02
+    missed = sim._missed(dec.used_update, len(rec), 10_000)
+    assert missed / (len(rec) - 10_000) < 0.02
 
 
-def test_missing_prob_requires_data():
-    cfg = poisson_cfg(ak.Exponential(1.0))
-    rec, dec = sim.run_trajectory(cfg, 100, seed=1)
-    with pytest.raises(InsufficientDataError):
-        sim._missed(dec.used_update, len(rec), skip=100)
+def test_missing_prob_requires_data(monkeypatch):
+    # one update, served by a decision at its departure: a decision is
+    # kept, but no update is counted
+    cfg = ak.SystemConfig(P125, ak.ServiceModel(1.0), ak.PeriodicSyncDecisions(1))
+    dep = cfg.decision.epochs(cfg, 10.0, None)[:1]
+    monkeypatch.setattr(sim, "_lindley", lambda config, horizon, rng: (None, None, dep - 0.3, dep))
+    with pytest.raises(InsufficientDataError, match="^no updates left after skipping 0 of 1 "):
+        sim.run_replications(cfg, horizon=1, n_reps=2)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
@@ -263,24 +266,16 @@ GRID_DECISIONS = [ak.PeriodicSyncDecisions(m0) for m0 in (1, 2, 3, 50)] + [
 
 
 def sums_both_ways(config, t, dep, warm):
-    """(grid sums, sampled sums) of one trajectory, or the error message
-    each path raised in place of its sums."""
-    decision, out = config.decision, []
-    for sums in (type(decision).replication_sums, ak.DecisionModel.replication_sums):
-        try:
-            out.append(sums(decision, config, t, dep, warm, None))
-        except InsufficientDataError as err:
-            out.append(str(err))
-    return out
+    """(grid sums, sampled sums) of one trajectory."""
+    decision = config.decision
+    return [sums(decision, config, t, dep, warm, None)
+            for sums in (type(decision).replication_sums, ak.DecisionModel.replication_sums)]
 
 
 def assert_sums_agree(config, t, dep, warm):
     grid, sampled = sums_both_ways(config, t, dep, warm)
-    if isinstance(sampled, str):
-        assert grid == sampled
-        return
-    assert grid[1:] == sampled[1:]  # kept, missed, counted, discarded
-    assert grid[0] == pytest.approx(sampled[0], rel=1e-12, abs=0)
+    assert grid[1:] == sampled[1:]  # kept, missed, discarded
+    assert grid[0] == pytest.approx(sampled[0], rel=1e-12, abs=0)  # age_sum
 
 
 @pytest.mark.parametrize("decision", GRID_DECISIONS, ids=str)
@@ -345,12 +340,15 @@ def test_grid_decision_at_a_departure_uses_that_update(decision):
     # its own departure, 0.3 after its arrival, and none is missed
     cfg = ak.SystemConfig(P125, ak.ServiceModel(1.0), decision)
     dep = decision.epochs(cfg, 100.0, None)
+    n = dep.shape[0]
     assert cfg.decision.replication_sums(cfg, dep - 0.3, dep, 0, None) == pytest.approx(
-        (0.3, dep.shape[0], 0, dep.shape[0] - 1, 0), rel=1e-12)
+        (0.3 * n, n, 0, 0), rel=1e-12)
 
 
 @pytest.mark.parametrize("decision", GRID_DECISIONS[:2] + GRID_DECISIONS[-2:], ids=str)
-def test_grid_sums_raise_as_the_sampled_path(decision):
+def test_grid_sums_raise_as_the_sampled_path(decision, monkeypatch):
+    # the sums of a trajectory too short to estimate agree, and the
+    # replication raises on them as it would on the sampled path's
     cfg = ak.SystemConfig(P125, ak.ServiceModel(1.0), decision)
     tau = decision.epochs(cfg, 10.0, None)
     cases = [
@@ -358,16 +356,21 @@ def test_grid_sums_raise_as_the_sampled_path(decision):
         (tau[-1:], 0),                 # one update and the last decision at it
         (tau[:3] + 1e-9, 2),           # no decision at or after the last departure
     ]
-    outcomes = [sums_both_ways(cfg, dep - 0.3, dep, warm) for dep, warm in cases]
-    for grid, sampled in outcomes:
-        assert grid == sampled
-    assert [o[0][:17] for o in outcomes] == [
-        "no decision epoch", "no updates left a", "no decision epoch"]
+    for dep, warm in cases:
+        assert_sums_agree(cfg, dep - 0.3, dep, warm)
+    assert [sums_both_ways(cfg, dep - 0.3, dep, warm)[0][1] for dep, warm in cases] == [0, 1, 0]
+    for dep, message in [(cases[0][0], "no decision epoch"), (cases[1][0], "no updates left a")]:
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_lindley", lambda config, horizon, rng: (None, None, dep - 0.3, dep))
+            with pytest.raises(InsufficientDataError, match=f"^{message}"):
+                sim.run_replications(cfg, horizon=1, n_reps=2)
     for horizon in (1, 2, 3):  # whole trajectories; one update keeps no decision
         rec, _ = sim.run_trajectory(cfg, horizon, 9)
         t, dep = rec.arrival, rec.departure
         assert_sums_agree(cfg, t, dep, horizon // 10)
-        assert isinstance(sums_both_ways(cfg, t, dep, 0)[0], str) == (horizon == 1)
+        assert (sums_both_ways(cfg, t, dep, 0)[0][1] == 0) == (horizon == 1)
+    with pytest.raises(InsufficientDataError, match="^no decision epochs after the warm-up"):
+        sim.run_replications(cfg, horizon=1, n_reps=2)
 
 
 # --- replication protocol -----------------------------------------------------------
@@ -436,6 +439,58 @@ def test_report_independent_of_thread_count(decision):
 def test_default_thread_rule():
     assert sim._default_threads(sim._PARALLEL_HORIZON - 1) == 1
     assert sim._default_threads(sim._PARALLEL_HORIZON) == len(os.sched_getaffinity(0))
+
+
+def test_replication_counts_updates_once_per_run():
+    # updates max(warm, 1) - 1 to n - 2 of each replication are counted,
+    # n - max(warm, 1) of them, after a warm-up of warm = n // 10
+    cfg = poisson_cfg(ak.Exponential(1.0), nu=5.0)
+    for horizon in (2, 5, 10, 25):
+        rep = sim.run_replications(cfg, horizon=horizon, n_reps=3, base_seed=2)
+        assert rep.n_updates == 3 * (horizon - max(horizon // 10, 1))
+        assert rep.updates_discarded == 3 * (horizon // 10)
+
+
+SHORT_SYSTEMS = {
+    "exp-poisson": poisson_cfg(ak.Exponential(0.5), nu=1.0, mu=1.0),
+    "lomax-poisson": poisson_cfg(ak.Lomax(3.0, 2.0), nu=1.0, mu=2.0),
+    "fnorm-poisson": poisson_cfg(ak.FoldedNormal(1.5, 0.4), nu=1.0, mu=1.0),
+    "det-sync": ak.SystemConfig(ak.Deterministic(2.0), ak.ServiceModel(1.0),
+                                ak.PeriodicSyncDecisions(2)),
+    "det-offset": ak.SystemConfig(ak.Deterministic(2.0), ak.ServiceModel(1.0),
+                                  ak.PeriodicOffsetDecisions(0.5)),
+}
+# base seed 1, 2 replications: (replication_means, n_updates, n_decisions,
+# decisions_discarded, p_mis_hat, p_mis_std_error); any other case raises
+SHORT_REPORTS = {
+    ("exp-poisson", 2): ((4.320704190072814, 0.6806014416353965), 2, 8, 1, 0.0, 0.0),
+    ("exp-poisson", 3): ((3.699144777235257, 2.51654549063378), 4, 6, 5, 0.25, 0.25),
+    ("lomax-poisson", 2): ((1.9085166314775877, 0.7659757217195031), 2, 4, 0, 0.0, 0.0),
+    ("fnorm-poisson", 2): ((3.202414853365703, 2.7796547735981822), 2, 6, 5, 0.0, 0.0),
+    ("fnorm-poisson", 3): ((4.061309192160885, 2.1815626626141507), 4, 5, 8, 0.25, 0.25),
+    ("det-sync", 2): ((1.5, 1.5), 2, 4, 4, 0.0, 0.0),
+    ("det-sync", 3): ((1.8, 1.5), 4, 9, 4, 0.0, 0.0),
+    ("det-offset", 2): ((1.5, 0.5), 2, 3, 2, 0.0, 0.0),
+    ("det-offset", 3): ((1.8333333333333333, 0.5), 4, 5, 2, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SHORT_SYSTEMS))
+def test_short_horizon_reports_are_pinned(name, horizon):
+    # the reports and errors of trajectories of one to three updates
+    expected = SHORT_REPORTS.get((name, horizon))
+    for threads in (1, 2):
+        if expected is None:
+            with pytest.raises(InsufficientDataError) as err:
+                sim.run_replications(SHORT_SYSTEMS[name], horizon, 2, 1, threads)
+            assert str(err.value) == (
+                "no decision epochs after the warm-up window; increase the horizon")
+            continue
+        rep = sim.run_replications(SHORT_SYSTEMS[name], horizon, 2, 1, threads)
+        assert (rep.replication_means, rep.n_updates, rep.n_decisions, rep.decisions_discarded,
+                rep.p_mis_hat, rep.p_mis_std_error) == expected
+        assert rep.mean_aud == float(np.mean(expected[0])) and rep.updates_discarded == 0
 
 
 def test_thread_count_validated():
