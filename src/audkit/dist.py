@@ -262,15 +262,9 @@ class ArrivalModel:
     ``optimal_load`` is the load lambda/mu at which a one-parameter family
     has its least mean AuD under Poisson decisions, the same at every mu
     (the derivation is in ``optimize``); None for a two-parameter family.
-
-    ``rho1_floor`` is a c with rho1 >= c rho for every member of the family
-    at every load rho < 1, where the rho1 Newton climb may start: 1 for
-    Lomax, which dominates the exponential of its mean in convex order
-    (``solve_rho1``), and 0, no bound, for the others.
     """
 
     limit: Optional[str] = None
-    rho1_floor: float = 0.0
     optimal_load: Optional[float] = None
 
     @classmethod
@@ -411,7 +405,6 @@ class Lomax(ArrivalModel):
 
     tag = "lomax"
     limit = "exp"
-    rho1_floor = 1.0
     alpha: float
     beta: float
 

@@ -7,13 +7,14 @@ length embedded at arrival instants, the unique fixed point in (0, 1) of
 
     rho1 = int_0^inf f_X(x) exp(-mu (1 - rho1) x) dx.
 
-This module solves that fixed point, by one Newton climb for every arrival
-family (``solve_rho1``), derives the system-time law and the
-inter-departure moments, and evaluates the mean age upon decisions and the
-update missing probability for Poisson, synchronous-periodic, and
-offset-periodic decision processes.  Each discipline is one class,
-registered in ``DISCIPLINES``, that carries all its discipline-specific
-knowledge; everything else dispatches through it.
+This module solves that fixed point for every arrival family, by Newton's
+method on the reciprocal of the survival transform started at the load rho
+(``solve_rho1``), derives the system-time law and the inter-departure
+moments, and evaluates the mean age upon decisions and the update missing
+probability for Poisson, synchronous-periodic, and offset-periodic decision
+processes.  Each discipline is one class, registered in ``DISCIPLINES``,
+that carries all its discipline-specific knowledge; everything else
+dispatches through it.
 
 A ``SystemConfig`` computes its ``DerivedQuantities`` once, as its
 ``derived`` attribute, from one rho1 solve, and every discipline's mean AuD
@@ -95,7 +96,7 @@ __all__ = [
     "missing_probability",
 ]
 
-# |g| accepted at the end of the rho1 Newton climb
+# |g| accepted where rounding stops the rho1 Newton iteration
 _RHO1_TOL = 1e-12
 
 
@@ -226,31 +227,36 @@ class Rho1Solution(NamedTuple):
 
 
 def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Solution:
-    """Solve rho1 = laplace(arrival, mu (1 - rho1)) by Newton's method.
+    """Solve rho1 = laplace(arrival, mu (1 - rho1)) by Newton's method on 1/S.
 
-    Newton runs on g(r) = laplace(mu s) - r, s = 1 - r, with
-    g'(r) = mu weighted_first_moment(mu s) - 1.  g is convex, g(0) > 0 and
-    g'(0) <= 1/e - 1 < 0, so from any start in [0, rho1] the iterates climb
-    monotonically to rho1 and never reach the second root r = 1.  The climb
-    starts at r = ``arrival.rho1_floor`` rho (s0 = 1 - rho for Lomax), not 0:
-    a Lomax law, a mixture of exponentials and so DFR, dominates the
-    exponential of its mean in convex order, so laplace(mu (1 - rho)) >=
-    lambda/(lambda + mu (1 - rho)) = rho, that is g(rho) >= 0 and rho <= rho1.
-    Where rho1 - rho is below rounding (shape -> infinity), g(rho) may round
-    to <= 0 and the start is the answer, under the acceptance below.
+    With s = 1 - r, z = mu s and S(z) = survival_laplace(z) = (1 - L(z))/z,
+    the fixed point r = L(z) is z S(z) = s, that is S(z) = 1/mu once its
+    root s = 0 is divided out.  Newton runs on H(z) = 1/S(z) - mu; as
+    S' = (W1 - S)/z, W1 = weighted_first_moment, its step in r is
+    r + g S/(S - W1), with g = s - z S = L - r the fixed point's residual
+    (at the root, g/(1 - mu W1), the Newton step on g).  For exponential
+    arrivals S = 1/(lambda + z), so 1/S is linear and the start r = rho is
+    the root; for the other families 1/S is nearly linear, and every solve
+    starts there.  The first step crosses the root (det, uniform and the
+    folded normal start above it, Lomax, which dominates the exponential of
+    its mean in convex order, below it), and the later iterates approach
+    the root from the side that step reached.
 
-    From r = 1/2 on, where s is exact (Sterbenz), g is evaluated as
-    s - z survival_laplace(z), z = mu s: the same function without the
-    cancellation of laplace(z) against r, so near rho = 1 the relative error
-    of s = 1 - rho1 stays at the eps/(1 - rho) that rounding the inputs
-    costs.  (Written with the rounded z in both factors, the folded normal's
-    survival_laplace, (1 - laplace(z))/z, gives back laplace(z) - r;
-    s (1 - mu survival_laplace(z)) would round above zero at the root and
-    let the climb creep by ulps.)  The climb runs until rounding stops it
-    (g <= 0, or r no longer moves) and is accepted if then
-    |g| <= ``_RHO1_TOL`` (1e-12).  Otherwise, and after ``max_iter`` steps,
-    ConvergenceError carries the best iterate.  Instability is rejected up
-    front.
+    From r = 1/2 on, where s is exact (Sterbenz), g is evaluated as s - z S,
+    without the cancellation of L(z) against r, so near rho = 1 the relative
+    error of s stays at the eps/(1 - rho) that rounding the inputs costs;
+    below 1/2 g is L - r, which keeps a tiny rho1 accurate relative to
+    itself, and S = (1 - L)/z.  (With the rounded z in both factors the
+    folded normal's S, (1 - L)/z, gives back L - r.)  Rounding alone stops
+    the iteration: a step that leaves r where it is, a move that reverses
+    the direction of the one before it after the first two, S - W1 <= 0,
+    or r >= 1; a step below 0 is clamped to 0 (det at loads up to 0.02
+    lands there to rounding).  A small predicted step is no stop: near
+    Lomax shape 2 and rho -> 1 the last steps of a few ulps are what keep s
+    within 16 eps/(1 - rho) of the 40-digit root.  The iterate where it
+    stops is accepted if |g| <= ``_RHO1_TOL``; otherwise, and after
+    ``max_iter`` steps, ConvergenceError carries the best iterate.
+    Instability is rejected up front.
 
     A step evaluates the arrival once, ``arrival.newton_terms(z, r >= 1/2)``
     at z = mu (1.0 - r).  The accepted step's z is the mu (1.0 - rho1) of
@@ -260,16 +266,21 @@ def solve_rho1(arrival: ArrivalModel, mu: float, max_iter: int = 100) -> Rho1Sol
     if not rho < 1.0:
         raise StabilityError(rho)
 
-    r = arrival.rho1_floor * rho
-    steps = 0
+    r, steps, move = rho, 0, 0.0
     while True:
         s = 1.0 - r
         z = mu * s
-        survival = r >= 0.5
-        head, w1 = arrival.newton_terms(z, survival)
-        g = s - z * head if survival else head - r
-        r_next = r + g / (1.0 - mu * w1) if g > 0.0 else r
-        if not r < r_next < 1.0 or steps >= max_iter:
+        if r >= 0.5:
+            phi, w1 = arrival.newton_terms(z, True)  # phi = S(z)
+            g = s - z * phi
+        else:
+            lap, w1 = arrival.newton_terms(z, False)
+            g, phi = lap - r, (1.0 - lap) / z
+        r_next = r + g * phi / (phi - w1) if phi > w1 else r
+        if r_next < 0.0:
+            r_next = 0.0
+        last, move = move, r_next - r
+        if not (move and r_next < 1.0) or (steps >= 2 and move * last < 0.0) or steps >= max_iter:
             if abs(g) <= _RHO1_TOL:
                 return Rho1Solution(r, steps, abs(g), w1)
             raise ConvergenceError(
@@ -488,7 +499,9 @@ class PoissonDecisions(DecisionModel):
         nu = a; as laplace' = -weighted_first_moment and laplace(a) = rho1,
         the limit there is mu (rho1 + a q1) / (mu + a), with q1 =
         weighted_first_moment(arrival, a).  Within 1e-9 mu of a, where the
-        quotient cancels, that limit is returned.
+        quotient cancels, that limit is returned.  Elsewhere it is formed as
+        mu/(mu + nu) times (a q0 - nu rho1)/(a - nu): no product of nu with
+        nu, which would overflow from nu ~ 1e155, is formed.
         """
         d = config.derived
         mu, nu, rho1 = config.service.rate, self.rate, d.rho1
@@ -496,7 +509,7 @@ class PoissonDecisions(DecisionModel):
         if abs(a - nu) < 1e-9 * mu:
             value = mu * (rho1 + a * d.q1) / (mu + a)
         else:
-            value = mu * (a * d.q0 - nu * rho1) / ((mu + nu) * (a - nu))
+            value = mu / (mu + nu) * ((a * d.q0 - nu * rho1) / (a - nu))
         return min(max(value, 0.0), 1.0)
 
     def epochs(self, config, t_end, rng):

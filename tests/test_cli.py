@@ -132,16 +132,17 @@ def test_analyze_rejects_an_unrepresentable_second_moment(capsys, arrival):
     assert "Traceback" not in err
 
 
-_EXTREME = ["analyze", "--arrival", "uniform:beta=1e-300", "--mu", "1e301",
+_EXTREME = ["analyze", "--arrival", "fnorm:alpha=1e10,sigma=3e9", "--mu", "1e290",
             "--decision", "poisson:rate=1"]
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
 def test_a_non_finite_result_exits_2_naming_the_field(tmp_path, capsys, mode):
-    # the missing probability evaluates to NaN here; it was printed with exit 0
+    # the folded-normal W1 overflows at sigma s ~ 3e299 (ROADMAP item 18), and
+    # with it E[TY] and the mean AuD; such a result was printed with exit 0
     out = tmp_path / "out"
     assert cli.main(_EXTREME + mode + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error: missing_probability is not finite at this "
+    assert capsys.readouterr().err == ("error: derived.cross_ty is not finite at this "
                                        "time scale; rescale the input rates and times\n")
     assert not out.exists()
 

@@ -68,8 +68,9 @@ def test_rho1_rejects_unstable():
 
 
 def test_rho1_nonconvergence_reports_last_iterate():
+    # exp is solved at its start; det at load 1/2 takes four steps
     with pytest.raises(ConvergenceError) as err:
-        qc.solve_rho1(ak.Exponential(1.0), 2.0, max_iter=3)
+        qc.solve_rho1(ak.Deterministic(1.0), 2.0, max_iter=3)
     assert err.value.best is not None
     assert err.value.residual > 0
 
@@ -139,40 +140,48 @@ def test_fnorm_rho1_near_critical_load():
 
 WARM_SHAPES = [2.001, 2.05, 3.5, 6.0, 50.0, 2.0 + 1e6]
 WARM_LOADS = [0.01, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6]
+HEAVY_LOADS = [0.01, 0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+
+# each constructor takes the load and yields a model with it at mu = 1, with
+# the loads its solve is checked at
+SOLVE_CASES = {
+    "exp": (lambda rho: ak.Exponential(rho), HEAVY_LOADS),
+    "uniform": (lambda rho: ak.Uniform(2.0 / rho), HEAVY_LOADS),
+    "det": (lambda rho: ak.Deterministic(1.0 / rho), HEAVY_LOADS),
+    **{f"lomax-{alpha}": ((lambda rho, alpha=alpha: ak.Lomax(alpha, (alpha - 1.0) / rho)),
+                          WARM_LOADS) for alpha in WARM_SHAPES},
+}
 
 
-@pytest.mark.parametrize("alpha", WARM_SHAPES)
-def test_lomax_climb_from_the_load(alpha, monkeypatch):
-    # Lomax dominates the exponential of its mean in convex order, so
-    # rho1 >= rho and the climb starts there: s as accurate as the oracle
-    # tolerance asks, in fewer steps than from r = 0 over the loads.  A
-    # single climb can end one or two steps later: within a few ulps of the
-    # root g is quantized to ulps of s, each step then moves r by an ulp, and
-    # which start ends on that creep is rounding luck (63 of 4,000 random
-    # Lomax solves took one step more from rho, one took two)
-    warm_steps = cold_steps = 0
-    for rho in WARM_LOADS:
-        arrival = ak.Lomax(alpha, (alpha - 1.0) / rho)
-        warm = qc.solve_rho1(arrival, 1.0)
-        assert warm.value >= 1.0 / arrival.mean()
-        assert mp_oracle.s_rel_error(warm.value, arrival, 1.0) <= 16 * EPS / (1.0 - rho), rho
-        with monkeypatch.context() as m:
-            m.setattr(ak.Lomax, "rho1_floor", 0.0)
-            cold = qc.solve_rho1(arrival, 1.0)
-        assert warm.iterations <= cold.iterations + 2, rho
-        warm_steps += warm.iterations
-        cold_steps += cold.iterations
-    assert warm_steps < cold_steps
-
-
-def test_rho1_floor_is_zero_but_for_lomax():
-    floors = {tag: cls.rho1_floor for tag, cls in ak.dist.FAMILIES.items()}
-    assert floors == {"exp": 0.0, "uniform": 0.0, "lomax": 1.0, "fnorm": 0.0, "det": 0.0}
+@pytest.mark.parametrize("case", list(SOLVE_CASES))
+def test_rho1_solve_from_the_load(case, monkeypatch):
+    # Newton on 1/S from r = rho: s as accurate as the oracle tolerance asks,
+    # in at most 8 evaluations of the arrival at every load, for exp, where
+    # 1/S is linear, the load itself to rounding, and for Lomax, which
+    # dominates the exponential of its mean in convex order, rho1 >= rho
+    model, loads = SOLVE_CASES[case]
+    calls = []
+    cls = type(model(0.5))
+    original = cls.newton_terms
+    monkeypatch.setattr(cls, "newton_terms",
+                        lambda self, *a: calls.append(a) or original(self, *a))
+    for rho in loads:
+        arrival = model(rho)
+        calls.clear()
+        sol = qc.solve_rho1(arrival, 1.0)
+        assert len(calls) <= 8, rho
+        assert mp_oracle.s_rel_error(sol.value, arrival, 1.0) <= 16 * EPS / (1.0 - rho), rho
+        load = 1.0 / arrival.mean()
+        if case == "exp":
+            assert abs(sol.value - load) <= 2 * math.ulp(load), rho
+        elif case.startswith("lomax"):
+            assert sol.value >= load, rho
 
 
 def test_lomax_climb_accepts_a_start_where_g_rounds_to_zero():
     # at shape 2 + 1e6 and 1 - rho = 2e-12, rho1 - rho is below what g(rho)
-    # resolves: g rounds to <= 0 at the start, which |g| <= 1e-12 accepts
+    # resolves: g rounds to 0 at the start, so the first step leaves r where
+    # it is, which |g| <= 1e-12 accepts
     arrival = ak.Lomax(2.0 + 1e6, (1.0 + 1e6) / (1.0 - 2e-12))
     sol = qc.solve_rho1(arrival, 1.0)
     assert sol.iterations == 0
@@ -429,6 +438,20 @@ def test_missing_prob_exact_at_the_singular_point(load):
     a = 1.0 - qc.rho1_value(arrival, 1.0)
     p = pmis_poisson(arrival, 1.0, a)
     assert abs(p - load) <= 4 * EPS * load
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.5, 0.95])
+def test_missing_prob_mm1m_over_every_decision_rate(lam):
+    # lam/(lam + nu) from nu = 1e-300 to 5e299, outside the band around
+    # nu = a, where a product of nu with nu would overflow from nu ~ 1e155
+    arrival = ak.Exponential(lam)
+    a = 1.0 - qc.rho1_value(arrival, 1.0)
+    for k in range(-300, 300):
+        for nu in (10.0**k, 2.0 * 10.0**k, 5.0 * 10.0**k):
+            if abs(a - nu) < 1e-9:
+                continue
+            exact = lam / (lam + nu)
+            assert abs(pmis_poisson(arrival, 1.0, nu) - exact) <= 1e-13 * exact, nu
 
 
 def test_missing_prob_near_singularity_continuous():

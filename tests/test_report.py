@@ -274,15 +274,17 @@ def test_serialize_rejects_unknown_format():
 
 
 def test_sweep_flags_non_finite_cells():
-    # the missing probability of this system evaluates to NaN at this time scale
-    template = ak.SystemConfig(ak.Uniform(1e-300), ak.ServiceModel(1e301), ak.PoissonDecisions(1.0))
-    spec = report.SweepSpec("mu", (1e301,), template, ("analytic-pmis",))
+    # the mean AuD of this system evaluates to -inf at this time scale: the
+    # folded-normal W1 overflows at sigma s ~ 3e299 (ROADMAP item 18)
+    template = ak.SystemConfig(ak.FoldedNormal(1e10, 3e9), ak.ServiceModel(1e290),
+                               ak.PoissonDecisions(1.0))
+    spec = report.SweepSpec("mu", (1e290,), template, ("analytic-aud",))
     (row,) = report.run_sweep(spec)
-    assert row.cells["pmis_analytic"] == report.Cell(status="non-finite")
+    assert row.cells["aud_analytic"] == report.Cell(status="non-finite")
     doc = report.serialize([row], "json", "mu")
     jsonschema.validate(doc, load_schema("sweep.schema.json"))
     assert report.serialize([row], "csv", "mu").splitlines()[1] == (
-        "1e+301,,non-finite"
+        "1e+290,,non-finite"
     )
 
 
