@@ -23,7 +23,7 @@ exponential integrals E_p(z), evaluated by a continued fraction or, for
 small z and moderate p, by a power series and upward recurrence.  The
 continued fraction runs backwards, one division a term, from a depth that
 ``_cf_depth`` reads off (p, z): a fit above the measured modified-Lentz term
-counts, with a margin, and a ConvergenceError past ``_CF_MAX_TERMS``.  The
+counts, with a margin, and at most 119 terms on that branch.  The
 folded-normal transforms are evaluated through the scaled complementary
 error function, ``_erfcx``, in pure Python, so they stay finite all the way
 down to sigma -> 0, where the family degenerates to a point mass.
@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
+from .errors import InputError
 
 __all__ = [
     "ArrivalModel",
@@ -76,7 +76,6 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # ~100 terms for z >= 1 or p >= _CF_MIN_ORDER, but 4,600 at p = 2.05, z = 0.01
 # and ever more as z -> 0, where a series takes over.
 _CF_MIN_ORDER = 20.0
-_CF_MAX_TERMS = 1000
 # zeta(k)/k, k = 53..2, as scipy.special.zeta rounds them (11 differ from the
 # correctly rounded value by an ulp): ln Gamma(1-e) = euler_gamma e +
 # sum_k zeta(k) e^k / k (A&S 6.1.33), to 1e-17 for |e| <= 1/2.
@@ -152,7 +151,9 @@ def _cf_depth(p: float, z: float) -> int:
     and to at least the depth past which the truncated g stays within eps/10
     of its limit.  That count is 96/55/30/19/7 at z = 1/2/5/10/100 for p near
     2, and 49/20/11 at p = 20/50/200 as z -> 0; the eps/10 depth is up to
-    1.28 times it near z = 1, where the fraction converges slowly.  p * p,
+    1.28 times it near z = 1, where the fraction converges slowly.  It falls
+    in p and in z, so the branch (z >= 1 or p >= 20, with p > 2) takes at
+    most 119 terms, at z = 1 as p -> 2.  p * p,
     not a power, so that a huge shape gives the floor of 18, not an
     OverflowError.
     """
@@ -181,11 +182,10 @@ def _scaled_expint_pair(p: float, z: float) -> tuple[float, float, float]:
         # E_{p+1} = (exp(-z) - z E_p)/p turns the difference into g e^z E_p and
         # p e^z E_{p+1} into h/(z + h), h = p (1 - g): free of the cancellation
         # that costs log10(p) digits below, and one rounding from h.
-        depth = _cf_depth(p, z)
         pm1 = p - 1.0
         zp = z + p
         u = 0.0
-        i = float(min(depth, _CF_MAX_TERMS))
+        i = float(_cf_depth(p, z))
         while i > 1.5:
             u = i * (pm1 + i) / (zp + 2.0 * i - u)
             i -= 1.0
@@ -193,12 +193,6 @@ def _scaled_expint_pair(p: float, z: float) -> tuple[float, float, float]:
         pg = p * g
         h = p - pg
         den = z + h
-        if depth > _CF_MAX_TERMS:
-            raise ConvergenceError(
-                f"exponential-integral continued fraction needs {depth} terms, "
-                f"more than {_CF_MAX_TERMS} (p={p}, z={z})",
-                best=1.0 / den,
-            )
         # h/(z + h), corrected to first order by the roundings of h (Fast2Sum,
         # exact as pg < p) and of z + h (TwoSum): within an eps, where the
         # three roundings alone reach 1.25

@@ -34,10 +34,12 @@ For exp this is rho + 1/rho = 1 + sqrt(2), the M/M/1 optimum of Kaul,
 Yates and Gruteser ("Real-time status: How often should one update?",
 INFOCOM 2012).  For det it is e^u = u + 3, with rho = (u + 2)/(u (u + 3))
 and c0 = e^u/2.  Uniform has no closed form; its root is u = 1.1791123840...
-Each ``optimal_load`` is the load at that root, correctly rounded, and
-``tests/mp_oracle.py`` solves the condition again at 40 digits.  The
-paper's own procedure, threshold bisection over a penalised simplex
-minimisation, is kept in the test suite as a further oracle.
+Each ``optimal_load`` is the load at that root, correctly rounded.
+``tests/mp_oracle.py`` solves the condition again at 40 digits, and
+``tests/test_optimize.py`` holds each optimum to that root, to a
+golden-section search of its closed form in lambda, and, for the
+two-parameter families, to their mean AuD falling to the limit's from
+above.
 
 ``optimize_offset`` is closed form: the offset-periodic mean AuD is convex
 in the offset with derivative 1 - u1/rho (see ``queue_core``), so the

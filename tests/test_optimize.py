@@ -1,7 +1,7 @@
 """The arrival optimizer's per-family optimal loads against a 40-digit root of
-their stationarity condition and the paper's bisection oracle (simplex
-wrapper, penalized feasibility objective, threshold bisection), result 1 as
-properties, and the closed-form offset optimum."""
+their stationarity condition and a golden-section search of each
+one-parameter closed form, the two-parameter families' limits as their
+infima, result 1 as properties, and the closed-form offset optimum."""
 
 import math
 
@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 import audkit as ak
 from audkit import optimize as op
 from audkit import queue_core as qc
-from audkit.errors import ConvergenceError, InputError
+from audkit.errors import InputError
 
-import bisection_oracle as bo
 import mp_oracle
 
 
 def golden_section(f, lo, hi, tol=1e-10):
-    """Independent 1-D minimizer used as an oracle for the bisection."""
+    """Independent 1-D minimizer, an oracle for the one-parameter optima."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -36,151 +35,6 @@ def golden_section(f, lo, hi, tol=1e-10):
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b), f(0.5 * (a + b))
-
-
-# --- simplex wrapper -------------------------------------------------------------
-
-
-def test_simplex_quadratic_bowl():
-    res = bo.simplex_minimize(lambda x: (x[0] - 3.0) ** 2, [0.0])
-    assert res.x[0] == pytest.approx(3.0, abs=1e-6)
-    assert res.fun <= 1e-12
-
-
-def test_simplex_rosenbrock():
-    res = bo.simplex_minimize(
-        lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2, [-1.2, 1.0]
-    )
-    assert res.fun <= 1e-8
-    assert res.x[0] == pytest.approx(1.0, abs=1e-3)
-
-
-def test_simplex_inner_problem_smoke():
-    spec = bo.ObjectiveSpec("exp", 2.0, 2.0)
-    res = bo.simplex_minimize(lambda k: bo.penalized_objective(spec, k), [1.0])
-    lam = res.x[0]
-    assert 0.0 < lam < 2.0  # interior, stable minimizer
-    assert res.fun < 0.0  # c0 = 2 is above the optimum, so feasible
-
-
-def test_simplex_budget_exhaustion_carries_best():
-    with pytest.raises(ConvergenceError) as err:
-        bo.simplex_minimize(
-            lambda x: (x[0] - 3.0) ** 2 + (x[1] + 1.0) ** 2, [50.0, 50.0], max_evals=10
-        )
-    best = err.value.best
-    assert best is not None and best.n_evals <= 10
-    assert math.isfinite(best.fun)
-
-
-def test_simplex_rejects_nonfinite_start():
-    with pytest.raises(InputError):
-        bo.simplex_minimize(lambda x: float("nan"), [0.0])
-
-
-# --- penalized objective -----------------------------------------------------------
-
-
-def test_penalized_objective_tight_threshold():
-    # lam = 1, mu = 2 puts the decision-rate-free mean age exactly at 1.75,
-    # so the feasibility margin vanishes
-    spec = bo.ObjectiveSpec("exp", 2.0, 1.75)
-    assert abs(bo.penalized_objective(spec, [1.0])) <= 1e-8
-
-
-def test_penalized_objective_penalty_branches():
-    spec = bo.ObjectiveSpec("exp", 2.0, 1.75)
-    assert bo.penalized_objective(spec, [3.0]) >= spec.penalty  # rho = 1.5
-    assert bo.penalized_objective(spec, [-1.0]) >= spec.penalty  # invalid rate
-    lomax = bo.ObjectiveSpec("lomax", 2.0, 5.0)
-    assert bo.penalized_objective(lomax, [1.5, 1.0]) >= lomax.penalty  # shape <= 2
-
-
-def test_penalized_objective_negative_when_loose():
-    spec = bo.ObjectiveSpec("uniform", 2.0, 10.0)
-    assert bo.penalized_objective(spec, [2.0]) < 0.0
-
-
-def test_penalized_objective_arity_checked():
-    with pytest.raises(InputError):
-        bo.penalized_objective(bo.ObjectiveSpec("exp", 2.0, 1.0), [1.0, 2.0])
-    with pytest.raises(InputError):
-        bo.ObjectiveSpec("weibull", 2.0, 1.0)
-
-
-def test_default_starts_sit_at_half_load():
-    for family in ("exp", "uniform", "lomax", "fnorm"):
-        for mu in (1.0, 2.0, 4.0):
-            kappa = bo.default_start(family, mu)
-            model_rho = {
-                "exp": lambda k: k[0] / mu,
-                "uniform": lambda k: 2.0 / (k[0] * mu),
-                "lomax": lambda k: (k[0] - 1.0) / (k[1] * mu),
-                "fnorm": lambda k: 1.0 / (mu * ak.FoldedNormal(*k).mean()),
-            }[family](kappa)
-            assert model_rho == pytest.approx(0.5, abs=0.01)
-
-
-# --- bisection ------------------------------------------------------------------------
-
-
-def test_bisection_exponential_matches_golden_section():
-    res = bo.bisection_optimal_arrival("exp", 2.0)
-    lam_star, aud_star = golden_section(
-        lambda lam: qc.average_aud_mm1m(lam, 2.0), 1e-6, 2.0 - 1e-9
-    )
-    assert res.converged
-    assert res.bracket_width <= 1e-6 / 2.0
-    assert res.c0 == pytest.approx(aud_star, abs=1e-4)
-    assert res.kappa[0] == pytest.approx(lam_star, abs=1e-3)
-    assert res.arrival_rate() / 2.0 == pytest.approx(0.5, abs=0.1)
-
-
-def test_bisection_feasibility_monotone_at_result():
-    res = bo.bisection_optimal_arrival("exp", 2.0)
-    model = res.arrival_model()
-    aud = qc.average_aud_from_moments(*qc.departure_moments(model, 2.0))
-    # achieved mean age certifies feasibility of c0*, and raising the
-    # threshold can only keep it feasible
-    assert aud <= res.c0 + 1e-9
-    for bump in (0.01, 0.1, 1.0):
-        spec = bo.ObjectiveSpec("exp", 2.0, res.c0 + bump)
-        assert bo.penalized_objective(spec, list(res.kappa)) < 0.0
-
-
-def test_bisection_no_penalty_leak():
-    for family in ("exp", "uniform"):
-        res = bo.bisection_optimal_arrival(family, 2.0)
-        model = res.arrival_model()  # construction invariants hold
-        rho = 1.0 / (2.0 * model.mean())
-        assert rho < 1.0
-
-
-def test_bisection_uniform_beats_exponential():
-    uni = bo.bisection_optimal_arrival("uniform", 2.0)
-    exp = bo.bisection_optimal_arrival("exp", 2.0)
-    assert uni.c0 < exp.c0
-
-
-def test_bisection_folded_normal_collapses_to_periodic():
-    res = bo.bisection_optimal_arrival("fnorm", 2.0)
-    assert res.kappa[1] ** 2 <= 1e-5
-    # sigma -> 0 turns the arrivals periodic, so the optimum must match the
-    # deterministic-arrival curve minimized over its rate
-    lam_star, aud_star = golden_section(
-        lambda lam: qc.average_aud_dm1m(lam, 2.0), 1e-3, 2.0 - 1e-9
-    )
-    assert res.c0 == pytest.approx(aud_star, abs=1e-4)
-    assert res.arrival_rate() == pytest.approx(lam_star, abs=1e-2)
-
-
-def test_bisection_rejects_bad_input():
-    with pytest.raises(InputError):
-        bo.bisection_optimal_arrival("weibull", 2.0)
-    with pytest.raises(InputError):
-        bo.bisection_optimal_arrival("exp", 2.0, eps=0.0)
-    with pytest.raises(InputError):
-        bo.bisection_optimal_arrival("exp", 2.0, upper=1e-6)  # infeasible bound
 
 
 # --- offset search ----------------------------------------------------------------------
@@ -305,25 +159,6 @@ def test_periodic_arrival_laws_match_the_mp_oracle(mu):
 # --- arrival optimum -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family", ["exp", "uniform", "fnorm", "lomax"])
-@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
-def test_optimal_arrival_matches_bisection(family, mu):
-    oracle = bo.bisection_optimal_arrival(family, mu)
-    res = op.optimal_arrival(family, mu)
-    eps = 1e-6 / mu
-    if family == "lomax":
-        # the oracle stops at its shape cap; the search reports the limit itself
-        assert res.limit == "exp"
-        assert res.c0 <= oracle.c0
-        assert res.c0 == pytest.approx(oracle.c0, rel=1e-5)
-    else:
-        assert abs(res.c0 - oracle.c0) <= eps
-    # c0 is the mean AuD the reported parameters achieve
-    assert res.c0 == qc.average_aud_from_moments(
-        *qc.departure_moments(res.arrival_model(), mu)
-    )
-
-
 def test_optimal_arrival_lomax_approaches_exponential_limit():
     # the Lomax infimum is the shape -> infinity (exponential) limit, which
     # no finite shape attains
@@ -366,13 +201,6 @@ def test_optimal_load_is_the_root_of_the_stationarity_condition(family):
 def test_optimal_arrival_rejects_bad_input():
     with pytest.raises(InputError):
         op.optimal_arrival("weibull", 2.0)
-
-
-@pytest.mark.parametrize("solve", [bo.bisection_optimal_arrival])
-def test_optimizers_reject_infinite_tolerance(solve):
-    # an infinite eps used to return the load-1/2 start as a converged optimum
-    with pytest.raises(InputError, match="finite"):
-        solve("exp", 2.0, eps=math.inf)
 
 
 # --- result 1 as properties --------------------------------------------------------------
@@ -428,8 +256,10 @@ def test_periodic_optimum_is_every_familys_floor(mu):
 @pytest.mark.parametrize("family", ["exp", "uniform", "lomax", "fnorm", "det"])
 def test_optimum_scales_as_one_over_mu(family):
     base = op.optimal_arrival(family, 1.0)
-    for mu in (0.5, 2.0):
+    for mu in (0.5, 1.0, 2.0):
         res = op.optimal_arrival(family, mu)
+        # c0 is the mean AuD the reported parameters achieve, bit for bit
+        assert res.c0 == _aud(res.arrival_model(), mu)
         assert res.c0 * mu == pytest.approx(base.c0, rel=1e-14)
         assert res.arrival_rate() / mu == pytest.approx(base.arrival_rate(), rel=1e-14)
 
@@ -445,7 +275,7 @@ def test_optimum_is_the_aud_it_reports_at_any_mu(mu):
 @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
 def test_one_parameter_optima_match_golden_section(mu):
     # golden section on each family's closed form in lambda, independent of
-    # both the load search and the bisection
+    # the per-family optimal loads
     curves = {
         "exp": lambda lam: qc.average_aud_mm1m(lam, mu),
         "det": lambda lam: qc.average_aud_dm1m(lam, mu),
@@ -454,3 +284,26 @@ def test_one_parameter_optima_match_golden_section(mu):
     for family, curve in curves.items():
         _, aud_star = golden_section(curve, 1e-3 * mu, mu * (1.0 - 1e-9), tol=1e-12)
         assert op.optimal_arrival(family, mu).c0 == pytest.approx(aud_star, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+def test_two_parameter_limits_are_approached_from_above(mu):
+    # at the limit's optimal load, the folded normal's mean AuD falls to det's
+    # c0 as sigma^2 and Lomax's to exp's as 1/shape, each from above; with
+    # result 1's lower bounds above, each limit is the family's infimum
+    fnorm, lomax = op.optimal_arrival("fnorm", mu), op.optimal_arrival("lomax", mu)
+    assert (fnorm.limit, lomax.limit) == ("det", "exp")
+    gaps = []
+    for ratio in (1e-1, 1e-2, 1e-3, 1e-4):
+        unit = ak.FoldedNormal(1.0, ratio)
+        scale = 1.0 / (fnorm.arrival_rate() * unit.mean())
+        gaps.append(_aud(ak.FoldedNormal(scale, ratio * scale), mu) - fnorm.c0)
+    assert all(gap > 0.0 for gap in gaps)
+    assert all(a / b == pytest.approx(100.0, rel=1e-3) for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] <= 1e-6 / mu
+    lam = lomax.arrival_rate()
+    gaps = [_aud(ak.Lomax(alpha, (alpha - 1.0) / lam), mu) / lomax.c0 - 1.0
+            for alpha in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)]
+    assert all(gap > 0.0 for gap in gaps)
+    assert all(a / b == pytest.approx(10.0, rel=0.21) for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] <= 1e-5
